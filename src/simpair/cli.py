@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,12 +44,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _float_in(low: float, high: float = math.inf):
+    """argparse type: a finite float in [low, high]."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number in [{low:g}, {high:g}], got {text}")
+        return value
+    return parse
+
+
+def _list_of(parse_one):
+    """argparse type: a comma list, each item checked by ``parse_one``."""
+    def parse(text: str) -> list:
+        return [parse_one(tok) for tok in text.split(",") if tok.strip()]
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+_NONNEGATIVE = _int_at_least(0)
+_FRACTION = _float_in(0.0, 1.0)
 
 
 def _add_input_args(sub, required=True):
@@ -60,23 +92,23 @@ def _add_input_args(sub, required=True):
 def _add_synth_args(sub):
     sub.add_argument("--synth", action="store_true",
                      help="use a synthetic planted-partition matrix instead of --input")
-    sub.add_argument("--blocks", type=int, default=4)
-    sub.add_argument("--block-size", type=int, default=25)
-    sub.add_argument("--block-sizes", type=_int_list, default=None,
+    sub.add_argument("--blocks", type=_POSITIVE, default=4)
+    sub.add_argument("--block-size", type=_POSITIVE, default=25)
+    sub.add_argument("--block-sizes", type=_list_of(_POSITIVE), default=None,
                      help="comma list overriding --blocks/--block-size")
-    sub.add_argument("--in-rate", type=float, default=10.0)
-    sub.add_argument("--cross-rate", type=float, default=0.0)
-    sub.add_argument("--volume", type=int, default=50_000)
-    sub.add_argument("--synth-seed", type=int, default=1)
+    sub.add_argument("--in-rate", type=_float_in(0.0), default=10.0)
+    sub.add_argument("--cross-rate", type=_float_in(0.0), default=0.0)
+    sub.add_argument("--volume", type=_POSITIVE, default=50_000)
+    sub.add_argument("--synth-seed", type=_NONNEGATIVE, default=1)
 
 
 def _add_sweep_args(sub):
     _add_input_args(sub, required=False)
     _add_synth_args(sub)
-    sub.add_argument("--reps", type=int, default=20, help="repetitions per grid point")
-    sub.add_argument("--seed", type=int, default=0, help="base seed")
+    sub.add_argument("--reps", type=_POSITIVE, default=20, help="repetitions per grid point")
+    sub.add_argument("--seed", type=_NONNEGATIVE, default=0, help="base seed")
     sub.add_argument("--tide-count", choices=("events", "merges"), default="events")
-    sub.add_argument("--jobs", type=int, default=1, help="worker threads for repetitions")
+    sub.add_argument("--jobs", type=_POSITIVE, default=1, help="worker threads for repetitions")
     sub.add_argument("--truth-reference", action="store_true",
                      help="score against the planted truth instead of the max run "
                           "(synthetic input only)")
@@ -95,32 +127,32 @@ def build_parser() -> _Parser:
     p_detect.add_argument("--n-nodes", type=int, default=None,
                           help="node count override when using --pairs with integer ids")
     p_detect.add_argument("--strategy", choices=("max", "psim", "p"), default="max")
-    p_detect.add_argument("--topn", type=int, default=None,
+    p_detect.add_argument("--topn", type=_POSITIVE, default=None,
                           help="restrict psim to the top-n most similar candidates")
-    p_detect.add_argument("--delete", type=float, default=None,
+    p_detect.add_argument("--delete", type=_FRACTION, default=None,
                           help="fraction of each similarity row to hide from max")
-    p_detect.add_argument("--levels", type=int, default=1,
+    p_detect.add_argument("--levels", type=_NONNEGATIVE, default=1,
                           help="detection passes through coarse-graining "
                                "(0 = iterate until stable)")
-    p_detect.add_argument("--seed", type=int, default=0)
+    p_detect.add_argument("--seed", type=_NONNEGATIVE, default=0)
     p_detect.add_argument("--tide-count", choices=("events", "merges"), default="events")
     p_detect.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_prob = subs.add_parser("sweep-prob", help="probability sweep of mixed strategies")
     _add_sweep_args(p_prob)
-    p_prob.add_argument("--p-grid", type=_float_list, default=None,
+    p_prob.add_argument("--p-grid", type=_list_of(_FRACTION), default=None,
                         help="comma list of probabilities (default 0,0.1,...,1)")
     p_prob.add_argument("--kinds", type=str, default="psim,p",
                         help="random kinds to sweep (comma list from: psim,p)")
 
     p_topn = subs.add_parser("sweep-topn", help="top-n candidate sweep of psim")
     _add_sweep_args(p_topn)
-    p_topn.add_argument("--topn-grid", type=_int_list, required=True,
+    p_topn.add_argument("--topn-grid", type=_list_of(_POSITIVE), required=True,
                         help="comma list of candidate-count cutoffs")
 
     p_del = subs.add_parser("sweep-del", help="similarity-deletion sweep of max")
     _add_sweep_args(p_del)
-    p_del.add_argument("--del-grid", type=_float_list, default=None,
+    p_del.add_argument("--del-grid", type=_list_of(_FRACTION), default=None,
                        help="comma list of deletion fractions (default 0,0.1,...,0.9)")
 
     p_gen = subs.add_parser("gen-synth", help="write a synthetic planted matrix")
@@ -130,14 +162,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _synthetic_spec(args) -> SyntheticSpec:
+def _synthetic(args, parser):
+    """Returns (spec, matrix, truth) for the --synth / gen-synth flags."""
     if args.block_sizes is not None:
         sizes = tuple(args.block_sizes)
     else:
         sizes = tuple([args.block_size] * args.blocks)
-    return SyntheticSpec(n_blocks=len(sizes), block_sizes=sizes,
-                         in_rate=args.in_rate, cross_rate=args.cross_rate,
-                         volume=args.volume, seed=args.synth_seed)
+    try:
+        spec = SyntheticSpec(n_blocks=len(sizes), block_sizes=sizes,
+                             in_rate=args.in_rate, cross_rate=args.cross_rate,
+                             volume=args.volume, seed=args.synth_seed)
+        return (spec, *generate_planted_citation_matrix(spec))
+    except ValueError as exc:
+        parser.error(f"synthetic spec: {exc}")
 
 
 def _load_matrix(args, parser):
@@ -146,7 +183,7 @@ def _load_matrix(args, parser):
     if use_synth and args.input is not None:
         parser.error("--input and --synth are mutually exclusive")
     if use_synth:
-        matrix, truth = generate_planted_citation_matrix(_synthetic_spec(args))
+        _, matrix, truth = _synthetic(args, parser)
         return matrix, truth
     if args.input is None:
         parser.error("one of --input or --synth is required")
@@ -240,8 +277,7 @@ def _cmd_sweep_del(args, parser) -> int:
 def _cmd_gen_synth(args, parser) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    spec = _synthetic_spec(args)
-    matrix, truth = generate_planted_citation_matrix(spec)
+    spec, matrix, truth = _synthetic(args, parser)
     coo = matrix.counts.tocoo()
     lines = [f"{i}\t{j}\t{v}\n" for i, j, v in zip(coo.row, coo.col, coo.data)]
     (out / "citations.tsv").write_text("".join(lines), encoding="utf-8")
@@ -269,6 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     except InputFormatError as exc:
         print(f"simpair: input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except OSError as exc:
+        # reads turn their OSErrors into InputFormatError, so this is a write
+        print(f"simpair: error: cannot write {exc.filename or args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Partner selection: one ranked pair list per strategy.
 
-Every strategy walks the similarity matrix and emits directed
-(selector, selected, similarity) triples, one batch per node, then sorts
-them by decreasing similarity. Strategies:
+Every strategy works on the similarity matrix a block of rows at a time,
+emits directed (selector, selected, similarity) triples, then sorts them
+by decreasing similarity. Strategies:
 
 * ``max``      - each node pairs with its highest-similarity partner(s);
                  exact ties all get emitted.
@@ -15,6 +15,10 @@ them by decreasing similarity. Strategies:
                  strategy; the boundary probabilities reproduce the pure
                  strategies byte for byte.
 
+Random draws come from one stream per (seed, purpose); node i reads
+element i (see :mod:`simpair.rng`). Row blocks of ``BLOCK_ROWS`` bound
+every temporary to a block of the N x N matrix.
+
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
 """
@@ -26,8 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, node_stream
+from .rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, stream
 from .similarity import SimilarityMatrix
+
+BLOCK_ROWS = 128
 
 
 class RankedPair(NamedTuple):
@@ -89,17 +95,19 @@ class Strategy:
 
 @dataclass(frozen=True)
 class SimilarityMask:
-    """Per-row sets of hidden columns, from random deletion.
+    """Per-row hidden columns, from random deletion.
 
-    Deletion is row-local: node i may lose sight of j while j still sees i.
+    ``deleted[i]`` holds the columns node i cannot see; from
+    :func:`apply_random_deletion` it is an (N, k) array. Deletion is
+    row-local: node i may lose sight of j while j still sees i.
     """
 
-    deleted: tuple[np.ndarray, ...]
+    deleted: np.ndarray
     fraction: float
     seed: int
 
     def n_deleted_per_row(self) -> int:
-        return len(self.deleted[0]) if self.deleted else 0
+        return len(self.deleted[0]) if len(self.deleted) else 0
 
 
 def sort_pairs(pairs: list[RankedPair]) -> list[RankedPair]:
@@ -107,68 +115,130 @@ def sort_pairs(pairs: list[RankedPair]) -> list[RankedPair]:
     return sorted(pairs, key=lambda p: (-p.similarity, p.selector, p.selected))
 
 
+def _row_blocks(n: int):
+    for lo in range(0, n, BLOCK_ROWS):
+        yield slice(lo, min(lo + BLOCK_ROWS, n))
+
+
+def _ranked(values: np.ndarray, picks: list[tuple[np.ndarray, np.ndarray]]) -> list[RankedPair]:
+    """Gather the similarity of each (selector, selected) pick and sort.
+
+    Same order as :func:`sort_pairs`: decreasing similarity, then selector,
+    then selected.
+    """
+    if not picks:
+        return []
+    selector = np.concatenate([i for i, _ in picks])
+    selected = np.concatenate([j for _, j in picks])
+    sim = values[selector, selected]
+    order = np.lexsort((selected, selector, -sim))
+    return list(map(RankedPair, selector[order].tolist(), selected[order].tolist(),
+                    sim[order].tolist()))
+
+
 def apply_random_deletion(s: SimilarityMatrix, d: float, seed: int) -> SimilarityMask:
-    """Hide a uniform random floor(d*(N-1)) columns in each row."""
+    """Hide a uniform random floor(d*(N-1)) columns in each row.
+
+    Row i's hidden columns are the k smallest of its random keys (row i of
+    one (N, N) draw), with its own column keyed +inf so it is never hidden.
+    """
     if not 0.0 <= d <= 1.0:
         raise ValueError("deletion fraction must be in [0, 1]")
     n = s.n_nodes
     k = int(np.floor(d * (n - 1)))
-    deleted = []
-    for i in range(n):
-        candidates = np.delete(np.arange(n), i)
-        if k == 0:
-            chosen = np.empty(0, dtype=np.int64)
-        else:
-            rng = node_stream(seed, i, MASK_STREAM)
-            chosen = np.sort(rng.choice(candidates, size=k, replace=False))
-        deleted.append(chosen.astype(np.int64))
-    return SimilarityMask(deleted=tuple(deleted), fraction=d, seed=seed)
+    deleted = np.empty((n, k), dtype=np.int64)
+    if k:
+        rng = stream(seed, MASK_STREAM)
+        for rows in _row_blocks(n):
+            keys = rng.random((rows.stop - rows.start, n))
+            keys[np.arange(len(keys)), np.arange(rows.start, rows.stop)] = np.inf
+            deleted[rows] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    return SimilarityMask(deleted=deleted, fraction=d, seed=seed)
 
 
-def _max_pairs_for_node(s: SimilarityMatrix, i: int, mask: SimilarityMask | None) -> list[RankedPair]:
-    row = s.values[i].copy()
-    if mask is not None and len(mask.deleted[i]):
-        row[mask.deleted[i]] = -1.0  # hidden: below any real similarity
-    m = row.max()
-    if m <= 0.0:
-        return []
-    return [RankedPair(i, int(j), float(m)) for j in np.flatnonzero(row == m)]
+def _max_picks(vals: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every maximum of each row in ``vals`` (the rows ``rows``), ties included.
+
+    Rows whose maximum is not positive emit nothing. Exact ties are rare, so
+    they are found by a tie count and only tied rows are scanned again.
+    """
+    at = np.arange(len(rows))
+    best = vals.argmax(axis=1)
+    m = vals[at, best]
+    ties = np.count_nonzero(vals == m[:, None], axis=1)
+    live = m > 0.0
+    single = live & (ties == 1)
+    tied = np.flatnonzero(live & (ties > 1))
+    if not len(tied):
+        return rows[single], best[single]
+    r, c = np.nonzero(vals[tied] == m[tied, None])
+    return np.concatenate((rows[single], rows[tied[r]])), np.concatenate((best[single], c))
 
 
 def select_max(s: SimilarityMatrix, mask: SimilarityMask | None = None) -> list[RankedPair]:
     """Every node pairs with all of its maximum-similarity partners."""
     if s.n_nodes < 2:
         raise ValueError("need at least 2 nodes")
-    pairs = []
-    for i in range(s.n_nodes):
-        pairs.extend(_max_pairs_for_node(s, i, mask))
-    return sort_pairs(pairs)
+    picks = []
+    for rows in _row_blocks(s.n_nodes):
+        vals = s.values[rows]
+        hidden = () if mask is None else mask.deleted[rows]
+        cols = np.concatenate(hidden) if len(hidden) else ()
+        if len(cols):
+            vals = vals.copy()
+            vals[np.repeat(np.arange(len(vals)), [len(h) for h in hidden]),
+                 cols] = -1.0  # hidden: below any real similarity
+        picks.append(_max_picks(vals, np.arange(rows.start, rows.stop)))
+    return _ranked(s.values, picks)
 
 
-def _psim_pick(s: SimilarityMatrix, i: int, topn: int | None, rng: np.random.Generator) -> RankedPair | None:
-    n = s.n_nodes
-    row = s.values[i]
-    candidates = np.delete(np.arange(n), i)
+def _proportional_pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column drawn from each row of ``weights`` in proportion to its weight.
+
+    ``u`` holds one uniform [0, 1) number per row. Rows with no positive
+    weight get -1. ``weights`` is overwritten with its row cumsum.
+    """
+    cdf = np.cumsum(weights, axis=1, out=weights)
+    total = cdf[:, -1]
+    j = np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
+    # only u >= 1 can put every column at or below u * total; clamp such a
+    # row to its last column with positive weight, never a trailing zero one
+    over = np.flatnonzero(j == cdf.shape[1])
+    j[over] = np.count_nonzero(cdf[over] < total[over, None], axis=1)
+    j[~(total > 0.0)] = -1
+    return j
+
+
+def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
+    """Mask of each row's ``topn`` largest entries; boundary ties go to lower ids."""
+    n = w.shape[1]
+    threshold = np.partition(w, n - topn, axis=1)[:, n - topn, None]
+    above = w > threshold
+    at = w == threshold
+    room = topn - np.count_nonzero(above, axis=1)
+    return above | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+
+
+def _psim_picks(values: np.ndarray, rows: np.ndarray, u: np.ndarray,
+                topn: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Proportional draws for the nodes ``rows``; ``u`` holds their uniforms."""
+    n = values.shape[1]
+    w = values[rows]
+    own = (np.arange(len(rows)), rows)
     if topn is not None and topn < n - 1:
-        # rank by similarity desc, node id asc; boundary ties go to lower ids
-        order = np.lexsort((candidates, -row[candidates]))
-        candidates = np.sort(candidates[order[:topn]])
-    weights = row[candidates]
-    total = weights.sum()
-    if total <= 0.0:
-        return None
-    cdf = np.cumsum(weights / total)
-    j = int(candidates[min(np.searchsorted(cdf, rng.random(), side="right"),
-                           len(candidates) - 1)])
-    return RankedPair(i, j, float(s.values[i, j]))
+        w[own] = -np.inf  # a node is never its own candidate
+        w[~_top_candidates(w, topn)] = 0.0
+    else:
+        w[own] = 0.0
+    j = _proportional_pick(w, u)
+    hit = j >= 0
+    return rows[hit], j[hit]
 
 
-def _uniform_pick(s: SimilarityMatrix, i: int, rng: np.random.Generator) -> RankedPair:
-    n = s.n_nodes
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    return RankedPair(i, j, float(s.values[i, j]))
+def _uniform_picks(rows: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draws over the other n-1 nodes for the nodes ``rows``."""
+    j = (u * (n - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
+    return rows, j + (j >= rows)
 
 
 def select_psim(s: SimilarityMatrix, seed: int, topn: int | None = None) -> list[RankedPair]:
@@ -178,52 +248,52 @@ def select_psim(s: SimilarityMatrix, seed: int, topn: int | None = None) -> list
     (ties at the cutoff resolved toward the lower node id). Nodes whose
     candidate similarities sum to zero emit nothing.
     """
-    if s.n_nodes < 2:
+    n = s.n_nodes
+    if n < 2:
         raise ValueError("need at least 2 nodes")
-    pairs = []
-    for i in range(s.n_nodes):
-        pick = _psim_pick(s, i, topn, node_stream(seed, i, PARTNER_STREAM))
-        if pick is not None:
-            pairs.append(pick)
-    return sort_pairs(pairs)
+    u = stream(seed, PARTNER_STREAM).random(n)
+    picks = [_psim_picks(s.values, np.arange(rows.start, rows.stop), u[rows], topn)
+             for rows in _row_blocks(n)]
+    return _ranked(s.values, picks)
 
 
 def select_random(s: SimilarityMatrix, seed: int) -> list[RankedPair]:
     """Each node samples one partner uniformly over all other nodes."""
-    if s.n_nodes < 2:
+    n = s.n_nodes
+    if n < 2:
         raise ValueError("need at least 2 nodes")
-    pairs = [_uniform_pick(s, i, node_stream(seed, i, PARTNER_STREAM))
-             for i in range(s.n_nodes)]
-    return sort_pairs(pairs)
+    u = stream(seed, PARTNER_STREAM).random(n)
+    return _ranked(s.values, [_uniform_picks(np.arange(n), u, n)])
 
 
 def select_mixed(s: SimilarityMatrix, p: float, random_kind: str, seed: int) -> list[RankedPair]:
     """Per-node coin: with probability p use the random strategy, else max.
 
-    The gate draw and the partner draw use separate per-node streams, so
-    p=0 reproduces select_max exactly and p=1 reproduces the pure random
+    The gate draw and the partner draw use separate streams, so p=0
+    reproduces select_max exactly and p=1 reproduces the pure random
     strategy (same seed) exactly.
     """
-    if s.n_nodes < 2:
+    n = s.n_nodes
+    if n < 2:
         raise ValueError("need at least 2 nodes")
     if random_kind not in RANDOM_KINDS:
         raise ValueError(f"random_kind must be one of {RANDOM_KINDS}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    pairs = []
-    for i in range(s.n_nodes):
-        gate = node_stream(seed, i, GATE_STREAM)
-        if gate.random() < p:
-            rng = node_stream(seed, i, PARTNER_STREAM)
+    gate = stream(seed, GATE_STREAM).random(n) < p
+    u = stream(seed, PARTNER_STREAM).random(n)
+    picks = []
+    for block in _row_blocks(n):
+        rows = np.arange(block.start, block.stop)
+        coin = gate[block]
+        if not coin.all():
+            picks.append(_max_picks(s.values[rows[~coin]], rows[~coin]))
+        if coin.any():
             if random_kind == "psim":
-                pick = _psim_pick(s, i, None, rng)
-                if pick is not None:
-                    pairs.append(pick)
+                picks.append(_psim_picks(s.values, rows[coin], u[block][coin], None))
             else:
-                pairs.append(_uniform_pick(s, i, rng))
-        else:
-            pairs.extend(_max_pairs_for_node(s, i, None))
-    return sort_pairs(pairs)
+                picks.append(_uniform_picks(rows[coin], u[block][coin], n))
+    return _ranked(s.values, picks)
 
 
 def select_pairs(s: SimilarityMatrix, strategy: Strategy, seed: int = 0) -> list[RankedPair]:

@@ -162,6 +162,41 @@ class TestSweepCommands:
         assert err.value.code == 1
 
 
+
+class TestParameterErrors:
+    """Bad parameters exit 1 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--levels", "-1"],
+        ["detect", "--strategy", "psim", "--topn", "0"],
+        ["detect", "--delete", "1.5"],
+        ["detect", "--seed", "-1"],
+        ["sweep-prob", "--synth", "--reps", "0"],
+        ["sweep-prob", "--synth", "--jobs", "0"],
+        ["sweep-prob", "--synth", "--p-grid", "0,2"],
+        ["sweep-topn", "--synth", "--topn-grid", "1,0"],
+        ["gen-synth", "--blocks", "0"],
+        ["gen-synth", "--in-rate", "1", "--cross-rate", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_of_range_flag(self, tmp_path, block_edges, capsys, argv):
+        if argv[0] == "detect":
+            argv = argv + ["--input", str(block_edges)]
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--out", str(tmp_path / "x")])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert "error:" in lines[-1]
+        assert not any("Traceback" in line for line in lines)
+
+    def test_unwritable_out(self, tmp_path, block_edges, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run(["detect", "--input", str(block_edges), "--out", str(blocker / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("simpair: error: cannot write")
+        assert len(err.strip().splitlines()) == 1
+
 class TestGenSynth:
     def test_writes_matrix_truth_and_spec(self, tmp_path, capsys):
         out = tmp_path / "synth"

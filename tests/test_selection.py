@@ -14,6 +14,7 @@ from simpair import (
     select_random,
 )
 from simpair.io import pairs_to_tsv
+from simpair.selection import _proportional_pick
 
 
 def sim_from(values) -> SimilarityMatrix:
@@ -156,6 +157,18 @@ class TestSelectPsim:
         picks = {next(p.selected for p in select_psim(s, seed, topn=1)
                       if p.selector == 0) for seed in range(50)}
         assert picks == {1}
+
+    def test_draw_near_one_never_picks_trailing_zero(self):
+        rng = np.random.default_rng(30)
+        weights = rng.random((2000, 6))
+        weights[:, -1] = 0.0
+        for u in (np.nextafter(1.0, 0.0), 1.0):
+            picks = _proportional_pick(weights.copy(), np.full(2000, u))
+            assert (picks == 4).all()
+
+    def test_zero_mass_row_has_no_pick(self):
+        picks = _proportional_pick(np.zeros((2, 3)), np.array([0.0, 0.5]))
+        assert picks.tolist() == [-1, -1]
 
     def test_exactly_one_pair_per_node(self):
         rng = np.random.default_rng(6)

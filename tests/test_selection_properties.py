@@ -1,0 +1,126 @@
+"""Selection laws checked by property tests over random similarity matrices."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from simpair import (
+    SimilarityMatrix,
+    Strategy,
+    apply_random_deletion,
+    select_max,
+    select_mixed,
+    select_pairs,
+    select_psim,
+    select_random,
+)
+from simpair import selection
+from simpair.io import pairs_to_tsv
+
+SEEDS = st.integers(0, 2**63)
+# few distinct levels, zeros included, so ties and zero rows are common
+LEVELS = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def similarities(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    upper = np.triu(draw(arrays(np.float64, (n, n), elements=LEVELS)), 1)
+    return SimilarityMatrix(values=upper + upper.T)
+
+
+def top_candidates(s, i, topn):
+    """Row i's top-n other nodes by similarity, ties to lower ids."""
+    others = [j for j in range(s.n_nodes) if j != i]
+    return sorted(others, key=lambda j: (-s.values[i, j], j))[:topn]
+
+
+# derandomized, so the suite stays a deterministic gate
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(similarities(), SEEDS, st.sampled_from([None, 1, 2, 3]))
+def test_psim_picks_positive_partner_never_self(s, seed, topn):
+    pairs = select_psim(s, seed, topn)
+    for p in pairs:
+        assert p.selector != p.selected
+        assert p.similarity > 0.0
+        assert p.similarity == s.values[p.selector, p.selected]
+        if topn is not None:
+            assert p.selected in top_candidates(s, p.selector, topn)
+    eligible = {i for i in range(s.n_nodes)
+                if sum(s.values[i, j] for j in top_candidates(s, i, topn or s.n_nodes)) > 0}
+    assert sorted(p.selector for p in pairs) == sorted(eligible)
+
+
+@PROPERTY
+@given(similarities())
+def test_max_picks_every_positive_row_maximum(s):
+    pairs = select_max(s)
+    for p in pairs:
+        assert p.selector != p.selected
+        assert p.similarity > 0.0
+    got = {(p.selector, p.selected) for p in pairs}
+    want = {(i, j) for i in range(s.n_nodes) for j in range(s.n_nodes)
+            if i != j and s.values[i, j] > 0.0 and s.values[i, j] == s.values[i].max()}
+    assert got == want
+
+
+@PROPERTY
+@given(similarities(), SEEDS)
+def test_uniform_never_picks_self(s, seed):
+    pairs = select_random(s, seed)
+    assert sorted(p.selector for p in pairs) == list(range(s.n_nodes))
+    assert all(p.selector != p.selected for p in pairs)
+    assert all(0 <= p.selected < s.n_nodes for p in pairs)
+
+
+@PROPERTY
+@given(similarities(), SEEDS, st.floats(0.0, 1.0))
+def test_deletion_hides_floor_fraction_never_diagonal(s, seed, d):
+    mask = apply_random_deletion(s, d, seed)
+    k = math.floor(d * (s.n_nodes - 1))
+    assert mask.n_deleted_per_row() == k
+    for i, hidden in enumerate(mask.deleted):
+        assert len(set(hidden.tolist())) == k
+        assert i not in hidden
+    for p in select_max(s, mask):
+        hidden = mask.deleted[p.selector]
+        assert p.selected not in hidden
+        assert p.similarity == max(s.values[p.selector, j] for j in range(s.n_nodes)
+                                   if j != p.selector and j not in hidden)
+
+
+@PROPERTY
+@given(similarities(), SEEDS, st.sampled_from(["psim", "p"]))
+def test_mixed_boundaries_are_byte_identical(s, seed, kind):
+    pure = select_psim(s, seed) if kind == "psim" else select_random(s, seed)
+    assert pairs_to_tsv(select_mixed(s, 0.0, kind, seed)) == pairs_to_tsv(select_max(s))
+    assert pairs_to_tsv(select_mixed(s, 1.0, kind, seed)) == pairs_to_tsv(pure)
+
+
+STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=2), Strategy("p"),
+              Strategy("max", deletion=0.5),
+              Strategy("mixed", mix_p=0.5, mix_kind="psim"),
+              Strategy("mixed", mix_p=0.5, mix_kind="p")]
+
+
+@PROPERTY
+@given(similarities(), SEEDS, st.sampled_from(STRATEGIES))
+def test_selection_is_deterministic_per_seed(s, seed, strategy):
+    assert select_pairs(s, strategy, seed) == select_pairs(s, strategy, seed)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda st_: str(st_.describe()))
+def test_row_blocks_do_not_change_the_draw(monkeypatch, strategy):
+    rng = np.random.default_rng(40)
+    upper = np.triu(np.round(rng.random((37, 37)), 1), 1)
+    s = SimilarityMatrix(values=upper + upper.T)
+    whole = select_pairs(s, strategy, seed=3)
+    monkeypatch.setattr(selection, "BLOCK_ROWS", 5)
+    assert select_pairs(s, strategy, seed=3) == whole
