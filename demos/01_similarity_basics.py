@@ -29,8 +29,8 @@ for i, row in enumerate(normalize_rows(matrix)):
     print(f"  node {i}: {dict(sorted(row.entries.items()))}")
 
 sim = build_similarity_matrix(matrix)
-print("\nsimilarity matrix (diagonal excluded, stored as 0):")
-print(np.round(sim.values, 3))
+print("\nsimilarity matrix (stored sparse without its diagonal; shown dense):")
+print(np.round(sim.values.toarray(), 3))
 
 # Scaling a row leaves its pattern unchanged: similarities are about
 # citation *habits*, not volume.
@@ -38,4 +38,4 @@ doubled = counts.copy()
 doubled[0] *= 10
 sim2 = build_similarity_matrix(CitationMatrix.from_dense(doubled))
 print("\nmax change after scaling row 0 by 10:",
-      np.abs(sim.values - sim2.values).max())
+      np.abs(sim.values.toarray() - sim2.values.toarray()).max())

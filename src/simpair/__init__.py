@@ -29,6 +29,7 @@ from .selection import (
     SimilarityMask,
     Strategy,
     apply_random_deletion,
+    select_many,
     select_max,
     select_mixed,
     select_pairs,
@@ -64,6 +65,7 @@ __all__ = [
     "SimilarityMask",
     "Strategy",
     "apply_random_deletion",
+    "select_many",
     "select_max",
     "select_mixed",
     "select_pairs",

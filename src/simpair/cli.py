@@ -13,6 +13,7 @@ import math
 import sys
 from pathlib import Path
 
+from .citations import CitationMatrix
 from .communities import Partition
 from .io import (
     InputFormatError,
@@ -124,7 +125,7 @@ def build_parser() -> _Parser:
     _add_input_args(p_detect, required=False)
     p_detect.add_argument("--pairs", type=Path, default=None,
                           help="skip selection and build communities from this pair list")
-    p_detect.add_argument("--n-nodes", type=int, default=None,
+    p_detect.add_argument("--n-nodes", type=_POSITIVE, default=None,
                           help="node count override when using --pairs with integer ids")
     p_detect.add_argument("--strategy", choices=("max", "psim", "p"), default="max")
     p_detect.add_argument("--topn", type=_POSITIVE, default=None,
@@ -201,7 +202,7 @@ def _cmd_detect(args, parser) -> int:
         if args.input is not None:
             parser.error("--pairs and --input are mutually exclusive")
         try:
-            pairs, labels = read_pairs(args.pairs)
+            pairs, labels = read_pairs(args.pairs, args.n_nodes)
         except OSError as exc:
             raise InputFormatError(f"{args.pairs}: {exc.strerror or exc}") from exc
         n_nodes = args.n_nodes
@@ -211,6 +212,8 @@ def _cmd_detect(args, parser) -> int:
         detection = detect_from_pairs(pairs, n_nodes, args.tide_count)
         node_labels = labels
     else:
+        if args.n_nodes is not None:
+            parser.error("--n-nodes only applies to --pairs")
         matrix, _ = _load_matrix(args, parser)
         if args.strategy != "psim" and args.topn is not None:
             parser.error("--topn requires --strategy psim")
@@ -230,15 +233,20 @@ def _cmd_detect(args, parser) -> int:
     return 0
 
 
-def _sweep_config(args, truth: Partition | None, parser) -> ExperimentConfig:
+def _sweep_setup(args, parser) -> tuple[CitationMatrix, ExperimentConfig]:
+    """The sweep's input matrix and its config."""
+    matrix, truth = _load_matrix(args, parser)
+    if matrix.n_nodes < 2:
+        raise InputFormatError(
+            f"{args.input}: a sweep needs at least 2 nodes, got {matrix.n_nodes}")
     reference: str | Partition = "max"
     if args.truth_reference:
         if truth is None:
             parser.error("--truth-reference requires --synth")
         reference = truth
-    return ExperimentConfig(repetitions=args.reps, base_seed=args.seed,
-                            tide_count=args.tide_count, reference=reference,
-                            jobs=args.jobs)
+    return matrix, ExperimentConfig(repetitions=args.reps, base_seed=args.seed,
+                                    tide_count=args.tide_count, reference=reference,
+                                    jobs=args.jobs)
 
 
 def _write_sweep(args, result) -> int:
@@ -251,25 +259,22 @@ def _write_sweep(args, result) -> int:
 
 
 def _cmd_sweep_prob(args, parser) -> int:
-    matrix, truth = _load_matrix(args, parser)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     for kind in kinds:
         if kind not in ("psim", "p"):
             parser.error(f"unknown kind {kind!r}")
-    cfg = _sweep_config(args, truth, parser)
+    matrix, cfg = _sweep_setup(args, parser)
     grid = args.p_grid if args.p_grid is not None else default_probability_grid()
     return _write_sweep(args, run_probability_sweep(matrix, cfg, grid, kinds))
 
 
 def _cmd_sweep_topn(args, parser) -> int:
-    matrix, truth = _load_matrix(args, parser)
-    cfg = _sweep_config(args, truth, parser)
+    matrix, cfg = _sweep_setup(args, parser)
     return _write_sweep(args, run_topn_sweep(matrix, cfg, args.topn_grid))
 
 
 def _cmd_sweep_del(args, parser) -> int:
-    matrix, truth = _load_matrix(args, parser)
-    cfg = _sweep_config(args, truth, parser)
+    matrix, cfg = _sweep_setup(args, parser)
     grid = args.del_grid if args.del_grid is not None else default_deletion_grid()
     return _write_sweep(args, run_deletion_sweep(matrix, cfg, grid))
 

@@ -31,12 +31,24 @@ class InputFormatError(ValueError):
 
 def _content_lines(path) -> list[tuple[int, str]]:
     lines = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            lines.append((lineno, line))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                lines.append((lineno, line))
+    except UnicodeDecodeError as exc:
+        # text mode decodes in chunks, so find the offending line itself
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    exc = bad
+                    break
+        raise InputFormatError(
+            f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return lines
 
 
@@ -130,11 +142,12 @@ def write_pairs(path, pairs: list[RankedPair]) -> None:
     Path(path).write_text(pairs_to_tsv(pairs), encoding="utf-8")
 
 
-def read_pairs(path) -> tuple[list[RankedPair], list[str] | None]:
+def read_pairs(path, n_nodes: int | None = None) -> tuple[list[RankedPair], list[str] | None]:
     """Read a pair-list TSV; same integer-vs-label id rule as edge lists.
 
     Returns the pairs (in file order, unsorted) and the label mapping when
-    labels were used.
+    labels were used. With ``n_nodes`` set, a pair whose node index is not
+    below it is an input error on its line.
     """
     rows = []
     for lineno, line in _content_lines(path):
@@ -166,6 +179,12 @@ def read_pairs(path) -> tuple[list[RankedPair], list[str] | None]:
                     index[tok] = len(index)
             pairs.append(RankedPair(index[a], index[b], sim))
         labels = list(index)
+    if n_nodes is not None:
+        for (lineno, *_), p in zip(rows, pairs):
+            if max(p.selector, p.selected) >= n_nodes:
+                raise InputFormatError(
+                    f"{path}:{lineno}: node index {max(p.selector, p.selected)} "
+                    f"is not below the node count {n_nodes}")
     return pairs, labels
 
 

@@ -1,8 +1,9 @@
 """Partner selection: one ranked pair list per strategy.
 
-Every strategy works on the similarity matrix a block of rows at a time,
-emits directed (selector, selected, similarity) triples, then sorts them
-by decreasing similarity. Strategies:
+Every strategy reads the similarity a dense block of rows at a time
+(:meth:`SimilarityMatrix.block`), emits directed (selector, selected,
+similarity) triples, then sorts them by decreasing similarity.
+Strategies:
 
 * ``max``      - each node pairs with its highest-similarity partner(s);
                  exact ties all get emitted.
@@ -16,8 +17,10 @@ by decreasing similarity. Strategies:
                  strategies byte for byte.
 
 Random draws come from one stream per (seed, purpose); node i reads
-element i (see :mod:`simpair.rng`). Row blocks of ``BLOCK_ROWS`` bound
-every temporary to a block of the N x N matrix.
+element i (see :mod:`simpair.rng`). The largest temporary is one
+``BLOCK_ROWS`` x N block of rows, plus that block's deletion keys.
+:func:`select_many` runs several (strategy, seed) jobs over one pass of
+the row blocks, so a sweep fills each block once for all its runs.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -32,6 +35,9 @@ import numpy as np
 
 from .rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, stream
 from .similarity import SimilarityMatrix
+
+# one block's picks: selector, selected and similarity columns
+_Picks = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 BLOCK_ROWS = 128
 
@@ -120,43 +126,55 @@ def _row_blocks(n: int):
         yield slice(lo, min(lo + BLOCK_ROWS, n))
 
 
-def _ranked(values: np.ndarray, picks: list[tuple[np.ndarray, np.ndarray]]) -> list[RankedPair]:
-    """Gather the similarity of each (selector, selected) pick and sort.
-
-    Same order as :func:`sort_pairs`: decreasing similarity, then selector,
-    then selected.
-    """
+def _ranked(picks: list[_Picks]) -> list[RankedPair]:
+    """Concatenate picks and sort them as :func:`sort_pairs` does."""
     if not picks:
         return []
-    selector = np.concatenate([i for i, _ in picks])
-    selected = np.concatenate([j for _, j in picks])
-    sim = values[selector, selected]
+    if len(picks) == 1:
+        selector, selected, sim = picks[0]
+    else:
+        selector, selected, sim = (np.concatenate(col) for col in zip(*picks))
     order = np.lexsort((selected, selector, -sim))
     return list(map(RankedPair, selector[order].tolist(), selected[order].tolist(),
                     sim[order].tolist()))
 
 
-def apply_random_deletion(s: SimilarityMatrix, d: float, seed: int) -> SimilarityMask:
-    """Hide a uniform random floor(d*(N-1)) columns in each row.
+def _n_nodes(s: SimilarityMatrix) -> int:
+    if s.n_nodes < 2:
+        raise ValueError("need at least 2 nodes")
+    return s.n_nodes
 
-    Row i's hidden columns are the k smallest of its random keys (row i of
-    one (N, N) draw), with its own column keyed +inf so it is never hidden.
+
+def _deletion_keys(seed: int, n: int, k: int):
+    """Hidden columns per row block, to be called on consecutive blocks in order.
+
+    Row i hides the k smallest of its random keys (row i of one (N, N)
+    draw), with its own column keyed +inf so it is never hidden.
     """
+    rng = stream(seed, MASK_STREAM)
+
+    def hidden(block: slice) -> np.ndarray:
+        keys = rng.random((block.stop - block.start, n))
+        keys[np.arange(len(keys)), np.arange(block.start, block.stop)] = np.inf
+        return np.argpartition(keys, k - 1, axis=1)[:, :k]
+    return hidden
+
+
+def apply_random_deletion(s: SimilarityMatrix, d: float, seed: int) -> SimilarityMask:
+    """Hide a uniform random floor(d*(N-1)) columns in each row."""
     if not 0.0 <= d <= 1.0:
         raise ValueError("deletion fraction must be in [0, 1]")
     n = s.n_nodes
     k = int(np.floor(d * (n - 1)))
     deleted = np.empty((n, k), dtype=np.int64)
     if k:
-        rng = stream(seed, MASK_STREAM)
-        for rows in _row_blocks(n):
-            keys = rng.random((rows.stop - rows.start, n))
-            keys[np.arange(len(keys)), np.arange(rows.start, rows.stop)] = np.inf
-            deleted[rows] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+        hidden = _deletion_keys(seed, n, k)
+        for block in _row_blocks(n):
+            deleted[block] = hidden(block)
     return SimilarityMask(deleted=deleted, fraction=d, seed=seed)
 
 
-def _max_picks(vals: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _max_picks(vals: np.ndarray, rows: np.ndarray) -> _Picks:
     """Every maximum of each row in ``vals`` (the rows ``rows``), ties included.
 
     Rows whose maximum is not positive emit nothing. Exact ties are rare, so
@@ -170,26 +188,25 @@ def _max_picks(vals: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     single = live & (ties == 1)
     tied = np.flatnonzero(live & (ties > 1))
     if not len(tied):
-        return rows[single], best[single]
+        return rows[single], best[single], m[single]
     r, c = np.nonzero(vals[tied] == m[tied, None])
-    return np.concatenate((rows[single], rows[tied[r]])), np.concatenate((best[single], c))
+    return (np.concatenate((rows[single], rows[tied[r]])), np.concatenate((best[single], c)),
+            np.concatenate((m[single], m[tied[r]])))
 
 
-def select_max(s: SimilarityMatrix, mask: SimilarityMask | None = None) -> list[RankedPair]:
-    """Every node pairs with all of its maximum-similarity partners."""
-    if s.n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    picks = []
-    for rows in _row_blocks(s.n_nodes):
-        vals = s.values[rows]
-        hidden = () if mask is None else mask.deleted[rows]
-        cols = np.concatenate(hidden) if len(hidden) else ()
-        if len(cols):
-            vals = vals.copy()
-            vals[np.repeat(np.arange(len(vals)), [len(h) for h in hidden]),
-                 cols] = -1.0  # hidden: below any real similarity
-        picks.append(_max_picks(vals, np.arange(rows.start, rows.stop)))
-    return _ranked(s.values, picks)
+def _max_job(hidden=None):
+    """Max selection; ``hidden(block)`` gives each block row's hidden columns."""
+    def take(blk: np.ndarray, block: slice) -> list[_Picks]:
+        vals = blk
+        if hidden is not None:
+            cols = hidden(block)
+            flat = np.concatenate(cols) if len(cols) else ()
+            if len(flat):
+                vals = blk.copy()
+                vals[np.repeat(np.arange(len(vals)), [len(c) for c in cols]),
+                     flat] = -1.0  # hidden: below any real similarity
+        return [_max_picks(vals, np.arange(block.start, block.stop))]
+    return take
 
 
 def _proportional_pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -219,11 +236,11 @@ def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
     return above | (at & (np.cumsum(at, axis=1) <= room[:, None]))
 
 
-def _psim_picks(values: np.ndarray, rows: np.ndarray, u: np.ndarray,
-                topn: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Proportional draws for the nodes ``rows``; ``u`` holds their uniforms."""
-    n = values.shape[1]
-    w = values[rows]
+def _psim_picks(blk: np.ndarray, local: np.ndarray, rows: np.ndarray, u: np.ndarray,
+                topn: int | None) -> _Picks:
+    """Proportional draws for block rows ``local`` (nodes ``rows``, uniforms ``u``)."""
+    n = blk.shape[1]
+    w = blk[local]
     own = (np.arange(len(rows)), rows)
     if topn is not None and topn < n - 1:
         w[own] = -np.inf  # a node is never its own candidate
@@ -232,13 +249,87 @@ def _psim_picks(values: np.ndarray, rows: np.ndarray, u: np.ndarray,
         w[own] = 0.0
     j = _proportional_pick(w, u)
     hit = j >= 0
-    return rows[hit], j[hit]
+    return rows[hit], j[hit], blk[local[hit], j[hit]]
 
 
-def _uniform_picks(rows: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draws over the other n-1 nodes for the nodes ``rows``."""
-    j = (u * (n - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
-    return rows, j + (j >= rows)
+def _uniform_picks(blk: np.ndarray, local: np.ndarray, rows: np.ndarray,
+                   u: np.ndarray) -> _Picks:
+    """Uniform draws over the other n-1 nodes for block rows ``local`` (nodes ``rows``)."""
+    j = (u * (blk.shape[1] - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
+    j += j >= rows
+    return rows, j, blk[local, j]
+
+
+def _random_job(kind: str, seed: int, n: int, topn: int | None = None, gate=None):
+    """``kind`` draws for the nodes whose ``gate`` entry is set (all if None)."""
+    u = stream(seed, PARTNER_STREAM).random(n)
+
+    def take(blk: np.ndarray, block: slice) -> list[_Picks]:
+        local = np.arange(len(blk)) if gate is None else np.flatnonzero(gate[block])
+        if not len(local):
+            return []
+        rows = block.start + local
+        if kind == "psim":
+            return [_psim_picks(blk, local, rows, u[rows], topn)]
+        return [_uniform_picks(blk, local, rows, u[rows])]
+    return take
+
+
+def _mixed_job(p: float, kind: str, seed: int, n: int):
+    """Per-node coin: the random ``kind`` where it comes up, max elsewhere."""
+    gate = stream(seed, GATE_STREAM).random(n) < p
+    random_take = _random_job(kind, seed, n, gate=gate)
+
+    def take(blk: np.ndarray, block: slice) -> list[_Picks]:
+        keep = ~gate[block]
+        picks = random_take(blk, block)
+        if keep.any():
+            picks.append(_max_picks(blk[keep], np.arange(block.start, block.stop)[keep]))
+        return picks
+    return take
+
+
+def _job(strategy: Strategy, seed: int, n: int):
+    """Per-block picker for one (strategy, seed) run over ``n`` nodes."""
+    if strategy.kind == "max":
+        k = int(np.floor((strategy.deletion or 0.0) * (n - 1)))
+        return _max_job(_deletion_keys(seed, n, k) if k else None)
+    if strategy.kind == "mixed":
+        return _mixed_job(strategy.mix_p, strategy.mix_kind, seed, n)
+    return _random_job(strategy.kind, seed, n, strategy.topn)
+
+
+def _walk(s: SimilarityMatrix, jobs: list) -> list[list[RankedPair]]:
+    """Fill each row block once and hand it to every job in turn."""
+    picks: list[list[_Picks]] = [[] for _ in jobs]
+    for block in _row_blocks(s.n_nodes):
+        blk = s.block(block.start, block.stop)
+        for take, out in zip(jobs, picks):
+            out += take(blk, block)
+    return [_ranked(p) for p in picks]
+
+
+def select_many(s: SimilarityMatrix,
+                jobs: list[tuple[Strategy, int]]) -> list[list[RankedPair]]:
+    """Run every (strategy, seed) job in one pass over the row blocks.
+
+    Equal to ``[select_pairs(s, strategy, seed) for strategy, seed in jobs]``,
+    but each block of similarity rows is filled once for all jobs.
+    """
+    n = _n_nodes(s)
+    return _walk(s, [_job(strategy, seed, n) for strategy, seed in jobs])
+
+
+def select_pairs(s: SimilarityMatrix, strategy: Strategy, seed: int = 0) -> list[RankedPair]:
+    """Pairs of one Strategy descriptor; the one-job case of :func:`select_many`."""
+    return select_many(s, [(strategy, seed)])[0]
+
+
+def select_max(s: SimilarityMatrix, mask: SimilarityMask | None = None) -> list[RankedPair]:
+    """Every node pairs with all of its maximum-similarity partners."""
+    _n_nodes(s)
+    hidden = None if mask is None else (lambda block: mask.deleted[block])
+    return _walk(s, [_max_job(hidden)])[0]
 
 
 def select_psim(s: SimilarityMatrix, seed: int, topn: int | None = None) -> list[RankedPair]:
@@ -248,22 +339,12 @@ def select_psim(s: SimilarityMatrix, seed: int, topn: int | None = None) -> list
     (ties at the cutoff resolved toward the lower node id). Nodes whose
     candidate similarities sum to zero emit nothing.
     """
-    n = s.n_nodes
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    u = stream(seed, PARTNER_STREAM).random(n)
-    picks = [_psim_picks(s.values, np.arange(rows.start, rows.stop), u[rows], topn)
-             for rows in _row_blocks(n)]
-    return _ranked(s.values, picks)
+    return _walk(s, [_random_job("psim", seed, _n_nodes(s), topn)])[0]
 
 
 def select_random(s: SimilarityMatrix, seed: int) -> list[RankedPair]:
     """Each node samples one partner uniformly over all other nodes."""
-    n = s.n_nodes
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    u = stream(seed, PARTNER_STREAM).random(n)
-    return _ranked(s.values, [_uniform_picks(np.arange(n), u, n)])
+    return _walk(s, [_random_job("p", seed, _n_nodes(s))])[0]
 
 
 def select_mixed(s: SimilarityMatrix, p: float, random_kind: str, seed: int) -> list[RankedPair]:
@@ -273,38 +354,4 @@ def select_mixed(s: SimilarityMatrix, p: float, random_kind: str, seed: int) -> 
     reproduces select_max exactly and p=1 reproduces the pure random
     strategy (same seed) exactly.
     """
-    n = s.n_nodes
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    if random_kind not in RANDOM_KINDS:
-        raise ValueError(f"random_kind must be one of {RANDOM_KINDS}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    gate = stream(seed, GATE_STREAM).random(n) < p
-    u = stream(seed, PARTNER_STREAM).random(n)
-    picks = []
-    for block in _row_blocks(n):
-        rows = np.arange(block.start, block.stop)
-        coin = gate[block]
-        if not coin.all():
-            picks.append(_max_picks(s.values[rows[~coin]], rows[~coin]))
-        if coin.any():
-            if random_kind == "psim":
-                picks.append(_psim_picks(s.values, rows[coin], u[block][coin], None))
-            else:
-                picks.append(_uniform_picks(rows[coin], u[block][coin], n))
-    return _ranked(s.values, picks)
-
-
-def select_pairs(s: SimilarityMatrix, strategy: Strategy, seed: int = 0) -> list[RankedPair]:
-    """Dispatch a Strategy descriptor to the matching selection routine."""
-    if strategy.kind == "max":
-        mask = None
-        if strategy.deletion is not None and strategy.deletion > 0.0:
-            mask = apply_random_deletion(s, strategy.deletion, seed)
-        return select_max(s, mask)
-    if strategy.kind == "psim":
-        return select_psim(s, seed, strategy.topn)
-    if strategy.kind == "p":
-        return select_random(s, seed)
-    return select_mixed(s, strategy.mix_p, strategy.mix_kind, seed)
+    return select_pairs(s, Strategy("mixed", mix_p=p, mix_kind=random_kind), seed)

@@ -3,6 +3,11 @@
 Each node's citation pattern is its row of the citation matrix divided by
 the row sum; the similarity of two nodes is the cosine of the angle between
 their patterns, so values live in [0, 1] regardless of citation volume.
+
+Two nodes that cite no common target have similarity 0, so on real
+citation data almost every entry is 0. The matrix is kept sparse (CSR):
+memory is O(nnz), and selection reads it a dense block of rows at a time
+through :meth:`SimilarityMatrix.block`.
 """
 
 from __future__ import annotations
@@ -16,22 +21,57 @@ from scipy import sparse
 from .citations import CitationMatrix, NormalizedRow, normalize_rows
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Symmetric node-by-node similarity values.
+class SparseValues(sparse.csr_array):
+    """A ``csr_array`` that also answers ``nbytes`` and ``np.count_nonzero``.
 
-    The diagonal is stored as 0 and is never consulted: a node is not a
-    candidate partner for itself.
+    Both are what code written for the dense matrix asked of ``values`` to
+    size it; here they count the stored arrays and the nonzero entries.
     """
 
-    values: np.ndarray
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return self.count_nonzero()
+        return func._implementation(*args, **kwargs)
+
+
+@dataclass(frozen=True)
+class SimilarityMatrix:
+    """Symmetric node-by-node similarity values, stored sparse.
+
+    ``values`` is a CSR array with no diagonal entry: a node is not a
+    candidate partner for itself. A dense array passed in is converted,
+    with its diagonal dropped. Column indices within a row need not be
+    sorted.
+    """
+
+    values: SparseValues
+
+    def __post_init__(self):
+        values = self.values
+        if not sparse.issparse(values):
+            values = np.array(values, dtype=np.float64)
+            np.fill_diagonal(values, 0.0)
+        csr = sparse.csr_array(values)
+        object.__setattr__(self, "values", SparseValues(
+            (csr.data, csr.indices, csr.indptr), shape=csr.shape))
 
     @property
     def n_nodes(self) -> int:
         return self.values.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` as a new dense (hi - lo, N) array."""
+        v = self.values
+        ip = v.indptr
+        start, stop = ip[lo], ip[hi]
+        out = np.zeros((hi - lo, v.shape[1]))
+        rows = np.repeat(np.arange(hi - lo), ip[lo + 1:hi + 1] - ip[lo:hi])
+        out[rows, v.indices[start:stop]] = v.data[start:stop]
+        return out
 
 
 def cosine_similarity(a: NormalizedRow, b: NormalizedRow) -> float:
@@ -51,9 +91,11 @@ def cosine_similarity(a: NormalizedRow, b: NormalizedRow) -> float:
 def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     """All-pairs cosine similarity of row-normalized citation counts.
 
-    The computation is vectorized through scipy sparse products and is
-    bitwise deterministic; the upper triangle is mirrored so that
-    values[i, j] and values[j, i] are the same float.
+    The result is the sparse product ``unit @ unit.T`` of the unit-length
+    patterns, with the diagonal dropped; no N x N array is formed. It is
+    bitwise deterministic and bitwise symmetric without mirroring: with
+    sorted pattern rows, scipy sums entry (i, j) and entry (j, i) over the
+    same common targets in the same order.
     """
     counts = m.counts.astype(np.float64)
     row_sums = np.asarray(counts.sum(axis=1)).ravel()
@@ -64,10 +106,12 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     norms = np.sqrt(sq)
     inv_norm = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     unit = sparse.csr_array(frac.multiply(inv_norm[:, None]))
+    unit.sort_indices()
 
-    s = (unit @ unit.T).toarray()
-    np.fill_diagonal(s, 0.0)
-    s = np.triu(s) + np.triu(s, 1).T
+    s = unit @ unit.T
+    rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
+    s.data[s.indices == rows] = 0.0
+    s.eliminate_zeros()
     return SimilarityMatrix(values=s)
 
 

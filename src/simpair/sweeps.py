@@ -11,6 +11,11 @@ Repetition r at grid point g runs with ``derive_seed(base_seed, g, r)``;
 the two random kinds share that seed, so psim-vs-p comparisons are paired.
 Results are pure functions of (input matrix, config): rerunning a sweep
 reproduces its CSV byte for byte, regardless of worker count.
+
+A sweep builds the similarity once, takes the max reference from it, and
+selects the pairs of every (grid point, repetition) run in one
+:func:`~simpair.selection.select_many` call, which reads each block of
+similarity rows once for all runs.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .communities import CORE, REAL, Partition, build_communities, extract_parti
 from .metrics import nmi, partition_stats
 from .pipeline import FIXPOINT, Strategy, detect
 from .rng import derive_seed
-from .selection import select_pairs
+from .selection import RankedPair, select_many, select_pairs
 from .similarity import SimilarityMatrix, build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
@@ -86,19 +91,20 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _reference_partitions(matrix: CitationMatrix,
+def _reference_partitions(sim: SimilarityMatrix,
                           cfg: ExperimentConfig) -> tuple[Partition, Partition]:
+    """Core and real reference partitions: the configured Partition, or the
+    single-pass max run on ``sim``."""
     if isinstance(cfg.reference, Partition):
         return cfg.reference, cfg.reference
     if cfg.reference != "max":
         raise ValueError("reference must be 'max' or a Partition")
-    ref = detect(matrix, Strategy("max"), seed=0, levels=1, tide_count=cfg.tide_count)
-    return ref.core, ref.real
+    ref = build_communities(select_pairs(sim, Strategy("max")), sim.n_nodes)
+    return extract_partition(ref, CORE), extract_partition(ref, REAL)
 
 
-def _run_once(sim: SimilarityMatrix, n_nodes: int, strategy: Strategy, seed: int,
-              cfg: ExperimentConfig, ref_core: Partition, ref_real: Partition) -> dict:
-    pairs = select_pairs(sim, strategy, seed)
+def _run_once(pairs: list[RankedPair], n_nodes: int, cfg: ExperimentConfig,
+              ref_core: Partition, ref_real: Partition) -> dict:
     result = build_communities(pairs, n_nodes)
     stats = partition_stats(result, cfg.tide_count)
     core = extract_partition(result, CORE)
@@ -122,27 +128,24 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     run on paired seeds.
     """
     sim = build_similarity_matrix(matrix)
-    ref_core, ref_real = _reference_partitions(matrix, cfg)
+    ref_core, ref_real = _reference_partitions(sim, cfg)
 
-    jobs = []
-    for t, (g, grid_value, kind, strategy) in enumerate(tasks):
-        for r in range(cfg.repetitions):
-            jobs.append((t, r, strategy, derive_seed(cfg.base_seed, g, r)))
+    jobs = [(strategy, derive_seed(cfg.base_seed, g, r))
+            for g, _, _, strategy in tasks for r in range(cfg.repetitions)]
+    selections = select_many(sim, jobs)
 
-    def run(job):
-        t, r, strategy, seed = job
-        return (t, r), _run_once(sim, matrix.n_nodes, strategy, seed, cfg,
-                                 ref_core, ref_real)
+    def run(pairs):
+        return _run_once(pairs, matrix.n_nodes, cfg, ref_core, ref_real)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = dict(pool.map(run, jobs))
+            outcomes = list(pool.map(run, selections))
     else:
-        outcomes = dict(map(run, jobs))
+        outcomes = list(map(run, selections))
 
     rows = []
     for t, (g, grid_value, kind, _strategy) in enumerate(tasks):
-        runs = [outcomes[(t, r)] for r in range(cfg.repetitions)]
+        runs = outcomes[t * cfg.repetitions:(t + 1) * cfg.repetitions]
         seeds = tuple(derive_seed(cfg.base_seed, g, r) for r in range(cfg.repetitions))
         mean = {q: math.fsum(run[q] for run in runs) / len(runs) for q in QUANTITIES}
         std = {

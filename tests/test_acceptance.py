@@ -112,7 +112,7 @@ def test_similarity_suite():
     for _ in range(100):
         n = int(rng.integers(2, 33))
         dense = random_citations(rng, n)
-        s = build_similarity_matrix(CitationMatrix.from_dense(dense)).values
+        s = build_similarity_matrix(CitationMatrix.from_dense(dense)).values.toarray()
         # symmetry and range
         assert np.abs(s - s.T).max() <= 1e-12
         assert s.min() >= 0.0 and s.max() <= 1.0 + 1e-12
@@ -123,7 +123,7 @@ def test_similarity_suite():
         # scale invariance of one rescaled row
         scaled = dense.copy()
         scaled[int(rng.integers(n))] *= int(rng.integers(2, 9))
-        s2 = build_similarity_matrix(CitationMatrix.from_dense(scaled)).values
+        s2 = build_similarity_matrix(CitationMatrix.from_dense(scaled)).values.toarray()
         worst = max(worst, float(np.abs(s - s2).max()))
     elapsed = time.perf_counter() - start
     check("similarity suite (100 matrices)", worst <= 1e-12,

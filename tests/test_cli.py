@@ -125,6 +125,48 @@ class TestDetect:
                     "--out", str(tmp_path / "x")]) == 2
 
 
+class TestInputErrors:
+    """Bad input data exits 2 with one ``path:line:`` diagnostic, never a traceback."""
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"0\t1\t2\n\xff\xfe\t1\t2\n")
+        assert run(["detect", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-prob", "--p-grid", "1"],
+        ["sweep-topn", "--topn-grid", "1"],
+        ["sweep-del", "--del-grid", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_sweep_on_one_node(self, tmp_path, capsys, argv):
+        one = tmp_path / "one.tsv"
+        one.write_text("0\t0\t3\n")
+        assert run(argv + ["--input", str(one), "--reps", "1",
+                           "--out", str(tmp_path / "x")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "error:" in lines[0] and str(one) in lines[0]
+
+    def test_pair_id_beyond_n_nodes(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# selector selected similarity\n0\t1\t0.5\n1\t2\t0.4\n")
+        assert run(["detect", "--pairs", str(pairs), "--n-nodes", "2",
+                    "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{pairs}:3:" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_n_nodes_with_input_is_usage_error(self, tmp_path, block_edges, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["detect", "--input", str(block_edges), "--n-nodes", "3",
+                 "--out", str(tmp_path / "x")])
+        assert err.value.code == 1
+        assert "--n-nodes" in capsys.readouterr().err.strip().splitlines()[-1]
+
+
 class TestSweepCommands:
     def test_sweep_prob_writes_csv(self, tmp_path):
         out = tmp_path / "sweep"

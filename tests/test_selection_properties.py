@@ -1,6 +1,7 @@
 """Selection laws checked by property tests over random similarity matrices."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from simpair import (
     select_random,
 )
 from simpair import selection
+from simpair.selection import select_many
 from simpair.io import pairs_to_tsv
 
 SEEDS = st.integers(0, 2**63)
@@ -114,6 +116,14 @@ STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=2), Strat
 @given(similarities(), SEEDS, st.sampled_from(STRATEGIES))
 def test_selection_is_deterministic_per_seed(s, seed, strategy):
     assert select_pairs(s, strategy, seed) == select_pairs(s, strategy, seed)
+
+
+@PROPERTY
+@given(similarities(), st.lists(st.tuples(st.sampled_from(STRATEGIES), SEEDS), max_size=6),
+       st.integers(1, 5))
+def test_select_many_equals_one_job_at_a_time(s, jobs, block_rows):
+    with mock.patch.object(selection, "BLOCK_ROWS", block_rows):
+        assert select_many(s, jobs) == [select_pairs(s, st_, seed) for st_, seed in jobs]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda st_: str(st_.describe()))

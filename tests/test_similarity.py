@@ -101,7 +101,7 @@ class TestBuildSimilarityMatrix:
         for _ in range(25):
             n = int(rng.integers(2, 33))
             dense = random_citations(rng, n)
-            got = build_similarity_matrix(CitationMatrix.from_dense(dense)).values
+            got = build_similarity_matrix(CitationMatrix.from_dense(dense)).values.toarray()
             want = oracle_similarity(dense)
             np.fill_diagonal(want, 0.0)
             assert np.abs(got - want).max() <= 1e-12
@@ -109,14 +109,14 @@ class TestBuildSimilarityMatrix:
     def test_symmetry_is_bitwise(self):
         rng = np.random.default_rng(3)
         dense = random_citations(rng, 20)
-        s = build_similarity_matrix(CitationMatrix.from_dense(dense)).values
+        s = build_similarity_matrix(CitationMatrix.from_dense(dense)).values.toarray()
         assert np.array_equal(s, s.T)
 
     def test_range(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             dense = random_citations(rng, 16)
-            s = build_similarity_matrix(CitationMatrix.from_dense(dense)).values
+            s = build_similarity_matrix(CitationMatrix.from_dense(dense)).values.toarray()
             assert s.min() >= 0.0
             assert s.max() <= 1.0 + 1e-12
 
@@ -125,20 +125,20 @@ class TestBuildSimilarityMatrix:
         dense = random_citations(rng, 10)
         scaled = dense.copy()
         scaled[3] *= 7  # positive integer rescaling of one raw row
-        s1 = build_similarity_matrix(CitationMatrix.from_dense(dense)).values
-        s2 = build_similarity_matrix(CitationMatrix.from_dense(scaled)).values
+        s1 = build_similarity_matrix(CitationMatrix.from_dense(dense)).values.toarray()
+        s2 = build_similarity_matrix(CitationMatrix.from_dense(scaled)).values.toarray()
         assert np.abs(s1 - s2).max() <= 1e-12
 
     def test_naive_path_agrees(self):
         rng = np.random.default_rng(17)
         dense = random_citations(rng, 8)
         m = CitationMatrix.from_dense(dense)
-        fast = build_similarity_matrix(m).values
-        slow = similarity_matrix_naive(m).values
+        fast = build_similarity_matrix(m).values.toarray()
+        slow = similarity_matrix_naive(m).values.toarray()
         assert np.abs(fast - slow).max() <= 1e-12
 
     def test_zero_rows_isolated(self):
         m = CitationMatrix.from_dense([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-        s = build_similarity_matrix(m)
-        assert s.values[0].max() == 0.0
-        assert s.values[:, 0].max() == 0.0
+        s = build_similarity_matrix(m).values.toarray()
+        assert s[0].max() == 0.0
+        assert s[:, 0].max() == 0.0

@@ -7,6 +7,7 @@ from simpair import (
     ExperimentConfig,
     Strategy,
     SyntheticSpec,
+    build_similarity_matrix,
     detect,
     generate_planted_citation_matrix,
     nmi,
@@ -116,7 +117,8 @@ class TestReference:
     def test_reference_matches_standalone_max_run(self, small_matrix):
         from simpair.sweeps import _reference_partitions
 
-        ref_core, ref_real = _reference_partitions(small_matrix, ExperimentConfig())
+        sim = build_similarity_matrix(small_matrix)
+        ref_core, ref_real = _reference_partitions(sim, ExperimentConfig())
         standalone = detect(small_matrix, Strategy("max"), seed=0, levels=1)
         assert np.array_equal(ref_core.labels, standalone.core.labels)
         assert np.array_equal(ref_real.labels, standalone.real.labels)
