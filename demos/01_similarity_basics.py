@@ -10,7 +10,7 @@ patterns: 1.0 for proportional rows, 0.0 for rows citing disjoint targets.
 
 import numpy as np
 
-from simpair import CitationMatrix, build_similarity_matrix, normalize_rows
+from simpair import CitationMatrix, build_similarity_matrix
 
 # Six journals: 0-2 cite within one field, 3-5 within another, and
 # journal 2 occasionally cites across the aisle.
@@ -24,9 +24,8 @@ counts = np.array([
 ])
 matrix = CitationMatrix.from_dense(counts)
 
-print("normalized rows (sparse maps):")
-for i, row in enumerate(normalize_rows(matrix)):
-    print(f"  node {i}: {dict(sorted(row.entries.items()))}")
+print("citation patterns (each row divided by its total):")
+print(np.round(counts / counts.sum(axis=1, keepdims=True), 3))
 
 sim = build_similarity_matrix(matrix)
 print("\nsimilarity matrix (stored sparse without its diagonal; shown dense):")

@@ -8,25 +8,22 @@ community growth, NMI scoring, planted-partition synthesis, and seeded
 parameter sweeps.
 """
 
-from .citations import CitationMatrix, NormalizedRow, normalize_rows
+from .citations import CitationMatrix
 from .communities import (
     CORE,
     REAL,
     CoreCommunity,
     DetectionResult,
     Partition,
-    RealCommunity,
     Tide,
-    UnionFind,
     build_communities,
     extract_partition,
     renormalize,
 )
-from .metrics import entropy, joint_entropy, nmi, partition_stats
+from .metrics import nmi, partition_stats
 from .pipeline import FIXPOINT, Detection, detect, detect_from_pairs
 from .selection import (
     RankedPair,
-    SimilarityMask,
     Strategy,
     apply_random_deletion,
     select_many,
@@ -37,7 +34,7 @@ from .selection import (
     select_random,
     sort_pairs,
 )
-from .similarity import SimilarityMatrix, build_similarity_matrix, cosine_similarity
+from .similarity import SimilarityMatrix, build_similarity_matrix
 from .sweeps import (
     ExperimentConfig,
     SweepResult,
@@ -56,13 +53,9 @@ __all__ = [
     "REAL",
     "FIXPOINT",
     "CitationMatrix",
-    "NormalizedRow",
-    "normalize_rows",
     "SimilarityMatrix",
     "build_similarity_matrix",
-    "cosine_similarity",
     "RankedPair",
-    "SimilarityMask",
     "Strategy",
     "apply_random_deletion",
     "select_many",
@@ -73,16 +66,12 @@ __all__ = [
     "select_random",
     "sort_pairs",
     "CoreCommunity",
-    "RealCommunity",
     "Tide",
     "DetectionResult",
     "Partition",
-    "UnionFind",
     "build_communities",
     "extract_partition",
     "renormalize",
-    "entropy",
-    "joint_entropy",
     "nmi",
     "partition_stats",
     "Detection",

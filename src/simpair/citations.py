@@ -1,8 +1,8 @@
-"""Citation count matrices and row normalization."""
+"""Citation count matrices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -62,36 +62,3 @@ class CitationMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self.counts.toarray()
-
-
-@dataclass(frozen=True)
-class NormalizedRow:
-    """One node's outgoing citation frequencies, as a sparse map.
-
-    ``entries`` maps cited node -> fraction of this node's citations going
-    there; fractions sum to 1 unless the raw row was all zero, in which
-    case ``entries`` is empty and ``zero_row`` is set.
-    """
-
-    entries: dict[int, float] = field(default_factory=dict)
-    zero_row: bool = False
-
-
-def normalize_rows(m: CitationMatrix) -> list[NormalizedRow]:
-    """Divide each row by its sum; all-zero rows come back empty and flagged."""
-    csr = m.counts
-    out = []
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    for i in range(m.n_nodes):
-        lo, hi = indptr[i], indptr[i + 1]
-        row_sum = int(data[lo:hi].sum()) if hi > lo else 0
-        if row_sum == 0:
-            out.append(NormalizedRow(entries={}, zero_row=True))
-            continue
-        entries = {
-            int(j): float(v) / row_sum
-            for j, v in zip(indices[lo:hi], data[lo:hi])
-            if v != 0
-        }
-        out.append(NormalizedRow(entries=entries))
-    return out

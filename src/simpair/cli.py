@@ -108,7 +108,6 @@ def _add_sweep_args(sub):
     _add_synth_args(sub)
     sub.add_argument("--reps", type=_POSITIVE, default=20, help="repetitions per grid point")
     sub.add_argument("--seed", type=_NONNEGATIVE, default=0, help="base seed")
-    sub.add_argument("--tide-count", choices=("events", "merges"), default="events")
     sub.add_argument("--jobs", type=_POSITIVE, default=1, help="worker threads for repetitions")
     sub.add_argument("--truth-reference", action="store_true",
                      help="score against the planted truth instead of the max run "
@@ -136,7 +135,6 @@ def build_parser() -> _Parser:
                           help="detection passes through coarse-graining "
                                "(0 = iterate until stable)")
     p_detect.add_argument("--seed", type=_NONNEGATIVE, default=0)
-    p_detect.add_argument("--tide-count", choices=("events", "merges"), default="events")
     p_detect.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_prob = subs.add_parser("sweep-prob", help="probability sweep of mixed strategies")
@@ -209,7 +207,7 @@ def _cmd_detect(args, parser) -> int:
         if n_nodes is None:
             n_nodes = (len(labels) if labels is not None
                        else max(max(p.selector, p.selected) for p in pairs) + 1)
-        detection = detect_from_pairs(pairs, n_nodes, args.tide_count)
+        detection = detect_from_pairs(pairs, n_nodes)
         node_labels = labels
     else:
         if args.n_nodes is not None:
@@ -220,11 +218,10 @@ def _cmd_detect(args, parser) -> int:
         if args.strategy != "max" and args.delete is not None:
             parser.error("--delete requires --strategy max")
         strategy = Strategy(args.strategy, topn=args.topn, deletion=args.delete)
-        detection = detect(matrix, strategy, seed=args.seed,
-                           levels=args.levels, tide_count=args.tide_count)
+        detection = detect(matrix, strategy, seed=args.seed, levels=args.levels)
         node_labels = matrix.node_labels
 
-    stats = partition_stats(detection.result, args.tide_count)
+    stats = partition_stats(detection.result)
     write_detection_json(out / "result.json", detection, node_labels, stats)
     write_partition(out / "partition_core.tsv", detection.core, node_labels)
     write_partition(out / "partition_real.tsv", detection.real, node_labels)
@@ -245,8 +242,7 @@ def _sweep_setup(args, parser) -> tuple[CitationMatrix, ExperimentConfig]:
             parser.error("--truth-reference requires --synth")
         reference = truth
     return matrix, ExperimentConfig(repetitions=args.reps, base_seed=args.seed,
-                                    tide_count=args.tide_count, reference=reference,
-                                    jobs=args.jobs)
+                                    reference=reference, jobs=args.jobs)
 
 
 def _write_sweep(args, result) -> int:

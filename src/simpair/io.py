@@ -3,18 +3,22 @@
 Two input formats are accepted:
 
 * edges - tab-separated ``src<TAB>dst<TAB>count`` lines. Node ids may be
-  0-based integers or arbitrary labels; if any id fails to parse as an
-  integer, all ids are treated as labels and mapped to dense indices in
-  first-seen order (the mapping travels with the results).
+  0-based integers or arbitrary labels; unless every id is ASCII digits,
+  all ids are treated as labels and mapped to dense indices in first-seen
+  order (the mapping travels with the results).
 * dense - N lines of N comma-separated nonnegative integer counts.
 
-Blank lines and ``#`` comments are ignored everywhere. Similarities are
-printed with six decimal digits (round-half-even).
+Pair lists (``selector<TAB>selected<TAB>similarity``) follow the same id
+rule, and their similarities must be finite. Blank lines and ``#``
+comments are ignored everywhere. Similarities are printed with six
+decimal digits (round-half-even).
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +33,15 @@ class InputFormatError(ValueError):
     """Malformed input file; message carries the offending line number."""
 
 
-def _content_lines(path) -> list[tuple[int, str]]:
-    lines = []
+def _content_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a
+    comment; a generator, so no reader holds all of a file's lines."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                lines.append((lineno, line))
+                if line and not line.startswith("#"):
+                    yield lineno, line
     except UnicodeDecodeError as exc:
         # text mode decodes in chunks, so find the offending line itself
         with open(path, "rb") as fh:
@@ -49,46 +53,40 @@ def _content_lines(path) -> list[tuple[int, str]]:
                     break
         raise InputFormatError(
             f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return lines
 
 
-def read_edges(path) -> CitationMatrix:
-    """Read format `edges`; returns a matrix sized to the ids seen."""
+def _triples(path, layout: str) -> list[tuple[int, str, str, str]]:
+    """The (line number, field, field, field) rows of a three-column TSV."""
     rows = []
     for lineno, line in _content_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise InputFormatError(
-                f"{path}:{lineno}: expected 'src<TAB>dst<TAB>count', got {line!r}")
-        rows.append((lineno, parts[0], parts[1], parts[2]))
+            raise InputFormatError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
+        rows.append((lineno, *parts))
+    return rows
+
+
+def _node_ids(tokens: list[str]) -> tuple[list[int], list[str] | None]:
+    """Node indices for id tokens, plus the labels when labels are used.
+
+    Ids are integers only when every token is ASCII digits; otherwise all
+    of them are labels, indexed in first-seen order.
+    """
+    if all(tok.isascii() and tok.isdigit() for tok in tokens):
+        return [int(tok) for tok in tokens], None
+    index: dict[str, int] = {}
+    return [index.setdefault(tok, len(index)) for tok in tokens], list(index)
+
+
+def read_edges(path) -> CitationMatrix:
+    """Read format `edges`; returns a matrix sized to the ids seen."""
+    rows = _triples(path, "src<TAB>dst<TAB>count")
     if not rows:
         raise InputFormatError(f"{path}: no edges found")
-
-    def try_int(tok):
-        try:
-            v = int(tok)
-        except ValueError:
-            return None
-        return v if v >= 0 else None
-
-    all_int = all(try_int(src) is not None and try_int(dst) is not None
-                  for _, src, dst, _ in rows)
-    entries = []
-    labels = None
-    if all_int:
-        for lineno, src, dst, cnt in rows:
-            entries.append((int(src), int(dst), _parse_count(path, lineno, cnt)))
-        n = max(max(s, d) for s, d, _ in entries) + 1
-    else:
-        index: dict[str, int] = {}
-        for lineno, src, dst, cnt in rows:
-            for tok in (src, dst):
-                if tok not in index:
-                    index[tok] = len(index)
-            entries.append((index[src], index[dst], _parse_count(path, lineno, cnt)))
-        n = len(index)
-        labels = list(index)
-    return CitationMatrix.from_entries(n, entries, labels)
+    counts = [_parse_count(path, lineno, cnt) for lineno, _, _, cnt in rows]
+    ids, labels = _node_ids([tok for _, src, dst, _ in rows for tok in (src, dst)])
+    n = len(labels) if labels is not None else max(ids) + 1
+    return CitationMatrix.from_entries(n, zip(ids[0::2], ids[1::2], counts), labels)
 
 
 def _parse_count(path, lineno, tok) -> int:
@@ -103,15 +101,10 @@ def _parse_count(path, lineno, tok) -> int:
 
 def read_dense(path) -> CitationMatrix:
     """Read format `dense`: a square comma-separated grid of counts."""
-    lines = _content_lines(path)
-    if not lines:
+    grid = [(lineno, [_parse_count(path, lineno, tok.strip()) for tok in line.split(",")])
+            for lineno, line in _content_lines(path)]
+    if not grid:
         raise InputFormatError(f"{path}: no rows found")
-    grid = []
-    for lineno, line in lines:
-        row = []
-        for tok in line.split(","):
-            row.append(_parse_count(path, lineno, tok.strip()))
-        grid.append((lineno, row))
     n = len(grid)
     for lineno, row in grid:
         if len(row) != n:
@@ -146,39 +139,16 @@ def read_pairs(path, n_nodes: int | None = None) -> tuple[list[RankedPair], list
     """Read a pair-list TSV; same integer-vs-label id rule as edge lists.
 
     Returns the pairs (in file order, unsorted) and the label mapping when
-    labels were used. With ``n_nodes`` set, a pair whose node index is not
-    below it is an input error on its line.
+    labels were used. A similarity must be a finite number. With
+    ``n_nodes`` set, a pair whose node index is not below it is an input
+    error on its line.
     """
-    rows = []
-    for lineno, line in _content_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise InputFormatError(
-                f"{path}:{lineno}: expected 'selector<TAB>selected<TAB>similarity', got {line!r}")
-        try:
-            sim = float(parts[2])
-        except ValueError:
-            raise InputFormatError(
-                f"{path}:{lineno}: similarity {parts[2]!r} is not a number") from None
-        rows.append((lineno, parts[0], parts[1], sim))
+    rows = _triples(path, "selector<TAB>selected<TAB>similarity")
     if not rows:
         raise InputFormatError(f"{path}: no pairs found")
-
-    def is_id(tok):
-        return tok.isdigit()
-
-    pairs = []
-    labels = None
-    if all(is_id(a) and is_id(b) for _, a, b, _ in rows):
-        pairs = [RankedPair(int(a), int(b), sim) for _, a, b, sim in rows]
-    else:
-        index: dict[str, int] = {}
-        for _, a, b, sim in rows:
-            for tok in (a, b):
-                if tok not in index:
-                    index[tok] = len(index)
-            pairs.append(RankedPair(index[a], index[b], sim))
-        labels = list(index)
+    sims = [_parse_similarity(path, lineno, tok) for lineno, _, _, tok in rows]
+    ids, labels = _node_ids([tok for _, a, b, _ in rows for tok in (a, b)])
+    pairs = [RankedPair(*p) for p in zip(ids[0::2], ids[1::2], sims)]
     if n_nodes is not None:
         for (lineno, *_), p in zip(rows, pairs):
             if max(p.selector, p.selected) >= n_nodes:
@@ -186,6 +156,17 @@ def read_pairs(path, n_nodes: int | None = None) -> tuple[list[RankedPair], list
                     f"{path}:{lineno}: node index {max(p.selector, p.selected)} "
                     f"is not below the node count {n_nodes}")
     return pairs, labels
+
+
+def _parse_similarity(path, lineno, tok) -> float:
+    try:
+        sim = float(tok)
+    except ValueError:
+        raise InputFormatError(
+            f"{path}:{lineno}: similarity {tok!r} is not a number") from None
+    if not math.isfinite(sim):
+        raise InputFormatError(f"{path}:{lineno}: similarity {tok!r} is not finite")
+    return sim
 
 
 def partition_to_tsv(p: Partition, node_labels: list[str] | None = None) -> str:

@@ -1,5 +1,10 @@
 """Partition comparison and detection-result statistics.
 
+:func:`partition_stats` summarises one level of detection; the shared
+single-level pass (``pipeline._level``) records it for ``detect``,
+``detect_from_pairs`` and every sweep run. :func:`nmi` scores sweep runs
+against their reference.
+
 Entropies are in bits and summed with math.fsum, which is exactly rounded
 and therefore order-independent: nmi(x, x) is exactly 1.0, nmi(x, y) is
 exactly nmi(y, x), and relabeling either argument changes nothing.
@@ -70,25 +75,22 @@ def _size_summary(sizes: list[int]) -> dict:
     }
 
 
-def partition_stats(result: DetectionResult, tide_count: str = "events") -> dict:
+def partition_stats(result: DetectionResult) -> dict:
     """Counts and size distributions of a detection result.
 
     The real-community count includes unassigned nodes as singletons (they
     are communities of the real-level partition); the core count covers
-    only cores actually grown from pairs. ``tide_count`` selects whether
-    the headline tide number counts every bridging event or only the
+    only cores actually grown from pairs. ``tides`` counts every bridging
+    event (equal to ``tide_events``); ``tide_merges`` counts only the
     events that merged two real components.
     """
-    if tide_count not in ("events", "merges"):
-        raise ValueError("tide_count must be 'events' or 'merges'")
-    n_tides = len(result.tides) if tide_count == "events" else result.tide_merges
     core_sizes = [len(c.members) for c in result.cores]
     real_sizes = [len(r.members) for r in result.reals] + [1] * len(result.unassigned)
     return {
         "n_nodes": result.n_nodes,
         "cores": len(result.cores),
         "reals": len(result.reals) + len(result.unassigned),
-        "tides": n_tides,
+        "tides": len(result.tides),
         "tide_events": len(result.tides),
         "tide_merges": result.tide_merges,
         "unassigned": len(result.unassigned),

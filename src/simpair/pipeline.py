@@ -1,5 +1,9 @@
 """End-to-end detection: citations -> similarity -> pairs -> communities.
 
+One level of the method is :func:`_level`: pairs grow cores, tides join
+the cores into reals, and both partitions are summarised. ``detect``,
+``detect_from_pairs`` and the sweeps all run that same pass.
+
 Detection can be iterated: the communities found at one level become the
 coarse nodes of the next (their citation blocks summed), and detection
 runs again on the coarse matrix. ``levels=1`` is a single pass; higher
@@ -10,6 +14,7 @@ between the remaining components has dropped to zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .citations import CitationMatrix
@@ -47,61 +52,47 @@ class Detection:
     provenance: dict
 
 
+def _level(pairs: list[RankedPair], n_nodes: int, provenance: dict | None = None
+           ) -> tuple[DetectionResult, Partition, Partition, dict]:
+    """One pass on a ranked pair list: the result, its core and real
+    partitions, and its stats (level 1 over ``n_nodes`` coarse nodes)."""
+    result = build_communities(pairs, n_nodes, provenance)
+    stats = partition_stats(result)
+    stats["level"] = 1
+    stats["coarse_nodes"] = n_nodes
+    return result, extract_partition(result, CORE), extract_partition(result, REAL), stats
+
+
 def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
-           levels: int = 1, tide_count: str = "events") -> Detection:
+           levels: int = 1) -> Detection:
     if levels < 0:
         raise ValueError("levels must be >= 1, or 0 to iterate to a fixed point")
-    to_fixpoint = levels == FIXPOINT
-
-    core_map = None   # original node -> current core-level label
-    real_map = None   # original node -> current real-level label
-    first_result = None
-    first_pairs = None
     level_stats: list[dict] = []
-
     current = matrix
-    level = 0
-    while True:
-        level += 1
-        if current.n_nodes < 2:
-            pairs = []
-        else:
-            sim = build_similarity_matrix(current)
-            pairs = select_pairs(sim, strategy, seed)
-        result = build_communities(pairs, current.n_nodes)
-        core_part = extract_partition(result, CORE)
-        real_part = extract_partition(result, REAL)
-
+    for level in itertools.count(1):
+        pairs = (select_pairs(build_similarity_matrix(current), strategy, seed)
+                 if current.n_nodes >= 2 else [])
+        result, core_part, real_part, stats = _level(pairs, current.n_nodes)
+        stats["level"] = level
+        level_stats.append(stats)
+        # core_map and real_map: original node -> current core / real label
         if level == 1:
-            first_result = result
-            first_pairs = pairs
-            core_map = core_part.labels
-            real_map = real_part.labels
+            first_result, first_pairs = result, pairs
+            core_map, real_map = core_part.labels, real_part.labels
         else:
             core_map = core_part.labels[real_map]
             real_map = real_part.labels[real_map]
-
-        stats = partition_stats(result, tide_count)
-        stats["level"] = level
-        stats["coarse_nodes"] = current.n_nodes
-        level_stats.append(stats)
-
-        unchanged = real_part.n_communities == current.n_nodes
-        if to_fixpoint:
-            if unchanged:
-                break
-        elif level >= levels:
+        # stop after ``levels`` passes (0 matches none) or once nothing
+        # merged, since further levels would then repeat verbatim
+        if real_part.n_communities == current.n_nodes or level == levels:
             break
-        if unchanged:
-            break  # nothing merged; further levels would repeat verbatim
         current = renormalize(current, real_part)
 
     provenance = {
         "strategy": strategy.describe(),
         "seed": seed,
-        "levels": "fixpoint" if to_fixpoint else levels,
+        "levels": "fixpoint" if levels == FIXPOINT else levels,
         "levels_run": level,
-        "tide_count": tide_count,
     }
     return Detection(
         core=Partition(labels=core_map, level=CORE),
@@ -114,16 +105,12 @@ def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
 
 
 def detect_from_pairs(pairs: list[RankedPair], n_nodes: int,
-                      tide_count: str = "events",
                       provenance: dict | None = None) -> Detection:
     """Run only the community-growth stage on an externally supplied pair list."""
-    result = build_communities(pairs, n_nodes, provenance)
-    stats = partition_stats(result, tide_count)
-    stats["level"] = 1
-    stats["coarse_nodes"] = n_nodes
+    result, core, real, stats = _level(pairs, n_nodes, provenance)
     return Detection(
-        core=extract_partition(result, CORE),
-        real=extract_partition(result, REAL),
+        core=core,
+        real=real,
         result=result,
         pairs=list(pairs),
         level_stats=[stats],

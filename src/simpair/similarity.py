@@ -12,13 +12,12 @@ through :meth:`SimilarityMatrix.block`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .citations import CitationMatrix, NormalizedRow, normalize_rows
+from .citations import CitationMatrix
 
 
 class SparseValues(sparse.csr_array):
@@ -74,20 +73,6 @@ class SimilarityMatrix:
         return out
 
 
-def cosine_similarity(a: NormalizedRow, b: NormalizedRow) -> float:
-    """Cosine of two normalized rows; 0 if either row is all zero."""
-    if a.zero_row or b.zero_row:
-        return 0.0
-    if len(b.entries) < len(a.entries):
-        a, b = b, a
-    dot = math.fsum(v * b.entries[k] for k, v in a.entries.items() if k in b.entries)
-    if dot == 0.0:
-        return 0.0
-    na = math.sqrt(math.fsum(v * v for v in a.entries.values()))
-    nb = math.sqrt(math.fsum(v * v for v in b.entries.values()))
-    return dot / (na * nb)
-
-
 def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     """All-pairs cosine similarity of row-normalized citation counts.
 
@@ -112,19 +97,4 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
     s.data[s.indices == rows] = 0.0
     s.eliminate_zeros()
-    return SimilarityMatrix(values=s)
-
-
-def similarity_matrix_naive(m: CitationMatrix) -> SimilarityMatrix:
-    """Row-by-row reference path built on the scalar cosine.
-
-    Same contract as :func:`build_similarity_matrix`; used to cross-check
-    the vectorized path and for very small inputs.
-    """
-    rows = normalize_rows(m)
-    n = m.n_nodes
-    s = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            s[i, j] = s[j, i] = cosine_similarity(rows[i], rows[j])
     return SimilarityMatrix(values=s)

@@ -15,7 +15,8 @@ reproduces its CSV byte for byte, regardless of worker count.
 A sweep builds the similarity once, takes the max reference from it, and
 selects the pairs of every (grid point, repetition) run in one
 :func:`~simpair.selection.select_many` call, which reads each block of
-similarity rows once for all runs.
+similarity rows once for all runs. The reference and every run then go
+through the same single-level pass as ``detect`` (``pipeline._level``).
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .citations import CitationMatrix
-from .communities import CORE, REAL, Partition, build_communities, extract_partition
-from .metrics import nmi, partition_stats
-from .pipeline import FIXPOINT, Strategy, detect
+from .communities import Partition
+from .metrics import nmi
+from .pipeline import FIXPOINT, Strategy, _level, detect
 from .rng import derive_seed
-from .selection import RankedPair, select_many, select_pairs
+from .selection import select_many, select_pairs
 from .similarity import SimilarityMatrix, build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
@@ -49,7 +50,6 @@ class ExperimentConfig:
 
     repetitions: int = 20
     base_seed: int = 0
-    tide_count: str = "events"
     reference: str | Partition = "max"
     jobs: int = 1
 
@@ -58,8 +58,6 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.tide_count not in ("events", "merges"):
-            raise ValueError("tide_count must be 'events' or 'merges'")
 
 
 @dataclass(frozen=True)
@@ -99,23 +97,8 @@ def _reference_partitions(sim: SimilarityMatrix,
         return cfg.reference, cfg.reference
     if cfg.reference != "max":
         raise ValueError("reference must be 'max' or a Partition")
-    ref = build_communities(select_pairs(sim, Strategy("max")), sim.n_nodes)
-    return extract_partition(ref, CORE), extract_partition(ref, REAL)
-
-
-def _run_once(pairs: list[RankedPair], n_nodes: int, cfg: ExperimentConfig,
-              ref_core: Partition, ref_real: Partition) -> dict:
-    result = build_communities(pairs, n_nodes)
-    stats = partition_stats(result, cfg.tide_count)
-    core = extract_partition(result, CORE)
-    real = extract_partition(result, REAL)
-    return {
-        "cores": float(stats["cores"]),
-        "reals": float(stats["reals"]),
-        "tides": float(stats["tides"]),
-        "nmi_core": nmi(core, ref_core),
-        "nmi_real": nmi(real, ref_real),
-    }
+    _, core, real, _ = _level(select_pairs(sim, Strategy("max")), sim.n_nodes)
+    return core, real
 
 
 def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
@@ -135,7 +118,10 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     selections = select_many(sim, jobs)
 
     def run(pairs):
-        return _run_once(pairs, matrix.n_nodes, cfg, ref_core, ref_real)
+        _, core, real, stats = _level(pairs, matrix.n_nodes)
+        return {"cores": float(stats["cores"]), "reals": float(stats["reals"]),
+                "tides": float(stats["tides"]),
+                "nmi_core": nmi(core, ref_core), "nmi_real": nmi(real, ref_real)}
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -159,6 +159,21 @@ class TestInputErrors:
         assert f"{pairs}:3:" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_non_finite_pair_similarity(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("0\t1\t0.5\n1\t0\tnan\n")
+        assert run(["detect", "--pairs", str(pairs), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{pairs}:2:" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_ascii_digit_pair_ids_are_labels(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(b"0\t\xc2\xb2\t0.5\n")
+        out = tmp_path / "out"
+        assert run(["detect", "--pairs", str(pairs), "--out", str(out)]) == 0
+        assert (out / "partition_core.tsv").read_text(encoding="utf-8") == "0\t0\n\u00b2\t0\n"
+
     def test_n_nodes_with_input_is_usage_error(self, tmp_path, block_edges, capsys):
         with pytest.raises(SystemExit) as err:
             run(["detect", "--input", str(block_edges), "--n-nodes", "3",

@@ -127,8 +127,10 @@ class TestBuildCommunities:
         r = build_communities(pairs, 4)
         assert len(r.tides) == 2
         assert r.tide_merges == 1
-        assert partition_stats(r, "events")["tides"] == 2
-        assert partition_stats(r, "merges")["tides"] == 1
+        stats = partition_stats(r)
+        assert stats["tides"] == 2
+        assert stats["tide_events"] == 2
+        assert stats["tide_merges"] == 1
 
     def test_out_of_range_node_rejected(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,23 @@ class TestReadEdges:
             read_edges(path)
 
 
+class TestIdRule:
+    """Edge and pair files share one rule: integer ids only when every id
+    is ASCII digits, otherwise every id is a label."""
+
+    @pytest.mark.parametrize("odd", ["\u00b2", "+3"])
+    def test_non_ascii_digit_ids_are_labels_in_both_readers(self, tmp_path, odd):
+        edges = tmp_path / "g.tsv"
+        edges.write_text(f"0\t{odd}\t2\n{odd}\t1\t1\n", encoding="utf-8")
+        pairs_path = tmp_path / "pairs.tsv"
+        pairs_path.write_text(f"0\t{odd}\t0.5\n{odd}\t1\t0.4\n", encoding="utf-8")
+        m = read_edges(edges)
+        pairs, labels = read_pairs(pairs_path)
+        assert m.node_labels == labels == ["0", odd, "1"]
+        assert m.to_dense()[0, 1] == 2 and m.to_dense()[1, 2] == 1
+        assert pairs == [RankedPair(0, 1, 0.5), RankedPair(1, 2, 0.4)]
+
+
 class TestReadDense:
     def test_square_grid(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -106,6 +123,14 @@ class TestPairsSerialization:
         path = tmp_path / "pairs.tsv"
         path.write_text("0\t1\thigh\n")
         with pytest.raises(InputFormatError, match=r":1:"):
+            read_pairs(path)
+
+
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_similarity_rejected(self, tmp_path, tok):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"0\t1\t0.5\n1\t0\t{tok}\n")
+        with pytest.raises(InputFormatError, match=r":2: .*not finite"):
             read_pairs(path)
 
 

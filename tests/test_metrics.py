@@ -9,11 +9,10 @@ from simpair import (
     Partition,
     RankedPair,
     build_communities,
-    entropy,
-    joint_entropy,
     nmi,
     partition_stats,
 )
+from simpair.metrics import entropy, joint_entropy
 
 
 def brute_joint_entropy(x, y):
@@ -184,7 +183,3 @@ class TestPartitionStats:
         assert stats["core_sizes"] == {
             "min": 2, "max": 3, "mean": 2.5, "histogram": {2: 1, 3: 1}}
         assert stats["unassigned"] == 1
-
-    def test_rejects_bad_tide_count(self):
-        with pytest.raises(ValueError):
-            partition_stats(build_communities([], 2), "both")

@@ -44,12 +44,6 @@ class TestDetect:
         assert d.provenance["seed"] == 5
         assert d.provenance["levels"] == 1
 
-    def test_tide_count_toggle_changes_stats_only(self, two_cliques):
-        events = detect(two_cliques, Strategy("max"), tide_count="events")
-        merges = detect(two_cliques, Strategy("max"), tide_count="merges")
-        assert np.array_equal(events.real.labels, merges.real.labels)
-        assert events.level_stats[0]["tide_events"] == merges.level_stats[0]["tide_events"]
-
     def test_rejects_negative_levels(self, two_cliques):
         with pytest.raises(ValueError):
             detect(two_cliques, Strategy("max"), levels=-1)
@@ -70,3 +64,11 @@ class TestDetectFromPairs:
     def test_records_pairs_provenance(self):
         d = detect_from_pairs([RankedPair(0, 1, 0.5)], 2)
         assert d.provenance["strategy"] == {"kind": "pairs"}
+
+    @pytest.mark.parametrize("kind", ["max", "psim"])
+    def test_detect_pairs_replay_the_first_level(self, two_cliques, kind):
+        d = detect(two_cliques, Strategy(kind), seed=3)
+        replay = detect_from_pairs(d.pairs, two_cliques.n_nodes)
+        assert np.array_equal(replay.core.labels, d.core.labels)
+        assert np.array_equal(replay.real.labels, d.real.labels)
+        assert replay.level_stats[0] == d.level_stats[0]

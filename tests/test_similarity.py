@@ -1,18 +1,74 @@
 """Similarity computation against a from-scratch dense oracle."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from simpair import (
-    CitationMatrix,
-    NormalizedRow,
-    build_similarity_matrix,
-    cosine_similarity,
-    normalize_rows,
-)
-from simpair.similarity import similarity_matrix_naive
+from simpair import CitationMatrix, SimilarityMatrix, build_similarity_matrix
+
+
+@dataclass(frozen=True)
+class NormalizedRow:
+    """One node's outgoing citation frequencies, as a sparse map.
+
+    ``entries`` maps cited node -> fraction of this node's citations going
+    there; fractions sum to 1 unless the raw row was all zero, in which
+    case ``entries`` is empty and ``zero_row`` is set.
+    """
+
+    entries: dict[int, float] = field(default_factory=dict)
+    zero_row: bool = False
+
+
+def normalize_rows(m: CitationMatrix) -> list[NormalizedRow]:
+    """Divide each row by its sum; all-zero rows come back empty and flagged."""
+    csr = m.counts
+    out = []
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    for i in range(m.n_nodes):
+        lo, hi = indptr[i], indptr[i + 1]
+        row_sum = int(data[lo:hi].sum()) if hi > lo else 0
+        if row_sum == 0:
+            out.append(NormalizedRow(entries={}, zero_row=True))
+            continue
+        entries = {
+            int(j): float(v) / row_sum
+            for j, v in zip(indices[lo:hi], data[lo:hi])
+            if v != 0
+        }
+        out.append(NormalizedRow(entries=entries))
+    return out
+
+
+def cosine_similarity(a: NormalizedRow, b: NormalizedRow) -> float:
+    """Cosine of two normalized rows; 0 if either row is all zero."""
+    if a.zero_row or b.zero_row:
+        return 0.0
+    if len(b.entries) < len(a.entries):
+        a, b = b, a
+    dot = math.fsum(v * b.entries[k] for k, v in a.entries.items() if k in b.entries)
+    if dot == 0.0:
+        return 0.0
+    na = math.sqrt(math.fsum(v * v for v in a.entries.values()))
+    nb = math.sqrt(math.fsum(v * v for v in b.entries.values()))
+    return dot / (na * nb)
+
+
+def similarity_matrix_naive(m: CitationMatrix) -> SimilarityMatrix:
+    """Row-by-row reference path built on the scalar cosine.
+
+    Same contract as :func:`build_similarity_matrix`; used to cross-check
+    the vectorized path.
+    """
+    rows = normalize_rows(m)
+    n = m.n_nodes
+    s = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            s[i, j] = s[j, i] = cosine_similarity(rows[i], rows[j])
+    return SimilarityMatrix(values=s)
 
 
 def oracle_similarity(dense):

@@ -10,7 +10,7 @@ from scipy import sparse
 
 from simpair import CitationMatrix, Partition, build_similarity_matrix, renormalize
 from simpair.selection import select_max
-from simpair.similarity import similarity_matrix_naive
+from test_similarity import similarity_matrix_naive
 
 # many zeros, so zero rows and disjoint patterns are common
 COUNTS = st.sampled_from([0, 0, 0, 1, 2, 5]) | st.integers(0, 1000)

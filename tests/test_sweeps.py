@@ -142,7 +142,3 @@ class TestConfigValidation:
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
-
-    def test_rejects_bad_tide_count(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(tide_count="all")
