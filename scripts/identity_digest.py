@@ -1,0 +1,65 @@
+"""Byte-identity digest of seeded simpair outputs on the benchmark's block inputs.
+
+usage, from the repository root: python3 scripts/identity_digest.py SRC_DIR INPUT_DIR [reps]
+Prints one SHA-256 per output and a final digest over all of them.
+"""
+import hashlib
+import sys
+from pathlib import Path
+
+src, inputs = sys.argv[1], Path(sys.argv[2])
+reps = int(sys.argv[3]) if len(sys.argv) > 3 else 2
+sys.path.insert(0, src)
+sys.path.insert(0, "perfbench")
+
+from gen import BlockSpec, write_input  # noqa: E402
+
+from simpair.io import pairs_to_tsv, partition_to_tsv, read_citations  # noqa: E402
+from simpair.pipeline import Strategy, detect  # noqa: E402
+from simpair import sweeps  # noqa: E402
+
+SPECS = {
+    100: BlockSpec(n_blocks=4, block_size=25, volume=50_000),
+    1000: BlockSpec(n_blocks=10, block_size=100, volume=100_000, cross_rate=0.5),
+    5000: BlockSpec(n_blocks=50, block_size=100, volume=2_500_000),
+}
+STRATEGIES = {
+    "max": Strategy("max"),
+    "psim": Strategy("psim"),
+    "psim-top5": Strategy("psim", topn=5),
+    "p": Strategy("p"),
+    "max-del0.3": Strategy("max", deletion=0.3),
+    "mixed-psim0.4": Strategy("mixed", mix_p=0.4, mix_kind="psim"),
+    "mixed-p0.4": Strategy("mixed", mix_p=0.4, mix_kind="p"),
+}
+
+inputs.mkdir(parents=True, exist_ok=True)
+total = hashlib.sha256()
+
+
+def emit(name, text):
+    h = hashlib.sha256(text.encode()).hexdigest()
+    total.update(name.encode() + b"\0" + h.encode() + b"\n")
+    print(h[:16], name, flush=True)
+
+
+for n, spec in SPECS.items():
+    for seed in (0, 7):
+        path = inputs / f"n{n}-seed{seed}.tsv"
+        if not path.exists():
+            write_input(path, spec, (seed, n))
+        m = read_citations(path, "edges")
+        for sname, st in STRATEGIES.items():
+            for levels in (1, 0):
+                d = detect(m, st, seed=seed, levels=levels)
+                tag = f"n{n} seed{seed} {sname} levels{levels}"
+                emit(f"{tag} pairs", pairs_to_tsv(d.pairs))
+                emit(f"{tag} core", partition_to_tsv(d.core))
+                emit(f"{tag} real", partition_to_tsv(d.real))
+        cfg = sweeps.ExperimentConfig(repetitions=reps, base_seed=seed)
+        emit(f"n{n} seed{seed} sweep-prob", sweeps.run_probability_sweep(m, cfg).to_csv())
+        emit(f"n{n} seed{seed} sweep-topn",
+             sweeps.run_topn_sweep(m, cfg, [1, 2, 5, 10, 30]).to_csv())
+        emit(f"n{n} seed{seed} sweep-del", sweeps.run_deletion_sweep(m, cfg).to_csv())
+
+print("ALL", total.hexdigest())

@@ -22,18 +22,7 @@ from .communities import (
 )
 from .metrics import nmi, partition_stats
 from .pipeline import FIXPOINT, Detection, detect, detect_from_pairs
-from .selection import (
-    RankedPair,
-    Strategy,
-    apply_random_deletion,
-    select_many,
-    select_max,
-    select_mixed,
-    select_pairs,
-    select_psim,
-    select_random,
-    sort_pairs,
-)
+from .selection import RankedPair, Strategy, select_many, select_pairs
 from .similarity import SimilarityMatrix, build_similarity_matrix
 from .sweeps import (
     ExperimentConfig,
@@ -57,14 +46,8 @@ __all__ = [
     "build_similarity_matrix",
     "RankedPair",
     "Strategy",
-    "apply_random_deletion",
     "select_many",
-    "select_max",
-    "select_mixed",
     "select_pairs",
-    "select_psim",
-    "select_random",
-    "sort_pairs",
     "CoreCommunity",
     "Tide",
     "DetectionResult",

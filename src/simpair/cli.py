@@ -23,7 +23,6 @@ from .io import (
     write_pairs,
     write_partition,
 )
-from .metrics import partition_stats
 from .pipeline import Strategy, detect, detect_from_pairs
 from .sweeps import (
     ExperimentConfig,
@@ -221,7 +220,8 @@ def _cmd_detect(args, parser) -> int:
         detection = detect(matrix, strategy, seed=args.seed, levels=args.levels)
         node_labels = matrix.node_labels
 
-    stats = partition_stats(detection.result)
+    stats = {k: v for k, v in detection.level_stats[0].items()
+             if k not in ("level", "coarse_nodes")}
     write_detection_json(out / "result.json", detection, node_labels, stats)
     write_partition(out / "partition_core.tsv", detection.core, node_labels)
     write_partition(out / "partition_real.tsv", detection.real, node_labels)

@@ -104,6 +104,9 @@ def build_communities(pairs: list[RankedPair], n_nodes: int,
                       provenance: dict | None = None) -> DetectionResult:
     """Scan a sorted pair list and grow core and real communities.
 
+    Each pair must join two different nodes in ``[0, n_nodes)``; anything
+    else is a ``ValueError``.
+
     Every tide event is recorded, including repeats between cores that an
     earlier tide already connected; ``tide_merges`` counts only the events
     that actually joined two real components.
@@ -119,6 +122,8 @@ def build_communities(pairs: list[RankedPair], n_nodes: int,
         a, b = pair.selector, pair.selected
         if not (0 <= a < n_nodes and 0 <= b < n_nodes):
             raise ValueError(f"pair {pair} references a node outside [0, {n_nodes})")
+        if a == b:
+            raise ValueError(f"pair {pair} pairs a node with itself")
         ca, cb = core_of[a], core_of[b]
         if ca < 0 and cb < 0:
             cid = core_sets.make()

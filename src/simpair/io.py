@@ -9,9 +9,9 @@ Two input formats are accepted:
 * dense - N lines of N comma-separated nonnegative integer counts.
 
 Pair lists (``selector<TAB>selected<TAB>similarity``) follow the same id
-rule, and their similarities must be finite. Blank lines and ``#``
-comments are ignored everywhere. Similarities are printed with six
-decimal digits (round-half-even).
+rule; their similarities must be finite, and no line may pair a node with
+itself. Blank lines and ``#`` comments are ignored everywhere.
+Similarities are printed with six decimal digits (round-half-even).
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ def read_pairs(path, n_nodes: int | None = None) -> tuple[list[RankedPair], list
     """Read a pair-list TSV; same integer-vs-label id rule as edge lists.
 
     Returns the pairs (in file order, unsorted) and the label mapping when
-    labels were used. A similarity must be a finite number. With
-    ``n_nodes`` set, a pair whose node index is not below it is an input
-    error on its line.
+    labels were used. A similarity must be a finite number, and the two
+    ids of a line must name different nodes. With ``n_nodes`` set, a pair
+    whose node index is not below it is an input error on its line.
     """
     rows = _triples(path, "selector<TAB>selected<TAB>similarity")
     if not rows:
@@ -149,12 +149,13 @@ def read_pairs(path, n_nodes: int | None = None) -> tuple[list[RankedPair], list
     sims = [_parse_similarity(path, lineno, tok) for lineno, _, _, tok in rows]
     ids, labels = _node_ids([tok for _, a, b, _ in rows for tok in (a, b)])
     pairs = [RankedPair(*p) for p in zip(ids[0::2], ids[1::2], sims)]
-    if n_nodes is not None:
-        for (lineno, *_), p in zip(rows, pairs):
-            if max(p.selector, p.selected) >= n_nodes:
-                raise InputFormatError(
-                    f"{path}:{lineno}: node index {max(p.selector, p.selected)} "
-                    f"is not below the node count {n_nodes}")
+    for (lineno, selector, *_), p in zip(rows, pairs):
+        if p.selector == p.selected:
+            raise InputFormatError(f"{path}:{lineno}: node {selector!r} is paired with itself")
+        if n_nodes is not None and max(p.selector, p.selected) >= n_nodes:
+            raise InputFormatError(
+                f"{path}:{lineno}: node index {max(p.selector, p.selected)} "
+                f"is not below the node count {n_nodes}")
     return pairs, labels
 
 

@@ -1,26 +1,33 @@
 """Partner selection: one ranked pair list per strategy.
 
-Every strategy reads the similarity a dense block of rows at a time
-(:meth:`SimilarityMatrix.block`), emits directed (selector, selected,
-similarity) triples, then sorts them by decreasing similarity.
-Strategies:
+A :class:`Strategy` names the rule and its parameters;
+:func:`select_pairs` runs one (strategy, seed) and :func:`select_many`
+runs several over one pass of the row blocks, so a sweep fills each
+block once for all its runs. Each run emits directed (selector,
+selected, similarity) triples sorted by decreasing similarity, ties by
+(selector, selected). Strategies:
 
 * ``max``      - each node pairs with its highest-similarity partner(s);
                  exact ties all get emitted.
 * ``psim``     - each node samples one partner with probability
                  proportional to similarity (optionally restricted to the
-                 top-n most similar candidates).
+                 top-n most similar candidates; ties at the cutoff go to
+                 the lower node id).
 * ``p``        - each node samples one partner uniformly.
-* ``max`` + a deletion mask - max over the surviving entries only.
-* mixed       - per node, a seeded coin picks between max and a random
-                 strategy; the boundary probabilities reproduce the pure
-                 strategies byte for byte.
+* ``max`` with ``deletion`` - each row hides a uniform random
+                 floor(d*(N-1)) of its columns, then max runs over the
+                 rest. Deletion is row-local: i may lose sight of j while
+                 j still sees i.
+* ``mixed``    - per node, a seeded coin picks between max and a random
+                 strategy. The coin and the partner draw use separate
+                 streams, so mix_p=0 reproduces max and mix_p=1 the pure
+                 random strategy byte for byte.
 
 Random draws come from one stream per (seed, purpose); node i reads
-element i (see :mod:`simpair.rng`). The largest temporary is one
-``BLOCK_ROWS`` x N block of rows, plus that block's deletion keys.
-:func:`select_many` runs several (strategy, seed) jobs over one pass of
-the row blocks, so a sweep fills each block once for all its runs.
+element i (see :mod:`simpair.rng`). Every strategy reads the similarity
+a dense block of rows at a time (:meth:`SimilarityMatrix.block`); the
+largest temporary is one ``BLOCK_ROWS`` x N block of rows, plus that
+block's deletion keys.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -99,35 +106,13 @@ class Strategy:
         return out
 
 
-@dataclass(frozen=True)
-class SimilarityMask:
-    """Per-row hidden columns, from random deletion.
-
-    ``deleted[i]`` holds the columns node i cannot see; from
-    :func:`apply_random_deletion` it is an (N, k) array. Deletion is
-    row-local: node i may lose sight of j while j still sees i.
-    """
-
-    deleted: np.ndarray
-    fraction: float
-    seed: int
-
-    def n_deleted_per_row(self) -> int:
-        return len(self.deleted[0]) if len(self.deleted) else 0
-
-
-def sort_pairs(pairs: list[RankedPair]) -> list[RankedPair]:
-    """Decreasing similarity; ties by (selector, selected) ascending."""
-    return sorted(pairs, key=lambda p: (-p.similarity, p.selector, p.selected))
-
-
 def _row_blocks(n: int):
     for lo in range(0, n, BLOCK_ROWS):
         yield slice(lo, min(lo + BLOCK_ROWS, n))
 
 
 def _ranked(picks: list[_Picks]) -> list[RankedPair]:
-    """Concatenate picks and sort them as :func:`sort_pairs` does."""
+    """Concatenate picks; decreasing similarity, ties by (selector, selected)."""
     if not picks:
         return []
     if len(picks) == 1:
@@ -137,12 +122,6 @@ def _ranked(picks: list[_Picks]) -> list[RankedPair]:
     order = np.lexsort((selected, selector, -sim))
     return list(map(RankedPair, selector[order].tolist(), selected[order].tolist(),
                     sim[order].tolist()))
-
-
-def _n_nodes(s: SimilarityMatrix) -> int:
-    if s.n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    return s.n_nodes
 
 
 def _deletion_keys(seed: int, n: int, k: int):
@@ -158,20 +137,6 @@ def _deletion_keys(seed: int, n: int, k: int):
         keys[np.arange(len(keys)), np.arange(block.start, block.stop)] = np.inf
         return np.argpartition(keys, k - 1, axis=1)[:, :k]
     return hidden
-
-
-def apply_random_deletion(s: SimilarityMatrix, d: float, seed: int) -> SimilarityMask:
-    """Hide a uniform random floor(d*(N-1)) columns in each row."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("deletion fraction must be in [0, 1]")
-    n = s.n_nodes
-    k = int(np.floor(d * (n - 1)))
-    deleted = np.empty((n, k), dtype=np.int64)
-    if k:
-        hidden = _deletion_keys(seed, n, k)
-        for block in _row_blocks(n):
-            deleted[block] = hidden(block)
-    return SimilarityMask(deleted=deleted, fraction=d, seed=seed)
 
 
 def _max_picks(vals: np.ndarray, rows: np.ndarray) -> _Picks:
@@ -199,12 +164,9 @@ def _max_job(hidden=None):
     def take(blk: np.ndarray, block: slice) -> list[_Picks]:
         vals = blk
         if hidden is not None:
-            cols = hidden(block)
-            flat = np.concatenate(cols) if len(cols) else ()
-            if len(flat):
-                vals = blk.copy()
-                vals[np.repeat(np.arange(len(vals)), [len(c) for c in cols]),
-                     flat] = -1.0  # hidden: below any real similarity
+            vals = blk.copy()  # blk is shared with the other jobs of the pass
+            # hidden: below any real similarity
+            vals[np.arange(len(vals))[:, None], hidden(block)] = -1.0
         return [_max_picks(vals, np.arange(block.start, block.stop))]
     return take
 
@@ -299,59 +261,24 @@ def _job(strategy: Strategy, seed: int, n: int):
     return _random_job(strategy.kind, seed, n, strategy.topn)
 
 
-def _walk(s: SimilarityMatrix, jobs: list) -> list[list[RankedPair]]:
-    """Fill each row block once and hand it to every job in turn."""
-    picks: list[list[_Picks]] = [[] for _ in jobs]
-    for block in _row_blocks(s.n_nodes):
-        blk = s.block(block.start, block.stop)
-        for take, out in zip(jobs, picks):
-            out += take(blk, block)
-    return [_ranked(p) for p in picks]
-
-
 def select_many(s: SimilarityMatrix,
                 jobs: list[tuple[Strategy, int]]) -> list[list[RankedPair]]:
     """Run every (strategy, seed) job in one pass over the row blocks.
 
     Equal to ``[select_pairs(s, strategy, seed) for strategy, seed in jobs]``,
-    but each block of similarity rows is filled once for all jobs.
+    but each block of similarity rows is filled once and handed to every job.
     """
-    n = _n_nodes(s)
-    return _walk(s, [_job(strategy, seed, n) for strategy, seed in jobs])
+    if s.n_nodes < 2:
+        raise ValueError("need at least 2 nodes")
+    takes = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
+    picks: list[list[_Picks]] = [[] for _ in jobs]
+    for block in _row_blocks(s.n_nodes):
+        blk = s.block(block.start, block.stop)
+        for take, out in zip(takes, picks):
+            out += take(blk, block)
+    return [_ranked(p) for p in picks]
 
 
 def select_pairs(s: SimilarityMatrix, strategy: Strategy, seed: int = 0) -> list[RankedPair]:
     """Pairs of one Strategy descriptor; the one-job case of :func:`select_many`."""
     return select_many(s, [(strategy, seed)])[0]
-
-
-def select_max(s: SimilarityMatrix, mask: SimilarityMask | None = None) -> list[RankedPair]:
-    """Every node pairs with all of its maximum-similarity partners."""
-    _n_nodes(s)
-    hidden = None if mask is None else (lambda block: mask.deleted[block])
-    return _walk(s, [_max_job(hidden)])[0]
-
-
-def select_psim(s: SimilarityMatrix, seed: int, topn: int | None = None) -> list[RankedPair]:
-    """Each node samples one partner with probability proportional to similarity.
-
-    With ``topn`` set, only the top-n most similar candidates are eligible
-    (ties at the cutoff resolved toward the lower node id). Nodes whose
-    candidate similarities sum to zero emit nothing.
-    """
-    return _walk(s, [_random_job("psim", seed, _n_nodes(s), topn)])[0]
-
-
-def select_random(s: SimilarityMatrix, seed: int) -> list[RankedPair]:
-    """Each node samples one partner uniformly over all other nodes."""
-    return _walk(s, [_random_job("p", seed, _n_nodes(s))])[0]
-
-
-def select_mixed(s: SimilarityMatrix, p: float, random_kind: str, seed: int) -> list[RankedPair]:
-    """Per-node coin: with probability p use the random strategy, else max.
-
-    The gate draw and the partner draw use separate streams, so p=0
-    reproduces select_max exactly and p=1 reproduces the pure random
-    strategy (same seed) exactly.
-    """
-    return select_pairs(s, Strategy("mixed", mix_p=p, mix_kind=random_kind), seed)

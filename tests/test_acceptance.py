@@ -29,10 +29,7 @@ from simpair import (
     planted_recovery,
     run_deletion_sweep,
     run_probability_sweep,
-    select_max,
-    select_mixed,
-    select_psim,
-    select_random,
+    select_pairs,
 )
 from simpair.citations import CitationMatrix
 from simpair.io import pairs_to_tsv
@@ -142,8 +139,9 @@ def test_proportional_sampling_fidelity():
     expected = values / values.sum(axis=1, keepdims=True)
     start = time.perf_counter()
     freq = np.zeros((5, 5))
+    psim = Strategy("psim")
     for seed in range(10_000):
-        for p in select_psim(s, seed):
+        for p in select_pairs(s, psim, seed):
             freq[p.selector, p.selected] += 1
     freq /= 10_000
     elapsed = time.perf_counter() - start
@@ -200,11 +198,18 @@ def test_mixture_boundaries():
     s = SimilarityMatrix(values=upper + upper.T)
     start = time.perf_counter()
     ok = True
+
+    def tsv(strategy, seed=0):
+        return pairs_to_tsv(select_pairs(s, strategy, seed))
+
+    def mixed(p, kind):
+        return Strategy("mixed", mix_p=p, mix_kind=kind)
+
     for seed in (0, 17):
-        ok &= pairs_to_tsv(select_mixed(s, 0.0, "psim", seed)) == pairs_to_tsv(select_max(s))
-        ok &= pairs_to_tsv(select_mixed(s, 0.0, "p", seed)) == pairs_to_tsv(select_max(s))
-        ok &= pairs_to_tsv(select_mixed(s, 1.0, "psim", seed)) == pairs_to_tsv(select_psim(s, seed))
-        ok &= pairs_to_tsv(select_mixed(s, 1.0, "p", seed)) == pairs_to_tsv(select_random(s, seed))
+        ok &= tsv(mixed(0.0, "psim"), seed) == tsv(Strategy("max"))
+        ok &= tsv(mixed(0.0, "p"), seed) == tsv(Strategy("max"))
+        ok &= tsv(mixed(1.0, "psim"), seed) == tsv(Strategy("psim"), seed)
+        ok &= tsv(mixed(1.0, "p"), seed) == tsv(Strategy("p"), seed)
     elapsed = time.perf_counter() - start
     check("mixture boundaries byte-identical", bool(ok), "p=0 -> max, p=1 -> pure",
           elapsed, 1.0)
@@ -236,8 +241,8 @@ def test_random_kind_ordering(default_matrix):
     psim_scores, p_scores = [], []
     for rep in range(20):
         seed = derive_seed(BASE_SEED, grid_index, rep)
-        psim_run = build_communities(select_psim(sim, seed), matrix.n_nodes)
-        p_run = build_communities(select_random(sim, seed), matrix.n_nodes)
+        psim_run = build_communities(select_pairs(sim, Strategy("psim"), seed), matrix.n_nodes)
+        p_run = build_communities(select_pairs(sim, Strategy("p"), seed), matrix.n_nodes)
         psim_scores.append(nmi(extract_partition(psim_run, REAL), reference))
         p_scores.append(nmi(extract_partition(p_run, REAL), reference))
     wins = sum(a > b for a, b in zip(psim_scores, p_scores))

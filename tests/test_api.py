@@ -19,7 +19,6 @@ PUBLIC = [
     "SweepRow",
     "SyntheticSpec",
     "Tide",
-    "apply_random_deletion",
     "build_communities",
     "build_similarity_matrix",
     "detect",
@@ -34,12 +33,7 @@ PUBLIC = [
     "run_probability_sweep",
     "run_topn_sweep",
     "select_many",
-    "select_max",
-    "select_mixed",
-    "select_psim",
     "select_pairs",
-    "select_random",
-    "sort_pairs",
 ]
 
 

@@ -167,6 +167,15 @@ class TestInputErrors:
         assert f"{pairs}:2:" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text", ["0\t0\t0.5\n1\t2\t0.4\n", "a\ta\t0.5\nb\tc\t0.4\n"])
+    def test_self_pair_rejected(self, tmp_path, capsys, text):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(text)
+        assert run(["detect", "--pairs", str(pairs), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{pairs}:1:" in err and "itself" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_non_ascii_digit_pair_ids_are_labels(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_bytes(b"0\t\xc2\xb2\t0.5\n")

@@ -13,7 +13,6 @@ from simpair import (
     extract_partition,
     partition_stats,
     renormalize,
-    sort_pairs,
 )
 
 # Golden ten-pair example: two mutual top pairs, two joiners per side,
@@ -73,7 +72,7 @@ def random_pairs(rng, n_nodes, n_pairs):
         if b >= a:
             b += 1
         pairs.append(RankedPair(a, b, float(rng.integers(1, 6)) / 10))
-    return sort_pairs(pairs)
+    return sorted(pairs, key=lambda p: (-p.similarity, p.selector, p.selected))
 
 
 class TestGoldenTenPairs:
@@ -135,6 +134,10 @@ class TestBuildCommunities:
     def test_out_of_range_node_rejected(self):
         with pytest.raises(ValueError):
             build_communities([RankedPair(0, 5, 0.5)], 3)
+
+    def test_self_pair_rejected(self):
+        with pytest.raises(ValueError, match="itself"):
+            build_communities([RankedPair(1, 2, 0.9), RankedPair(0, 0, 0.5)], 3)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(100)

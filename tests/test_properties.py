@@ -1,0 +1,149 @@
+"""Invariants of building, partitions, coarse-graining, detection and the file formats."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from simpair import (
+    CORE,
+    REAL,
+    CitationMatrix,
+    Partition,
+    RankedPair,
+    Strategy,
+    build_communities,
+    build_similarity_matrix,
+    detect,
+    extract_partition,
+    renormalize,
+)
+from simpair.io import format_similarity, read_pairs, write_pairs, write_partition
+from test_communities import naive_build
+
+# derandomized, so the suite stays a deterministic gate
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def pair_lists(draw, max_n=8):
+    """(pairs, n): pairs over n nodes, never a self-pair, with repeats and reversals."""
+    n = draw(st.integers(2, max_n))
+    node = st.integers(0, n - 1)
+    edge = st.tuples(node, node).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(st.builds(lambda e, sim: RankedPair(*e, sim), edge,
+                                    st.sampled_from([0.1, 0.2, 0.5])), max_size=3 * n))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+        pairs += [p if i % 2 else RankedPair(p.selected, p.selector, p.similarity)
+                  for i, p in enumerate(again)]
+        pairs = draw(st.permutations(pairs))
+    return list(pairs), n
+
+
+@st.composite
+def count_matrices(draw, max_n=10):
+    n = draw(st.integers(2, max_n))
+    # small counts with many zeros: sparse rows, so best-partner chains form
+    counts = st.sampled_from([0, 0, 0]) | st.integers(0, 9)
+    return draw(arrays(np.int64, (n, n), elements=counts))
+
+
+@PROPERTY
+@given(pair_lists())
+def test_builder_matches_naive_on_repeated_pairs(case):
+    pairs, n = case
+    got = build_communities(pairs, n)
+    cores, reals, tides, unassigned = naive_build(pairs, n)
+    assert [list(c.members) for c in got.cores] == cores
+    assert sorted(map(sorted, (r.members for r in got.reals))) == sorted(map(sorted, reals))
+    assert len(got.tides) == tides
+    assert set(got.unassigned) == unassigned
+
+
+@PROPERTY
+@given(pair_lists())
+def test_partitions_are_total_and_dense(case):
+    pairs, n = case
+    r = build_communities(pairs, n)
+    for level, groups in ((CORE, r.cores), (REAL, r.reals)):
+        labels = extract_partition(r, level).labels
+        assert len(labels) == n
+        assert set(labels.tolist()) == set(range(len(groups) + len(r.unassigned)))
+        for g in groups:
+            assert set(labels[list(g.members)].tolist()) == {g.id}
+        # unassigned nodes are singletons after the community labels
+        loose = labels[list(r.unassigned)].tolist()
+        assert len(set(loose)) == len(loose) and all(lbl >= len(groups) for lbl in loose)
+
+
+@PROPERTY
+@given(count_matrices(), st.data())
+def test_renormalize_conserves_citation_mass(dense, data):
+    n = len(dense)
+    raw = data.draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))
+    labels = np.unique(raw, return_inverse=True)[1]
+    coarse = renormalize(CitationMatrix.from_dense(dense), Partition(labels, REAL)).to_dense()
+    assert coarse.sum() == dense.sum()
+    for a in range(coarse.shape[0]):
+        for b in range(coarse.shape[1]):
+            assert coarse[a, b] == dense[np.ix_(labels == a, labels == b)].sum()
+
+
+def groups(labels) -> set[frozenset[int]]:
+    return {frozenset(np.flatnonzero(labels == lbl).tolist()) for lbl in np.unique(labels)}
+
+
+@PROPERTY
+@given(count_matrices(), st.randoms(use_true_random=False))
+def test_max_detection_is_invariant_under_relabelling(dense, rnd):
+    n = len(dense)
+    m = CitationMatrix.from_dense(dense)
+    sims = build_similarity_matrix(m).values.toarray()[np.triu_indices(n, 1)]
+    # only ties reorder the ranked pairs, and a relabelling can move a
+    # similarity by a few ulps, so ask for a clear gap between positive values
+    positive = np.sort(sims[sims > 0.0])
+    assume(len(positive) < 2 or np.diff(positive).min() > 1e-9)
+    perm = np.array(rnd.sample(range(n), n))  # old node i becomes perm[i]
+    relabelled = np.empty_like(dense)
+    relabelled[np.ix_(perm, perm)] = dense
+    want = detect(m, Strategy("max"))
+    got = detect(CitationMatrix.from_dense(relabelled), Strategy("max"))
+    assert groups(got.core.labels[perm]) == groups(want.core.labels)
+    assert groups(got.real.labels[perm]) == groups(want.real.labels)
+
+
+@PROPERTY
+@given(st.lists(st.builds(RankedPair, st.integers(0, 50), st.integers(0, 50),
+                          st.floats(-1000.0, 1000.0)).filter(lambda p: p.selector != p.selected),
+                min_size=1, max_size=20))
+def test_pairs_round_trip_to_six_decimals(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        write_pairs(path, pairs)
+        back, labels = read_pairs(path)
+    assert labels is None
+    assert [(p.selector, p.selected) for p in back] == [(p.selector, p.selected) for p in pairs]
+    for p, q in zip(pairs, back):
+        assert q.similarity == float(format_similarity(p.similarity))
+        assert abs(q.similarity - p.similarity) <= 5e-7 + 1e-12
+
+
+@PROPERTY
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    arrays(np.int64, n, elements=st.integers(0, n - 1)),
+    st.none() | st.lists(st.text("abc_xyz019", min_size=1, max_size=4),
+                         min_size=n, max_size=n, unique=True))))
+def test_partition_round_trip(case):
+    raw, names = case
+    labels = np.unique(raw, return_inverse=True)[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "partition.tsv"
+        write_partition(path, Partition(labels, CORE), names)
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    want_names = names if names is not None else [str(v) for v in range(len(labels))]
+    assert [name for name, _ in rows] == want_names
+    assert [int(lbl) for _, lbl in rows] == labels.tolist()

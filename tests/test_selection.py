@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from simpair import (
-    SimilarityMatrix,
-    Strategy,
-    apply_random_deletion,
-    select_max,
-    select_mixed,
-    select_pairs,
-    select_psim,
-    select_random,
-)
+from simpair import SimilarityMatrix, Strategy, select_pairs
 from simpair.io import pairs_to_tsv
-from simpair.selection import _proportional_pick
+from simpair.selection import _deletion_keys, _proportional_pick
+
+MAX = Strategy("max")
+PSIM = Strategy("psim")
+UNIFORM = Strategy("p")
+
+
+def mixed(p: float, kind: str) -> Strategy:
+    return Strategy("mixed", mix_p=p, mix_kind=kind)
+
+
+def hidden_columns(seed: int, n: int, k: int) -> np.ndarray:
+    """The (n, k) columns a max run with deletion hides, all rows in one block."""
+    return _deletion_keys(seed, n, k)(slice(0, n))
 
 
 def sim_from(values) -> SimilarityMatrix:
@@ -45,7 +49,7 @@ def assert_sorted(pairs):
 class TestSelectMax:
     def test_two_nodes(self):
         s = sim_from([[0.0, 0.3], [0.3, 0.0]])
-        assert [(p.selector, p.selected, p.similarity) for p in select_max(s)] == [
+        assert [(p.selector, p.selected, p.similarity) for p in select_pairs(s, MAX)] == [
             (0, 1, 0.3), (1, 0, 0.3)]
 
     def test_tied_maxima_all_emitted(self):
@@ -55,14 +59,14 @@ class TestSelectMax:
             [0.5, 0.1, 0.0, 0.1],
             [0.2, 0.1, 0.1, 0.0],
         ])
-        from_zero = [(p.selector, p.selected) for p in select_max(s) if p.selector == 0]
+        from_zero = [(p.selector, p.selected) for p in select_pairs(s, MAX) if p.selector == 0]
         assert from_zero == [(0, 1), (0, 2)]
 
     def test_max_dominance_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             s = random_similarity(rng, int(rng.integers(2, 14)))
-            pairs = select_max(s)
+            pairs = select_pairs(s, MAX)
             emitted = {}
             for p in pairs:
                 emitted.setdefault(p.selector, p.similarity)
@@ -72,51 +76,41 @@ class TestSelectMax:
 
     def test_all_zero_row_emits_nothing(self):
         s = sim_from([[0.0, 0.0, 0.0], [0.0, 0.0, 0.9], [0.0, 0.9, 0.0]])
-        assert {p.selector for p in select_max(s)} == {1, 2}
+        assert {p.selector for p in select_pairs(s, MAX)} == {1, 2}
 
     def test_sorted_output(self):
         rng = np.random.default_rng(1)
-        assert_sorted(select_max(random_similarity(rng, 20)))
+        assert_sorted(select_pairs(random_similarity(rng, 20), MAX))
 
 
 class TestRandomDeletion:
     def test_zero_fraction_is_empty(self):
-        mask = apply_random_deletion(FIVE, 0.0, seed=9)
-        assert mask.n_deleted_per_row() == 0
-        assert select_max(FIVE, mask) == select_max(FIVE)
+        assert select_pairs(FIVE, Strategy("max", deletion=0.0), 9) == select_pairs(FIVE, MAX)
 
     def test_full_deletion_silences_everyone(self):
-        mask = apply_random_deletion(FIVE, 1.0, seed=9)
-        assert mask.n_deleted_per_row() == 4
-        assert select_max(FIVE, mask) == []
+        assert hidden_columns(9, 5, 4).shape == (5, 4)
+        assert select_pairs(FIVE, Strategy("max", deletion=1.0), 9) == []
 
     def test_floor_arithmetic(self):
+        # floor(0.5 * 10) = 5 of each row's 10 other columns are hidden
         rng = np.random.default_rng(2)
         s = random_similarity(rng, 11)
-        mask = apply_random_deletion(s, 0.5, seed=1)
-        assert all(len(d) == 5 for d in mask.deleted)
+        hidden = hidden_columns(1, 11, 5)
+        assert all(len(set(row)) == 5 and i not in row for i, row in enumerate(hidden.tolist()))
+        pairs = select_pairs(s, Strategy("max", deletion=0.5), 1)
+        assert sorted(p.selector for p in pairs) == list(range(11))
+        for p in pairs:
+            visible = [j for j in range(11) if j != p.selector and j not in hidden[p.selector]]
+            assert p.selected == max(visible, key=lambda j: s.values[p.selector, j])
 
     def test_mask_rows_are_independent(self):
-        mask1 = apply_random_deletion(FIVE, 0.5, seed=1)
-        mask2 = apply_random_deletion(FIVE, 0.5, seed=2)
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(mask1.deleted, mask2.deleted))
-
-    def test_deleted_entries_are_invisible(self):
-        s = sim_from([[0.0, 0.9, 0.1], [0.9, 0.0, 0.2], [0.1, 0.2, 0.0]])
-        # hide node 0's best partner by hand
-        mask = apply_random_deletion(s, 0.0, seed=0)
-        forced = tuple(np.array([1]) if i == 0 else d
-                       for i, d in enumerate(mask.deleted))
-        masked = type(mask)(deleted=forced, fraction=0.0, seed=0)
-        best = next(p for p in select_max(s, masked) if p.selector == 0)
-        assert best.selected == 2
+        assert not np.array_equal(hidden_columns(1, 5, 2), hidden_columns(2, 5, 2))
 
 
 class TestSelectPsim:
     def test_two_equal_candidates_split_evenly(self):
         s = sim_from([[0.0, 0.5, 0.5], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
-        picks = [next(p.selected for p in select_psim(s, seed) if p.selector == 0)
+        picks = [next(p.selected for p in select_pairs(s, PSIM, seed) if p.selector == 0)
                  for seed in range(10_000)]
         freq = np.bincount(picks, minlength=3) / 10_000
         assert freq[1] == pytest.approx(0.5, abs=0.02)
@@ -125,7 +119,7 @@ class TestSelectPsim:
     def test_frequencies_proportional_to_similarity(self):
         s = sim_from([[0.0, 0.1, 0.3, 0.6], [0.1, 0.0, 0.0, 0.0],
                       [0.3, 0.0, 0.0, 0.0], [0.6, 0.0, 0.0, 0.0]])
-        picks = [next(p.selected for p in select_psim(s, seed) if p.selector == 0)
+        picks = [next(p.selected for p in select_pairs(s, PSIM, seed) if p.selector == 0)
                  for seed in range(10_000)]
         freq = np.bincount(picks, minlength=4) / 10_000
         for j, expected in ((1, 0.1), (2, 0.3), (3, 0.6)):
@@ -133,28 +127,30 @@ class TestSelectPsim:
 
     def test_zero_mass_node_emits_nothing(self):
         s = sim_from([[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.4, 0.0]])
-        assert {p.selector for p in select_psim(s, 3)} == {1, 2}
+        assert {p.selector for p in select_pairs(s, PSIM, 3)} == {1, 2}
 
     def test_topn_one_equals_max_when_tie_free(self):
         rng = np.random.default_rng(4)
         for seed in range(5):
             s = random_similarity(rng, 12)
-            got = set((p.selector, p.selected) for p in select_psim(s, seed, topn=1))
-            want = set((p.selector, p.selected) for p in select_max(s))
+            got = set((p.selector, p.selected)
+                      for p in select_pairs(s, Strategy("psim", topn=1), seed))
+            want = set((p.selector, p.selected) for p in select_pairs(s, MAX))
             assert got == want
 
     def test_topn_restricts_candidates(self):
         picks = set()
         for seed in range(200):
             picks.update((p.selector, p.selected)
-                         for p in select_psim(FIVE, seed, topn=2) if p.selector == 0)
+                         for p in select_pairs(FIVE, Strategy("psim", topn=2), seed)
+                         if p.selector == 0)
         # node 0's top-2 candidates by similarity are 3 (0.6) and 2 (0.3)
         assert picks == {(0, 3), (0, 2)}
 
     def test_topn_boundary_tie_prefers_lower_id(self):
         s = sim_from([[0.0, 0.4, 0.4, 0.1], [0.4, 0.0, 0.0, 0.0],
                       [0.4, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]])
-        picks = {next(p.selected for p in select_psim(s, seed, topn=1)
+        picks = {next(p.selected for p in select_pairs(s, Strategy("psim", topn=1), seed)
                       if p.selector == 0) for seed in range(50)}
         assert picks == {1}
 
@@ -173,7 +169,7 @@ class TestSelectPsim:
     def test_exactly_one_pair_per_node(self):
         rng = np.random.default_rng(6)
         s = random_similarity(rng, 15)
-        pairs = select_psim(s, 0)
+        pairs = select_pairs(s, PSIM, 0)
         assert sorted(p.selector for p in pairs) == list(range(15))
         assert_sorted(pairs)
 
@@ -181,14 +177,14 @@ class TestSelectPsim:
 class TestSelectRandom:
     def test_two_nodes_deterministic(self):
         s = sim_from([[0.0, 0.7], [0.7, 0.0]])
-        assert [(p.selector, p.selected) for p in select_random(s, 123)] == [
+        assert [(p.selector, p.selected) for p in select_pairs(s, UNIFORM, 123)] == [
             (0, 1), (1, 0)]
 
     def test_uniform_frequencies(self):
         s = sim_from(np.full((4, 4), 0.5))
         counts = np.zeros((4, 4))
         for seed in range(12_000):
-            for p in select_random(s, seed):
+            for p in select_pairs(s, UNIFORM, seed):
                 counts[p.selector, p.selected] += 1
         freq = counts / 12_000
         off_diag = freq[~np.eye(4, dtype=bool)]
@@ -198,7 +194,7 @@ class TestSelectRandom:
         rng = np.random.default_rng(8)
         for seed in range(5):
             s = random_similarity(rng, 9)
-            pairs = select_random(s, seed)
+            pairs = select_pairs(s, UNIFORM, seed)
             assert len(pairs) == 9
             assert_sorted(pairs)
 
@@ -208,30 +204,32 @@ class TestSelectMixed:
         rng = np.random.default_rng(10)
         s = random_similarity(rng, 25)
         for seed in (0, 99):
-            assert select_mixed(s, 0.0, "psim", seed) == select_max(s)
-            assert select_mixed(s, 0.0, "p", seed) == select_max(s)
+            assert select_pairs(s, mixed(0.0, "psim"), seed) == select_pairs(s, MAX)
+            assert select_pairs(s, mixed(0.0, "p"), seed) == select_pairs(s, MAX)
 
     def test_p_one_is_exactly_pure_strategy(self):
         rng = np.random.default_rng(12)
         s = random_similarity(rng, 25)
         for seed in (0, 7):
-            assert select_mixed(s, 1.0, "psim", seed) == select_psim(s, seed)
-            assert select_mixed(s, 1.0, "p", seed) == select_random(s, seed)
+            assert select_pairs(s, mixed(1.0, "psim"), seed) == select_pairs(s, PSIM, seed)
+            assert select_pairs(s, mixed(1.0, "p"), seed) == select_pairs(s, UNIFORM, seed)
 
     def test_boundary_serializations_are_byte_identical(self):
         rng = np.random.default_rng(13)
         s = random_similarity(rng, 30)
-        assert pairs_to_tsv(select_mixed(s, 0.0, "p", 5)) == pairs_to_tsv(select_max(s))
-        assert pairs_to_tsv(select_mixed(s, 1.0, "p", 5)) == pairs_to_tsv(select_random(s, 5))
+        assert (pairs_to_tsv(select_pairs(s, mixed(0.0, "p"), 5))
+                == pairs_to_tsv(select_pairs(s, MAX)))
+        assert (pairs_to_tsv(select_pairs(s, mixed(1.0, "p"), 5))
+                == pairs_to_tsv(select_pairs(s, UNIFORM, 5)))
 
     def test_half_mix_uses_max_about_half_the_time(self):
         rng = np.random.default_rng(14)
         s = random_similarity(rng, 50)
-        max_partner = {p.selector: p.selected for p in select_max(s)}
+        max_partner = {p.selector: p.selected for p in select_pairs(s, MAX)}
         n_max = 0
         for seed in range(1_000):
             got = {}
-            for p in select_mixed(s, 0.5, "p", seed):
+            for p in select_pairs(s, mixed(0.5, "p"), seed):
                 got.setdefault(p.selector, p.selected)
             # count nodes whose emitted partner matches their max partner
             n_max += sum(got[i] == max_partner[i] for i in range(50))
@@ -255,8 +253,8 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(21)
         s = random_similarity(rng, 18)
-        a = select_psim(s, 1)
-        b = select_psim(s, 2)
+        a = select_pairs(s, PSIM, 1)
+        b = select_pairs(s, PSIM, 2)
         assert a != b
 
 

@@ -9,18 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from simpair import (
-    SimilarityMatrix,
-    Strategy,
-    apply_random_deletion,
-    select_max,
-    select_mixed,
-    select_pairs,
-    select_psim,
-    select_random,
-)
+from simpair import SimilarityMatrix, Strategy, select_many, select_pairs
 from simpair import selection
-from simpair.selection import select_many
+from simpair.selection import _deletion_keys
 from simpair.io import pairs_to_tsv
 
 SEEDS = st.integers(0, 2**63)
@@ -48,7 +39,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 @PROPERTY
 @given(similarities(), SEEDS, st.sampled_from([None, 1, 2, 3]))
 def test_psim_picks_positive_partner_never_self(s, seed, topn):
-    pairs = select_psim(s, seed, topn)
+    pairs = select_pairs(s, Strategy("psim", topn=topn), seed)
     for p in pairs:
         assert p.selector != p.selected
         assert p.similarity > 0.0
@@ -63,7 +54,7 @@ def test_psim_picks_positive_partner_never_self(s, seed, topn):
 @PROPERTY
 @given(similarities())
 def test_max_picks_every_positive_row_maximum(s):
-    pairs = select_max(s)
+    pairs = select_pairs(s, Strategy("max"))
     for p in pairs:
         assert p.selector != p.selected
         assert p.similarity > 0.0
@@ -76,7 +67,7 @@ def test_max_picks_every_positive_row_maximum(s):
 @PROPERTY
 @given(similarities(), SEEDS)
 def test_uniform_never_picks_self(s, seed):
-    pairs = select_random(s, seed)
+    pairs = select_pairs(s, Strategy("p"), seed)
     assert sorted(p.selector for p in pairs) == list(range(s.n_nodes))
     assert all(p.selector != p.selected for p in pairs)
     assert all(0 <= p.selected < s.n_nodes for p in pairs)
@@ -85,25 +76,27 @@ def test_uniform_never_picks_self(s, seed):
 @PROPERTY
 @given(similarities(), SEEDS, st.floats(0.0, 1.0))
 def test_deletion_hides_floor_fraction_never_diagonal(s, seed, d):
-    mask = apply_random_deletion(s, d, seed)
-    k = math.floor(d * (s.n_nodes - 1))
-    assert mask.n_deleted_per_row() == k
-    for i, hidden in enumerate(mask.deleted):
+    n = s.n_nodes
+    k = math.floor(d * (n - 1))
+    deleted = _deletion_keys(seed, n, k)(slice(0, n))
+    for i, hidden in enumerate(deleted):
         assert len(set(hidden.tolist())) == k
         assert i not in hidden
-    for p in select_max(s, mask):
-        hidden = mask.deleted[p.selector]
-        assert p.selected not in hidden
-        assert p.similarity == max(s.values[p.selector, j] for j in range(s.n_nodes)
-                                   if j != p.selector and j not in hidden)
+    visible = [[j for j in range(n) if j != i and j not in deleted[i]] for i in range(n)]
+    want = {(i, j) for i in range(n) for j in visible[i]
+            if s.values[i, j] > 0.0 and s.values[i, j] == max(s.values[i, c] for c in visible[i])}
+    pairs = select_pairs(s, Strategy("max", deletion=d), seed)
+    assert {(p.selector, p.selected) for p in pairs} == want
 
 
 @PROPERTY
 @given(similarities(), SEEDS, st.sampled_from(["psim", "p"]))
 def test_mixed_boundaries_are_byte_identical(s, seed, kind):
-    pure = select_psim(s, seed) if kind == "psim" else select_random(s, seed)
-    assert pairs_to_tsv(select_mixed(s, 0.0, kind, seed)) == pairs_to_tsv(select_max(s))
-    assert pairs_to_tsv(select_mixed(s, 1.0, kind, seed)) == pairs_to_tsv(pure)
+    def tsv(strategy):
+        return pairs_to_tsv(select_pairs(s, strategy, seed))
+
+    assert tsv(Strategy("mixed", mix_p=0.0, mix_kind=kind)) == tsv(Strategy("max"))
+    assert tsv(Strategy("mixed", mix_p=1.0, mix_kind=kind)) == tsv(Strategy(kind))
 
 
 STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=2), Strategy("p"),

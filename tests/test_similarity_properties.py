@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from simpair import CitationMatrix, Partition, build_similarity_matrix, renormalize
-from simpair.selection import select_max
+from simpair.selection import Strategy, select_pairs
 from test_similarity import similarity_matrix_naive
 
 # many zeros, so zero rows and disjoint patterns are common
@@ -54,7 +54,7 @@ def test_block_sparse_12k_stays_far_below_dense_size():
 
     tracemalloc.start()
     try:
-        pairs = select_max(build_similarity_matrix(m))
+        pairs = select_pairs(build_similarity_matrix(m), Strategy("max"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
