@@ -42,19 +42,15 @@ class CitationMatrix:
         return cls(sparse.csr_array(arr.astype(np.int64)), node_labels)
 
     @classmethod
-    def from_entries(cls, n_nodes: int, entries, node_labels=None) -> "CitationMatrix":
-        """Build from an iterable of (src, dst, count) triples.
+    def from_entries(cls, n_nodes: int, src, dst, counts, node_labels=None) -> "CitationMatrix":
+        """Build from three equal-length integer columns: entry ``k`` is
+        ``counts[k]`` citations from node ``src[k]`` to node ``dst[k]``.
 
         Duplicate (src, dst) pairs are summed.
         """
-        rows, cols, vals = [], [], []
-        for src, dst, count in entries:
-            rows.append(src)
-            cols.append(dst)
-            vals.append(count)
         mat = sparse.coo_array(
-            (np.asarray(vals, dtype=np.int64),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+            (np.asarray(counts, dtype=np.int64),
+             (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))),
             shape=(n_nodes, n_nodes),
         ).tocsr()
         mat.sum_duplicates()

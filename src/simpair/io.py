@@ -5,7 +5,14 @@ Two input formats are accepted:
 * edges - tab-separated ``src<TAB>dst<TAB>count`` lines. Node ids may be
   0-based integers or arbitrary labels; unless every id is ASCII digits,
   all ids are treated as labels and mapped to dense indices in first-seen
-  order (the mapping travels with the results).
+  order (the mapping travels with the results). Integer ids must be
+  dense: at least half of ``0..max id`` must occur. Counts, and each
+  (src, dst) pair's sum of counts, must fit in int64. A file that is
+  nothing but lines of three 1-18 digit fields is parsed by numpy, a
+  chunk of lines at a time, straight into the int64 ``src``, ``dst`` and
+  ``count`` columns that :meth:`CitationMatrix.from_entries` takes; any
+  other file is read line by line into the same columns, and both paths
+  share the checks above.
 * dense - N lines of N comma-separated nonnegative integer counts.
 
 Pair lists (``selector<TAB>selected<TAB>similarity``) follow the same id
@@ -78,15 +85,106 @@ def _node_ids(tokens: list[str]) -> tuple[list[int], list[str] | None]:
     return [index.setdefault(tok, len(index)) for tok in tokens], list(index)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# the bytes that end the three fields of a digit-only edge line
+_LINE_SEPS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
+_CHUNK = 1 << 20
+
+
 def read_edges(path) -> CitationMatrix:
     """Read format `edges`; returns a matrix sized to the ids seen."""
+    with open(path, "rb") as fh:
+        columns = _digit_columns(fh.read())
+    if columns is not None:
+        src, dst, counts = columns
+        return _edge_matrix(path, range(1, len(counts) + 1), src, dst, counts)
     rows = _triples(path, "src<TAB>dst<TAB>count")
     if not rows:
         raise InputFormatError(f"{path}: no edges found")
-    counts = [_parse_count(path, lineno, cnt) for lineno, _, _, cnt in rows]
+    counts = np.array([_parse_count(path, lineno, cnt) for lineno, _, _, cnt in rows],
+                      dtype=np.int64)
     ids, labels = _node_ids([tok for _, src, dst, _ in rows for tok in (src, dst)])
-    n = len(labels) if labels is not None else max(ids) + 1
-    return CitationMatrix.from_entries(n, zip(ids[0::2], ids[1::2], counts), labels)
+    # object, because integer ids may pass int64 until the id-space check
+    ids = np.array(ids, dtype=object)
+    return _edge_matrix(path, [lineno for lineno, *_ in rows], ids[0::2], ids[1::2],
+                        counts, labels)
+
+
+def _digit_columns(buf: bytes) -> np.ndarray | None:
+    """The int64 src, dst and count columns, as the rows of one (3, L)
+    array, of an edge file whose every line is three tab-separated fields
+    of 1-18 ASCII digits (the last newline may be missing); None for any
+    other file.
+
+    The file is checked and parsed a chunk of whole lines at a time, so
+    no per-byte array spans it.
+    """
+    if not buf:
+        return None
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    view = np.frombuffer(buf, dtype=np.uint8)
+    columns = np.empty((3, buf.count(b"\n")), dtype=np.int64)
+    start = row = 0
+    while start < len(buf):
+        stop = buf.rfind(b"\n", start, start + _CHUNK) + 1
+        if stop <= start:
+            return None  # no line end in a whole chunk: not a short digit line
+        chunk = view[start:stop]
+        # below b"0", only separators may occur; the rest must be digits
+        seps = np.flatnonzero(chunk < ord("0"))
+        widths = np.diff(seps, prepend=-1) - 1
+        if (chunk.max() > ord("9") or len(seps) % 3
+                or not np.all(chunk[seps].reshape(-1, 3) == _LINE_SEPS)
+                or widths.min() < 1 or widths.max() > 18):
+            return None
+        # 18 digits stay below 2**63, so every field parses exactly
+        lines = len(seps) // 3
+        columns[:, row:row + lines] = np.fromstring(
+            buf[start:stop], dtype=np.int64, sep=" ", count=len(seps)).reshape(lines, 3).T
+        start, row = stop, row + lines
+    return columns
+
+
+def _edge_matrix(path, linenos, src, dst, counts, labels=None) -> CitationMatrix:
+    """The matrix of parsed edge columns, after the checks both readers
+    share; entry ``i`` was read from line ``linenos[i]``."""
+    n = len(labels) if labels is not None else _integer_node_count(path, linenos, src, dst)
+    _check_count_sums(path, linenos, src, dst, counts)
+    return CitationMatrix.from_entries(n, src, dst, counts, labels)
+
+
+def _integer_node_count(path, linenos, src, dst) -> int:
+    """max id + 1, when at least half of ``0..max id`` occur as ids.
+
+    Nothing node-sized is allocated for a sparse id space: a file of L
+    lines names at most 2L ids, so a max id past 4L fails uncounted.
+    """
+    top = max(src.max(), dst.max())
+    n = int(top) + 1
+    if n <= 4 * len(src):
+        seen = np.zeros(n, dtype=bool)
+        seen[src.astype(np.intp, copy=False)] = True
+        seen[dst.astype(np.intp, copy=False)] = True
+        if 2 * np.count_nonzero(seen) >= n:
+            return n
+    line = linenos[np.flatnonzero((src == top) | (dst == top))[0]]
+    raise InputFormatError(
+        f"{path}:{line}: node id {top} leaves more than half of the ids 0..{top} "
+        f"unused; integer ids must be dense and 0-based")
+
+
+def _check_count_sums(path, linenos, src, dst, counts) -> None:
+    """Raise at the first line whose (src, dst) running count sum passes int64."""
+    if int(counts.max()) * len(counts) <= _INT64_MAX:
+        return  # not even the sum of every count can overflow
+    sums: dict[tuple, int] = {}
+    for i, (edge, count) in enumerate(zip(zip(src.tolist(), dst.tolist()), counts.tolist())):
+        sums[edge] = sums.get(edge, 0) + count
+        if sums[edge] > _INT64_MAX:
+            raise InputFormatError(
+                f"{path}:{linenos[i]}: the counts of this src, dst pair sum past "
+                f"the int64 maximum {_INT64_MAX}")
 
 
 def _parse_count(path, lineno, tok) -> int:
@@ -96,6 +194,9 @@ def _parse_count(path, lineno, tok) -> int:
         raise InputFormatError(f"{path}:{lineno}: count {tok!r} is not an integer") from None
     if count < 0:
         raise InputFormatError(f"{path}:{lineno}: count must be nonnegative, got {count}")
+    if count > _INT64_MAX:
+        raise InputFormatError(
+            f"{path}:{lineno}: count {count} is above the int64 maximum {_INT64_MAX}")
     return count
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .citations import CitationMatrix
 from .communities import (
@@ -106,13 +107,19 @@ def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
 
 def detect_from_pairs(pairs: list[RankedPair], n_nodes: int,
                       provenance: dict | None = None) -> Detection:
-    """Run only the community-growth stage on an externally supplied pair list."""
+    """Run only the community-growth stage on an externally supplied pair list.
+
+    The pairs are ranked by decreasing similarity first, ties kept in the
+    given order, so the list's order matters only among equal similarities;
+    ``Detection.pairs`` holds them in that ranked order.
+    """
+    pairs = sorted(pairs, key=attrgetter("similarity"), reverse=True)
     result, core, real, stats = _level(pairs, n_nodes, provenance)
     return Detection(
         core=core,
         real=real,
         result=result,
-        pairs=list(pairs),
+        pairs=pairs,
         level_stats=[stats],
         provenance=dict(provenance or {"strategy": {"kind": "pairs"}, "seed": None}),
     )

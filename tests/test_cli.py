@@ -136,6 +136,33 @@ class TestInputErrors:
         assert f"{bad}:2:" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("0\t3000000\t1\n", 1),
+        ("0\t999999999\t1\n", 1),
+        ("0\t1\t1\n1\t0\t1\n9\t0\t1\n0\t9\t1\n", 3),  # first line of the max id
+        ("# line reader\n0\t3000000\t1\n", 2),
+    ], ids=["3M", "1e9", "first-max-line", "commented"])
+    def test_sparse_integer_id_space(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        assert run(["detect", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}: node id" in err and "unused" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("0\t1\t99999999999999999999\n", 1),
+        ("0\t1\t9223372036854775807\n0\t1\t9223372036854775807\n", 2),
+        ("0\t1\t999999999999999999\n" * 10, 10),  # 18 digits: the columnar reader
+    ], ids=["one-count", "sum", "sum-of-18-digit-counts"])
+    def test_count_beyond_int64(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        assert run(["detect", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}:" in err and "int64" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["sweep-prob", "--p-grid", "1"],
         ["sweep-topn", "--topn-grid", "1"],

@@ -1,5 +1,8 @@
 """File parsing and serialization."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from simpair import RankedPair, build_communities, extract_partition
@@ -55,6 +58,58 @@ class TestReadEdges:
         with pytest.raises(InputFormatError, match="no edges"):
             read_edges(path)
 
+    def test_unused_ids_below_half_are_isolated_nodes(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("0\t2\t1")
+        m = read_edges(path)
+        assert m.n_nodes == 3
+        assert m.to_dense().tolist() == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+
+    @pytest.mark.parametrize("text", [
+        "1\t2\t3\t4\n5\t6\n",  # the tab count balances, the lines do not
+        "0\t1\t\n",
+    ], ids=["unbalanced", "empty-count"])
+    def test_near_digit_files_fail_as_before(self, tmp_path, text):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(InputFormatError, match=r":1: expected"):
+            read_edges(path)
+
+    @pytest.mark.parametrize("text, labels, dense", [
+        ("0\t\t1\n", ["0", ""], [[0, 1], [0, 0]]),  # an empty id makes every id a label
+        ("0\t1\t2\t\n", None, [[0, 2], [0, 0]]),  # the line reader strips the tab
+        ("0\t1\t2\r\n1\t0\t3\r\n", None, [[0, 2], [3, 0]]),
+        ("0\t1\t1234567890123456789\n1\t0\t0000000000000000003\n", None,
+         [[0, 1234567890123456789], [3, 0]]),
+    ], ids=["empty-id", "trailing-tab", "crlf", "19-digits"])
+    def test_near_digit_files_read_as_before(self, tmp_path, text, labels, dense):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(text.encode("ascii"))
+        m = read_edges(path)
+        assert m.node_labels == labels
+        assert m.to_dense().tolist() == dense
+
+    def test_block_input_of_500k_lines_peaks_below_ten_file_sizes(self, tmp_path):
+        """Every ordered pair inside blocks of 100 nodes, N = 5000: 495 000 lines."""
+        n, size = 5000, 100
+        src = np.repeat(np.arange(n), size - 1)
+        off = np.tile(np.arange(size - 1), n)
+        base = src // size * size
+        dst = base + off + (off >= src - base)
+        counts = np.random.default_rng(5).integers(1, 30, size=len(src))
+        path = tmp_path / "blocks.tsv"
+        path.write_text("".join(
+            f"{a}\t{b}\t{c}\n" for a, b, c in zip(src.tolist(), dst.tolist(), counts.tolist())))
+
+        tracemalloc.start()
+        try:
+            m = read_edges(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.counts.nnz == len(src) and m.total_citations == counts.sum()
+        assert peak < 10 * path.stat().st_size
+
 
 class TestIdRule:
     """Edge and pair files share one rule: integer ids only when every id
@@ -89,6 +144,12 @@ class TestReadDense:
         path = tmp_path / "m.csv"
         path.write_text("0,x\n1,0\n")
         with pytest.raises(InputFormatError, match="not an integer"):
+            read_dense(path)
+
+    def test_count_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n99999999999999999999,0\n")
+        with pytest.raises(InputFormatError, match=r":2: .*int64"):
             read_dense(path)
 
 

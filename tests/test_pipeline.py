@@ -65,6 +65,19 @@ class TestDetectFromPairs:
         d = detect_from_pairs([RankedPair(0, 1, 0.5)], 2)
         assert d.provenance["strategy"] == {"kind": "pairs"}
 
+    def test_pair_order_does_not_matter(self):
+        given = [RankedPair(0, 1, 0.1), RankedPair(2, 3, 0.2), RankedPair(1, 2, 0.9)]
+        ranked = [given[2], given[1], given[0]]
+        for pairs in (given, ranked):
+            d = detect_from_pairs(pairs, 4)
+            assert d.core.labels.tolist() == [0, 0, 0, 0]
+            assert d.pairs == ranked
+
+    def test_ties_keep_their_given_order(self):
+        a, b = RankedPair(0, 1, 0.5), RankedPair(2, 3, 0.5)
+        assert detect_from_pairs([a, b], 4).pairs == [a, b]
+        assert detect_from_pairs([b, a], 4).pairs == [b, a]
+
     @pytest.mark.parametrize("kind", ["max", "psim"])
     def test_detect_pairs_replay_the_first_level(self, two_cliques, kind):
         d = detect(two_cliques, Strategy(kind), seed=3)

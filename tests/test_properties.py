@@ -1,5 +1,6 @@
 """Invariants of building, partitions, coarse-graining, detection and the file formats."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,7 +22,14 @@ from simpair import (
     extract_partition,
     renormalize,
 )
-from simpair.io import format_similarity, read_pairs, write_pairs, write_partition
+from simpair.io import (
+    InputFormatError,
+    format_similarity,
+    read_edges,
+    read_pairs,
+    write_pairs,
+    write_partition,
+)
 from test_communities import naive_build
 
 # derandomized, so the suite stays a deterministic gate
@@ -147,3 +155,44 @@ def test_partition_round_trip(case):
     want_names = names if names is not None else [str(v) for v in range(len(labels))]
     assert [name for name, _ in rows] == want_names
     assert [int(lbl) for _, lbl in rows] == labels.tolist()
+
+
+@st.composite
+def digit_edge_bodies(draw, max_n=8):
+    """Edge files of ASCII-digit fields only: repeated (src, dst) lines,
+    zero counts, leading zeros, and sometimes no final newline."""
+    n = draw(st.integers(1, max_n))
+    node = st.integers(0, n - 1)
+    count = st.sampled_from([0, 0, 1, 3]) | st.integers(0, 10**15)
+    rows = draw(st.lists(st.tuples(node, node, count), min_size=1, max_size=12))
+    again = draw(st.lists(st.sampled_from(rows), max_size=len(rows)))
+    rows = draw(st.permutations(rows + [(a, b, draw(count)) for a, b, _ in again]))
+    zeros = st.sampled_from(["", "", "0", "00"])
+    lines = [f"{draw(zeros)}{a}\t{draw(zeros)}{b}\t{draw(zeros)}{c}" for a, b, c in rows]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def read_outcome(path: Path, text: str):
+    path.write_bytes(text.encode("ascii"))
+    try:
+        return read_edges(path)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(digit_edge_bodies())
+def test_digit_edge_files_read_as_the_line_reader_reads_them(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        plain = read_outcome(path, body)
+        # a comment line sends the file to the line reader
+        commented = read_outcome(path, "# c\n" + body)
+    if isinstance(plain, str):
+        # a sparse id space: the same diagnostic, one line further down
+        assert re.sub(r":(\d+):", lambda m: f":{int(m[1]) + 1}:", plain) == commented
+        return
+    assert plain.node_labels is None and commented.node_labels is None
+    for attr in ("data", "indices", "indptr"):
+        got, want = getattr(plain.counts, attr), getattr(commented.counts, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
