@@ -13,7 +13,16 @@ The ten pairs below walk through every case: (2,3) and (5,10) found cores,
 one community.
 """
 
-from simpair import RankedPair, build_communities, extract_partition, partition_stats
+import numpy as np
+
+from simpair import (
+    CORE,
+    REAL,
+    RankedPair,
+    build_communities,
+    extract_partition,
+    partition_stats,
+)
 
 pairs = [
     RankedPair(2, 3, 0.4988),
@@ -28,27 +37,27 @@ pairs = [
     RankedPair(7, 1, 0.1456),
 ]
 
+# a level is arrays: node -> core, core -> real, members by core, tide rows
 result = build_communities(pairs, n_nodes=11)  # node 0 is never mentioned
 
 print("core communities (insertion order preserved):")
-for core in result.cores:
-    print(f"  core {core.id}: {list(core.members)}  "
-          f"(founded by {core.founding_pair.selector}-{core.founding_pair.selected})")
+for cid, members in enumerate(result.member_lists(CORE)):
+    # a core's first two members are the pair that founded it
+    print(f"  core {cid}: {members}  (founded by {members[0]}-{members[1]})")
 
 print("\ntides:")
-for tide in result.tides:
-    print(f"  ({tide.pair.selector},{tide.pair.selected}) "
-          f"bridges core {tide.core_a} and core {tide.core_b}")
+for selector, selected, core_a, core_b in result.tides.tolist():
+    print(f"  ({selector},{selected}) bridges core {core_a} and core {core_b}")
 
 print("\nreal communities:")
-for real in result.reals:
-    print(f"  real {real.id}: {list(real.members)}  (cores {list(real.core_ids)})")
+for rid, members in enumerate(result.member_lists(REAL)):
+    print(f"  real {rid}: {members}  (cores {np.flatnonzero(result.real == rid).tolist()})")
 
-print("\nunassigned nodes:", list(result.unassigned))
+print("\nunassigned nodes:", result.unassigned.tolist())
 print("\nheadline counts:", {k: v for k, v in partition_stats(result).items()
                              if k in ("cores", "reals", "tides", "unassigned")})
 
-core_part = extract_partition(result, "core")
-real_part = extract_partition(result, "real")
+core_part = extract_partition(result, CORE)
+real_part = extract_partition(result, REAL)
 print("\ncore labels:", core_part.labels.tolist())
 print("real labels:", real_part.labels.tolist())

@@ -1,7 +1,9 @@
 """Byte-identity digest of seeded simpair outputs on the benchmark's block inputs.
 
 usage, from the repository root: python3 scripts/identity_digest.py SRC_DIR INPUT_DIR [reps]
-Prints one SHA-256 per output and a final digest over all of them.
+Prints one SHA-256 per output and a final digest over all of them. Every
+``detect`` run is hashed as its pairs, both partitions and its
+``result.json`` text (core member order, real member lists, tide rows).
 """
 import hashlib
 import sys
@@ -14,7 +16,12 @@ sys.path.insert(0, "perfbench")
 
 from gen import BlockSpec, write_input  # noqa: E402
 
-from simpair.io import pairs_to_tsv, partition_to_tsv, read_citations  # noqa: E402
+from simpair.io import (  # noqa: E402
+    detection_to_json,
+    pairs_to_tsv,
+    partition_to_tsv,
+    read_citations,
+)
 from simpair.pipeline import Strategy, detect  # noqa: E402
 from simpair import sweeps  # noqa: E402
 
@@ -56,6 +63,7 @@ for n, spec in SPECS.items():
                 emit(f"{tag} pairs", pairs_to_tsv(d.pairs))
                 emit(f"{tag} core", partition_to_tsv(d.core))
                 emit(f"{tag} real", partition_to_tsv(d.real))
+                emit(f"{tag} json", detection_to_json(d))
         cfg = sweeps.ExperimentConfig(repetitions=reps, base_seed=seed)
         emit(f"n{n} seed{seed} sweep-prob", sweeps.run_probability_sweep(m, cfg).to_csv())
         emit(f"n{n} seed{seed} sweep-topn",

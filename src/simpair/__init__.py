@@ -12,10 +12,8 @@ from .citations import CitationMatrix
 from .communities import (
     CORE,
     REAL,
-    CoreCommunity,
     DetectionResult,
     Partition,
-    Tide,
     build_communities,
     extract_partition,
     renormalize,
@@ -48,8 +46,6 @@ __all__ = [
     "Strategy",
     "select_many",
     "select_pairs",
-    "CoreCommunity",
-    "Tide",
     "DetectionResult",
     "Partition",
     "build_communities",

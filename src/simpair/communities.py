@@ -7,11 +7,27 @@ Tides never change core membership - they merge cores at the coarser
 "real" level, which ends up being the connected components of cores under
 tides. Nodes that never appear in any pair stay unassigned and are treated
 as singletons wherever a total partition is required.
+
+A level is arrays (:class:`DetectionResult`): ``core`` maps each node to
+its core (-1 when unassigned), ``real`` maps each core to its real,
+``members`` holds the placed nodes grouped by core, and ``tides`` has one
+``(selector, selected, core_a, core_b)`` row per tide event. Cores are
+numbered in founding order and reals by their smallest core. Members are
+ordered by core, then by the pair that placed them, then by position in
+that pair, so a core starts with its founding pair.
+
+The scan has an exact array form, because the first pair that names a node
+decides where it goes: that pair founds a core if it is also its partner's
+first, and otherwise the node follows its partner, who was placed earlier.
+Following partners back (pointer doubling) reaches a founder. A pair whose
+nodes were both placed earlier, in different cores, is a tide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -21,56 +37,6 @@ from .selection import RankedPair
 
 CORE = "core"
 REAL = "real"
-
-
-class UnionFind:
-    """Disjoint sets over a growable range of integers."""
-
-    def __init__(self, n: int = 0):
-        self.parent = list(range(n))
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        # keep the smaller id as root so labels follow founding order
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
-@dataclass(frozen=True)
-class CoreCommunity:
-    id: int
-    members: tuple[int, ...]
-    founding_pair: RankedPair
-
-
-@dataclass(frozen=True)
-class Tide:
-    pair: RankedPair
-    core_a: int
-    core_b: int
-
-
-@dataclass(frozen=True)
-class RealCommunity:
-    id: int
-    core_ids: tuple[int, ...]
-    members: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -91,13 +57,45 @@ class Partition:
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """One level of detection; see the module docstring for the arrays."""
+
     n_nodes: int
-    cores: tuple[CoreCommunity, ...]
-    reals: tuple[RealCommunity, ...]
-    tides: tuple[Tide, ...]
-    unassigned: tuple[int, ...]
-    tide_merges: int
+    core: np.ndarray
+    real: np.ndarray
+    members: np.ndarray
+    tides: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def unassigned(self) -> np.ndarray:
+        """The nodes no pair names, in increasing order."""
+        return np.flatnonzero(self.core < 0)
+
+    @property
+    def tide_merges(self) -> int:
+        """The tide events that joined two real components: cores minus reals."""
+        return len(self.real) - int(self.real.max(initial=-1)) - 1
+
+    def owners(self, level: str) -> np.ndarray:
+        """The core (or real) id of each node of ``members``."""
+        if level not in (CORE, REAL):
+            raise ValueError(f"level must be {CORE!r} or {REAL!r}")
+        owner = self.core[self.members]
+        return owner if level == CORE else self.real[owner]
+
+    def member_lists(self, level: str) -> list[list[int]]:
+        """The members of each core (or real), by id; a real lists its
+        cores' members in core order."""
+        return grouped(self.owners(level), self.members)
+
+
+def grouped(labels: np.ndarray, nodes: np.ndarray) -> list[list[int]]:
+    """``nodes`` split by their dense ``labels``, in label order, each group
+    keeping the order of ``nodes``."""
+    if not len(labels):
+        return []
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    return [g.tolist() for g in np.split(nodes[np.argsort(labels, kind="stable")], bounds)]
 
 
 def build_communities(pairs: list[RankedPair], n_nodes: int,
@@ -111,70 +109,67 @@ def build_communities(pairs: list[RankedPair], n_nodes: int,
     earlier tide already connected; ``tide_merges`` counts only the events
     that actually joined two real components.
     """
-    core_of = [-1] * n_nodes
-    members: list[list[int]] = []
-    founding: list[RankedPair] = []
-    core_sets = UnionFind()
-    tides: list[Tide] = []
-    merges = 0
-
-    for pair in pairs:
-        a, b = pair.selector, pair.selected
-        if not (0 <= a < n_nodes and 0 <= b < n_nodes):
+    try:
+        ends = np.fromiter(chain.from_iterable(map(itemgetter(0, 1), pairs)), dtype=np.int64,
+                           count=2 * len(pairs)).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(f"a pair references a node outside [0, {n_nodes})") from None
+    outside = ((ends < 0) | (ends >= n_nodes)).any(axis=1)
+    bad = np.flatnonzero(outside | (ends[:, 0] == ends[:, 1]))
+    if len(bad):
+        pair = pairs[bad[0]]
+        if outside[bad[0]]:
             raise ValueError(f"pair {pair} references a node outside [0, {n_nodes})")
-        if a == b:
-            raise ValueError(f"pair {pair} pairs a node with itself")
-        ca, cb = core_of[a], core_of[b]
-        if ca < 0 and cb < 0:
-            cid = core_sets.make()
-            members.append([a, b])
-            founding.append(pair)
-            core_of[a] = core_of[b] = cid
-        elif ca >= 0 and cb < 0:
-            members[ca].append(b)
-            core_of[b] = ca
-        elif ca < 0 and cb >= 0:
-            members[cb].append(a)
-            core_of[a] = cb
-        elif ca == cb:
-            pass  # redundant pair inside one core
-        else:
-            tides.append(Tide(pair=pair, core_a=ca, core_b=cb))
-            if core_sets.union(ca, cb):
-                merges += 1
+        raise ValueError(f"pair {pair} pairs a node with itself")
 
-    cores = tuple(
-        CoreCommunity(id=cid, members=tuple(m), founding_pair=founding[cid])
-        for cid, m in enumerate(members)
-    )
+    # first[v]: where v is first named, as 2 * pair index + position in the pair
+    first = np.full(n_nodes, ends.size, dtype=np.int64)
+    np.minimum.at(first, ends.ravel(), np.arange(ends.size))
+    fresh = first[ends] >> 1 == np.arange(len(ends))[:, None]
+    founds = fresh.all(axis=1)
+    joins = fresh[:, 0] ^ fresh[:, 1]
 
-    real_label: dict[int, int] = {}
-    grouped: list[list[int]] = []
-    for cid in range(len(cores)):
-        root = core_sets.find(cid)
-        if root not in real_label:
-            real_label[root] = len(grouped)
-            grouped.append([])
-        grouped[real_label[root]].append(cid)
-    reals = tuple(
-        RealCommunity(
-            id=rid,
-            core_ids=tuple(cids),
-            members=tuple(v for cid in cids for v in cores[cid].members),
-        )
-        for rid, cids in enumerate(grouped)
-    )
+    founder_core = np.full(n_nodes, -1, dtype=np.int64)
+    founder_core[ends[founds]] = np.arange(np.count_nonzero(founds))[:, None]
+    # a joining node points at its partner; doubling the pointers ends on a founder
+    ptr = np.arange(n_nodes)
+    joined = ends[joins]
+    selector_new = fresh[joins, 0]
+    ptr[np.where(selector_new, joined[:, 0], joined[:, 1])] = np.where(
+        selector_new, joined[:, 1], joined[:, 0])
+    while not np.array_equal(ptr, nxt := ptr[ptr]):
+        ptr = nxt
+    core = founder_core[ptr]
 
-    unassigned = tuple(v for v in range(n_nodes) if core_of[v] < 0)
+    placed = np.flatnonzero(core >= 0)
+    members = placed[np.lexsort((first[placed], core[placed]))]
+    core_a, core_b = core[ends[:, 0]], core[ends[:, 1]]
+    tide = ~fresh.any(axis=1) & (core_a != core_b)
     return DetectionResult(
         n_nodes=n_nodes,
-        cores=cores,
-        reals=reals,
-        tides=tuple(tides),
-        unassigned=unassigned,
-        tide_merges=merges,
+        core=core,
+        real=_components(np.count_nonzero(founds), core_a[tide], core_b[tide]),
+        members=members,
+        tides=np.column_stack([ends[tide], core_a[tide], core_b[tide]]),
         provenance=dict(provenance or {}),
     )
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The component of each of ``n`` nodes under the edges (u, v), numbered
+    in the order of each component's smallest node.
+
+    Min-label propagation: every round hooks each edge's larger root onto
+    the smaller one, then compresses the pointers until each names a root.
+    """
+    root = np.arange(n)
+    while not np.array_equal(ru := root[u], rv := root[v]):
+        low = np.minimum(ru, rv)
+        np.minimum.at(root, ru, low)
+        np.minimum.at(root, rv, low)
+        while not np.array_equal(root, nxt := root[root]):
+            root = nxt
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def extract_partition(result: DetectionResult, level: str) -> Partition:
@@ -183,19 +178,11 @@ def extract_partition(result: DetectionResult, level: str) -> Partition:
     Unassigned nodes get fresh singleton labels after the community labels;
     labels are dense from 0.
     """
-    if level not in (CORE, REAL):
-        raise ValueError(f"level must be {CORE!r} or {REAL!r}")
+    owner = result.owners(level)
+    loose = result.unassigned
     labels = np.empty(result.n_nodes, dtype=np.int64)
-    if level == CORE:
-        groups = [c.members for c in result.cores]
-    else:
-        groups = [r.members for r in result.reals]
-    for lbl, group in enumerate(groups):
-        labels[list(group)] = lbl
-    nxt = len(groups)
-    for v in result.unassigned:
-        labels[v] = nxt
-        nxt += 1
+    labels[result.members] = owner
+    labels[loose] = np.arange(len(loose)) + int(owner.max(initial=-1)) + 1
     return Partition(labels=labels, level=level)
 
 

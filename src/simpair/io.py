@@ -17,8 +17,9 @@ Two input formats are accepted:
 
 Pair lists (``selector<TAB>selected<TAB>similarity``) follow the same id
 rule; their similarities must be finite, and no line may pair a node with
-itself. Blank lines and ``#`` comments are ignored everywhere.
-Similarities are printed with six decimal digits (round-half-even).
+itself. In both formats an empty id field is an input error. Blank lines
+and ``#`` comments are ignored everywhere. Similarities are printed with
+six decimal digits (round-half-even).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .citations import CitationMatrix
-from .communities import Partition
+from .communities import CORE, REAL, Partition, grouped
 from .pipeline import Detection
 from .selection import RankedPair
 
@@ -69,6 +70,8 @@ def _triples(path, layout: str) -> list[tuple[int, str, str, str]]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise InputFormatError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
+        if not (parts[0] and parts[1]):
+            raise InputFormatError(f"{path}:{lineno}: empty node id")
         rows.append((lineno, *parts))
     return rows
 
@@ -285,34 +288,29 @@ def detection_to_json(d: Detection, node_labels: list[str] | None = None,
     def name(v: int):
         return node_labels[v] if node_labels is not None else v
 
+    def named(groups: list[list[int]]) -> list[list]:
+        return [[name(v) for v in g] for g in groups]
+
     r = d.result
     payload = {
         "n_nodes": r.n_nodes,
         "provenance": d.provenance,
-        "cores": [[name(v) for v in c.members] for c in r.cores],
-        "reals": [[name(v) for v in rc.members] for rc in r.reals],
-        "tides": [
-            [name(t.pair.selector), name(t.pair.selected), t.core_a, t.core_b]
-            for t in r.tides
-        ],
-        "unassigned": [name(v) for v in r.unassigned],
+        "cores": named(r.member_lists(CORE)),
+        "reals": named(r.member_lists(REAL)),
+        "tides": [[name(a), name(b), core_a, core_b]
+                  for a, b, core_a, core_b in r.tides.tolist()],
+        "unassigned": [name(v) for v in r.unassigned.tolist()],
         "levels": d.level_stats,
     }
     if len(d.level_stats) > 1:
-        payload["final_core_communities"] = _groups(d.core.labels, name)
-        payload["final_real_communities"] = _groups(d.real.labels, name)
+        nodes = np.arange(r.n_nodes)
+        payload["final_core_communities"] = named(grouped(d.core.labels, nodes))
+        payload["final_real_communities"] = named(grouped(d.real.labels, nodes))
     if node_labels is not None:
         payload["node_labels"] = list(node_labels)
     if stats is not None:
         payload["stats"] = stats
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _groups(labels: np.ndarray, name) -> list[list]:
-    out: list[list] = [[] for _ in range(int(labels.max()) + 1)] if len(labels) else []
-    for v, lbl in enumerate(labels):
-        out[int(lbl)].append(name(v))
-    return out
 
 
 def write_detection_json(path, d: Detection, node_labels=None, stats=None) -> None:

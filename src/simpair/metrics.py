@@ -13,11 +13,11 @@ exactly nmi(y, x), and relabeling either argument changes nothing.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from operator import mul
 
 import numpy as np
 
-from .communities import DetectionResult, Partition
+from .communities import CORE, REAL, DetectionResult, Partition
 
 
 def _labels(p) -> np.ndarray:
@@ -26,18 +26,18 @@ def _labels(p) -> np.ndarray:
     return np.asarray(p)
 
 
-def _entropy_from_counts(counts, n: int) -> float:
-    return -math.fsum((c / n) * math.log2(c / n) for c in counts if c)
+def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
+    # math.log2, not np.log2, which differs from it in the last bit for some inputs
+    shares = (counts / n).tolist()
+    return -math.fsum(map(mul, shares, map(math.log2, shares)))
 
 
 def entropy(p) -> float:
     """Shannon entropy of the community-size distribution, in bits."""
     labels = _labels(p)
-    n = len(labels)
-    if n == 0:
+    if len(labels) == 0:
         raise ValueError("empty partition")
-    counts = [c for _, c in sorted(Counter(labels.tolist()).items())]
-    return _entropy_from_counts(counts, n)
+    return _entropy_from_counts(np.unique(labels, return_counts=True)[1], len(labels))
 
 
 def joint_entropy(x, y) -> float:
@@ -45,9 +45,11 @@ def joint_entropy(x, y) -> float:
     lx, ly = _labels(x), _labels(y)
     if len(lx) != len(ly):
         raise ValueError(f"partitions cover different node sets ({len(lx)} vs {len(ly)})")
-    cells = Counter(zip(lx.tolist(), ly.tolist()))
-    counts = [c for _, c in sorted(cells.items())]
-    return _entropy_from_counts(counts, len(lx))
+    # dense codes for each side, then one code per (x, y) cell
+    cx = np.unique(lx, return_inverse=True)[1]
+    cy = np.unique(ly, return_inverse=True)[1]
+    cells = np.unique(cx * (cy.max(initial=0) + 1) + cy, return_counts=True)[1]
+    return _entropy_from_counts(cells, len(lx))
 
 
 def nmi(x, y) -> float:
@@ -63,15 +65,15 @@ def nmi(x, y) -> float:
     return (hx + hy - hxy) / ((hx + hy) / 2.0)
 
 
-def _size_summary(sizes: list[int]) -> dict:
-    if not sizes:
+def _size_summary(sizes: np.ndarray) -> dict:
+    if not len(sizes):
         return {"min": None, "max": None, "mean": None, "histogram": {}}
-    hist = Counter(sizes)
+    values, counts = np.unique(sizes, return_counts=True)
     return {
-        "min": min(sizes),
-        "max": max(sizes),
-        "mean": sum(sizes) / len(sizes),
-        "histogram": {int(k): int(v) for k, v in sorted(hist.items())},
+        "min": int(values[0]),
+        "max": int(values[-1]),
+        "mean": int(sizes.sum()) / len(sizes),
+        "histogram": dict(zip(values.tolist(), counts.tolist())),
     }
 
 
@@ -84,16 +86,16 @@ def partition_stats(result: DetectionResult) -> dict:
     event (equal to ``tide_events``); ``tide_merges`` counts only the
     events that merged two real components.
     """
-    core_sizes = [len(c.members) for c in result.cores]
-    real_sizes = [len(r.members) for r in result.reals] + [1] * len(result.unassigned)
+    loose = len(result.unassigned)
+    real_sizes = np.bincount(result.owners(REAL))
     return {
         "n_nodes": result.n_nodes,
-        "cores": len(result.cores),
-        "reals": len(result.reals) + len(result.unassigned),
+        "cores": len(result.real),
+        "reals": len(real_sizes) + loose,
         "tides": len(result.tides),
         "tide_events": len(result.tides),
         "tide_merges": result.tide_merges,
-        "unassigned": len(result.unassigned),
-        "core_sizes": _size_summary(core_sizes),
-        "real_sizes": _size_summary(real_sizes),
+        "unassigned": loose,
+        "core_sizes": _size_summary(np.bincount(result.owners(CORE))),
+        "real_sizes": _size_summary(np.concatenate([real_sizes, np.ones(loose, np.int64)])),
     }

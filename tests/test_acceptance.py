@@ -14,6 +14,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from simpair import (
+    CORE,
     REAL,
     ExperimentConfig,
     RankedPair,
@@ -66,18 +67,18 @@ def test_golden_ten_pairs():
     r = build_communities(pairs, 11)
     elapsed = time.perf_counter() - start
     ok = (
-        [c.members for c in r.cores] == [(2, 3, 1, 7), (5, 10, 8, 4), (6, 9)]
+        r.member_lists(CORE) == [[2, 3, 1, 7], [5, 10, 8, 4], [6, 9]]
         and len(r.tides) == 1
-        and (r.tides[0].pair.selector, r.tides[0].pair.selected) == (9, 5)
-        and [x.members for x in r.reals] == [(2, 3, 1, 7), (5, 10, 8, 4, 6, 9)]
+        and r.tides[0, :2].tolist() == [9, 5]
+        and r.member_lists(REAL) == [[2, 3, 1, 7], [5, 10, 8, 4, 6, 9]]
     )
     check("golden ten-pair build", ok,
-          f"cores={[list(c.members) for c in r.cores]} tides={len(r.tides)}",
+          f"cores={r.member_lists(CORE)} tides={len(r.tides)}",
           elapsed, 0.001)
 
 
 def test_builder_matches_naive_oracle():
-    from test_communities import naive_build, random_pairs
+    from test_communities import matches_naive, random_pairs
 
     rng = np.random.default_rng(BASE_SEED)
     start = time.perf_counter()
@@ -85,16 +86,7 @@ def test_builder_matches_naive_oracle():
     for _ in range(1000):
         n = int(rng.integers(2, 13))
         pairs = random_pairs(rng, n, int(rng.integers(0, 3 * n)))
-        got = build_communities(pairs, n)
-        cores, reals, tides, unassigned = naive_build(pairs, n)
-        same = (
-            [list(c.members) for c in got.cores] == cores
-            and sorted(map(sorted, (x.members for x in got.reals)))
-            == sorted(map(sorted, reals))
-            and len(got.tides) == tides
-            and set(got.unassigned) == unassigned
-        )
-        mismatches += not same
+        mismatches += not matches_naive(build_communities(pairs, n), pairs, n)
     elapsed = time.perf_counter() - start
     check("builder vs naive oracle (1000 instances)", mismatches == 0,
           f"mismatches={mismatches}", elapsed, 5.0)

@@ -1,11 +1,15 @@
 """The public surface: ``simpair.__all__`` is the workflow, nothing more."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import simpair
 
 PUBLIC = [
     "CORE",
     "CitationMatrix",
-    "CoreCommunity",
     "Detection",
     "DetectionResult",
     "ExperimentConfig",
@@ -18,7 +22,6 @@ PUBLIC = [
     "SweepResult",
     "SweepRow",
     "SyntheticSpec",
-    "Tide",
     "build_communities",
     "build_similarity_matrix",
     "detect",
@@ -44,3 +47,13 @@ def test_all_is_the_agreed_list():
 def test_every_public_name_resolves():
     for name in simpair.__all__:
         assert getattr(simpair, name) is not None, name
+
+
+def test_cli_import_leaves_out_csgraph():
+    # importing scipy.sparse.csgraph costs about 0.2 s, which every CLI run would pay
+    src = str(Path(simpair.__file__).resolve().parent.parent)
+    code = "import sys, simpair.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

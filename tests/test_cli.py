@@ -186,6 +186,18 @@ class TestInputErrors:
         assert f"{pairs}:3:" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--input", "0\t1\t2\n0\t\t1\n"),
+        ("--pairs", "0\t1\t0.5\n1\t\t0.4\n"),
+    ], ids=["edges", "pairs"])
+    def test_empty_node_id(self, tmp_path, capsys, flag, text):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        assert run(["detect", flag, str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: empty node id" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_non_finite_pair_similarity(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("0\t1\t0.5\n1\t0\tnan\n")

@@ -64,6 +64,16 @@ def naive_build(pairs, n_nodes):
     return cores, reals, tides, unassigned
 
 
+def matches_naive(got, pairs, n_nodes) -> bool:
+    """Whether a built result agrees with ``naive_build`` on the same pairs:
+    core member order, real member sets, tide count and unassigned nodes."""
+    cores, reals, tides, unassigned = naive_build(pairs, n_nodes)
+    return (got.member_lists(CORE) == cores
+            and sorted(map(sorted, got.member_lists(REAL))) == sorted(map(sorted, reals))
+            and len(got.tides) == tides
+            and set(got.unassigned.tolist()) == unassigned)
+
+
 def random_pairs(rng, n_nodes, n_pairs):
     pairs = []
     for _ in range(n_pairs):
@@ -78,18 +88,18 @@ def random_pairs(rng, n_nodes, n_pairs):
 class TestGoldenTenPairs:
     def test_cores(self):
         r = build_communities(TEN_PAIRS, 11)
-        assert [c.members for c in r.cores] == [(2, 3, 1, 7), (5, 10, 8, 4), (6, 9)]
+        assert r.member_lists(CORE) == [[2, 3, 1, 7], [5, 10, 8, 4], [6, 9]]
 
     def test_single_tide(self):
         r = build_communities(TEN_PAIRS, 11)
         assert len(r.tides) == 1
-        tide = r.tides[0]
-        assert (tide.pair.selector, tide.pair.selected) == (9, 5)
-        assert {tide.core_a, tide.core_b} == {1, 2}
+        selector, selected, core_a, core_b = r.tides[0].tolist()
+        assert (selector, selected) == (9, 5)
+        assert {core_a, core_b} == {1, 2}
 
     def test_reals(self):
         r = build_communities(TEN_PAIRS, 11)
-        assert [x.members for x in r.reals] == [(2, 3, 1, 7), (5, 10, 8, 4, 6, 9)]
+        assert r.member_lists(REAL) == [[2, 3, 1, 7], [5, 10, 8, 4, 6, 9]]
 
     def test_counts(self):
         # shift to a dense 0..9 universe so every node is mentioned
@@ -105,16 +115,16 @@ class TestGoldenTenPairs:
 class TestBuildCommunities:
     def test_empty_pairs_all_singletons(self):
         r = build_communities([], 3)
-        assert len(r.cores) == 0
+        assert len(r.real) == 0
         assert len(r.tides) == 0
-        assert r.unassigned == (0, 1, 2)
+        assert r.unassigned.tolist() == [0, 1, 2]
         assert partition_stats(r)["reals"] == 3
 
     def test_duplicate_reverse_pair_is_noop(self):
         pairs = [RankedPair(0, 1, 0.9), RankedPair(1, 0, 0.9)]
         r = build_communities(pairs, 2)
-        assert len(r.cores) == 1
-        assert r.cores[0].members == (0, 1)
+        assert len(r.real) == 1
+        assert r.member_lists(CORE) == [[0, 1]]
 
     def test_repeat_tides_counted_as_events(self):
         pairs = [
@@ -144,13 +154,7 @@ class TestBuildCommunities:
         for _ in range(300):
             n = int(rng.integers(2, 13))
             pairs = random_pairs(rng, n, int(rng.integers(0, 3 * n)))
-            got = build_communities(pairs, n)
-            cores, reals, tides, unassigned = naive_build(pairs, n)
-            assert [list(c.members) for c in got.cores] == cores
-            assert sorted(map(sorted, (x.members for x in got.reals))) == sorted(
-                map(sorted, reals))
-            assert len(got.tides) == tides
-            assert set(got.unassigned) == unassigned
+            assert matches_naive(build_communities(pairs, n), pairs, n)
 
     def test_tie_block_shuffle_keeps_real_partition(self):
         def co_membership(part):
@@ -177,7 +181,7 @@ class TestBuildCommunities:
         for _ in range(50):
             n = int(rng.integers(2, 15))
             r = build_communities(random_pairs(rng, n, n), n)
-            assert len(r.reals) == len(r.cores) - r.tide_merges
+            assert len(r.member_lists(REAL)) == len(r.real) - r.tide_merges
 
 
 class TestExtractPartition:

@@ -65,23 +65,23 @@ class TestReadEdges:
         assert m.n_nodes == 3
         assert m.to_dense().tolist() == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
 
-    @pytest.mark.parametrize("text", [
-        "1\t2\t3\t4\n5\t6\n",  # the tab count balances, the lines do not
-        "0\t1\t\n",
-    ], ids=["unbalanced", "empty-count"])
-    def test_near_digit_files_fail_as_before(self, tmp_path, text):
+    @pytest.mark.parametrize("text, error", [
+        ("1\t2\t3\t4\n5\t6\n", ":1: expected"),  # the tab count balances, the lines do not
+        ("0\t1\t\n", ":1: expected"),
+        ("0\t\t1\n", ":1: empty node id"),
+    ], ids=["unbalanced", "empty-count", "empty-id"])
+    def test_near_digit_files_fail_as_before(self, tmp_path, text, error):
         path = tmp_path / "g.tsv"
         path.write_bytes(text.encode("ascii"))
-        with pytest.raises(InputFormatError, match=r":1: expected"):
+        with pytest.raises(InputFormatError, match=error):
             read_edges(path)
 
     @pytest.mark.parametrize("text, labels, dense", [
-        ("0\t\t1\n", ["0", ""], [[0, 1], [0, 0]]),  # an empty id makes every id a label
         ("0\t1\t2\t\n", None, [[0, 2], [0, 0]]),  # the line reader strips the tab
         ("0\t1\t2\r\n1\t0\t3\r\n", None, [[0, 2], [3, 0]]),
         ("0\t1\t1234567890123456789\n1\t0\t0000000000000000003\n", None,
          [[0, 1234567890123456789], [3, 0]]),
-    ], ids=["empty-id", "trailing-tab", "crlf", "19-digits"])
+    ], ids=["trailing-tab", "crlf", "19-digits"])
     def test_near_digit_files_read_as_before(self, tmp_path, text, labels, dense):
         path = tmp_path / "g.tsv"
         path.write_bytes(text.encode("ascii"))

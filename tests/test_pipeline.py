@@ -35,7 +35,7 @@ class TestDetect:
         dense[0, 1] = dense[1, 0] = 2
         dense[0, 2] = dense[1, 2] = 1  # shared target ties 0 and 1 together
         d = detect(CitationMatrix.from_dense(dense), Strategy("max"))
-        assert 3 in d.result.unassigned
+        assert 3 in d.result.unassigned.tolist()
         assert d.real.labels[3] not in (d.real.labels[0], d.real.labels[1])
 
     def test_provenance_records_strategy(self, two_cliques):
@@ -51,7 +51,7 @@ class TestDetect:
     def test_single_node_matrix(self):
         d = detect(CitationMatrix.from_dense([[0]]), Strategy("max"))
         assert d.real.labels.tolist() == [0]
-        assert d.result.unassigned == (0,)
+        assert d.result.unassigned.tolist() == [0]
 
 
 class TestDetectFromPairs:

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from simpair import (
     build_similarity_matrix,
     detect,
     extract_partition,
+    partition_stats,
     renormalize,
 )
 from simpair.io import (
@@ -30,7 +32,7 @@ from simpair.io import (
     write_pairs,
     write_partition,
 )
-from test_communities import naive_build
+from test_communities import matches_naive
 
 # derandomized, so the suite stays a deterministic gate
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -64,12 +66,7 @@ def count_matrices(draw, max_n=10):
 @given(pair_lists())
 def test_builder_matches_naive_on_repeated_pairs(case):
     pairs, n = case
-    got = build_communities(pairs, n)
-    cores, reals, tides, unassigned = naive_build(pairs, n)
-    assert [list(c.members) for c in got.cores] == cores
-    assert sorted(map(sorted, (r.members for r in got.reals))) == sorted(map(sorted, reals))
-    assert len(got.tides) == tides
-    assert set(got.unassigned) == unassigned
+    assert matches_naive(build_communities(pairs, n), pairs, n)
 
 
 @PROPERTY
@@ -77,15 +74,37 @@ def test_builder_matches_naive_on_repeated_pairs(case):
 def test_partitions_are_total_and_dense(case):
     pairs, n = case
     r = build_communities(pairs, n)
-    for level, groups in ((CORE, r.cores), (REAL, r.reals)):
+    for level in (CORE, REAL):
+        groups = r.member_lists(level)
         labels = extract_partition(r, level).labels
         assert len(labels) == n
         assert set(labels.tolist()) == set(range(len(groups) + len(r.unassigned)))
-        for g in groups:
-            assert set(labels[list(g.members)].tolist()) == {g.id}
+        for gid, members in enumerate(groups):
+            assert set(labels[members].tolist()) == {gid}
         # unassigned nodes are singletons after the community labels
-        loose = labels[list(r.unassigned)].tolist()
+        loose = labels[r.unassigned].tolist()
         assert len(set(loose)) == len(loose) and all(lbl >= len(groups) for lbl in loose)
+
+
+@PROPERTY
+@given(pair_lists())
+def test_stats_agree_with_both_partitions(case):
+    pairs, n = case
+    r = build_communities(pairs, n)
+    stats = partition_stats(r)
+    core, real = extract_partition(r, CORE), extract_partition(r, REAL)
+    assert stats["reals"] == real.n_communities
+    assert stats["cores"] + stats["unassigned"] == core.n_communities
+    # the core histogram leaves out the unassigned singletons; the real one has them
+    core_sizes = Counter(np.bincount(core.labels).tolist())
+    core_sizes[1] -= stats["unassigned"]
+    assert stats["core_sizes"]["histogram"] == +core_sizes
+    assert stats["real_sizes"]["histogram"] == Counter(np.bincount(real.labels).tolist())
+    core_mass, real_mass = (sum(size * count for size, count in stats[key]["histogram"].items())
+                            for key in ("core_sizes", "real_sizes"))
+    assert core_mass + stats["unassigned"] == real_mass == n
+    assert stats["tides"] == stats["tide_events"] == r.tides.shape[0]
+    assert stats["tide_merges"] == stats["cores"] - (stats["reals"] - stats["unassigned"])
 
 
 @PROPERTY
