@@ -11,6 +11,8 @@ The ten pairs below walk through every case: (2,3) and (5,10) found cores,
 (1,2) joins, (6,9) founds a third, and (9,5) is a tide - so cores stay
 {2,3,1,7} / {5,10,8,4} / {6,9} while the real level sees the last two as
 one community.
+
+A ranked pair list is three columns: selector, selected and similarity.
 """
 
 import numpy as np
@@ -18,24 +20,17 @@ import numpy as np
 from simpair import (
     CORE,
     REAL,
-    RankedPair,
     build_communities,
     extract_partition,
     partition_stats,
 )
 
-pairs = [
-    RankedPair(2, 3, 0.4988),
-    RankedPair(3, 2, 0.4988),
-    RankedPair(5, 10, 0.3311),
-    RankedPair(10, 5, 0.3311),
-    RankedPair(1, 2, 0.2211),
-    RankedPair(6, 9, 0.2209),
-    RankedPair(9, 5, 0.2109),
-    RankedPair(8, 10, 0.1667),
-    RankedPair(4, 8, 0.1521),
-    RankedPair(7, 1, 0.1456),
-]
+pairs = (
+    np.array([2, 3, 5, 10, 1, 6, 9, 8, 4, 7]),  # selector
+    np.array([3, 2, 10, 5, 2, 9, 5, 10, 8, 1]),  # selected
+    np.array([0.4988, 0.4988, 0.3311, 0.3311, 0.2211,
+              0.2209, 0.2109, 0.1667, 0.1521, 0.1456]),  # similarity, decreasing
+)
 
 # a level is arrays: node -> core, core -> real, members by core, tide rows
 result = build_communities(pairs, n_nodes=11)  # node 0 is never mentioned

@@ -4,9 +4,15 @@ usage, from the repository root: python3 scripts/identity_digest.py SRC_DIR INPU
 Prints one SHA-256 per output and a final digest over all of them. Every
 ``detect`` run is hashed as its pairs, both partitions and its
 ``result.json`` text (core member order, real member lists, tide rows).
+Every one-level run's pairs are also written to a pair file and replayed
+through ``simpair detect --pairs`` in-process, and that run's four output
+files are hashed too.
 """
+import contextlib
 import hashlib
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 src, inputs = sys.argv[1], Path(sys.argv[2])
@@ -16,11 +22,13 @@ sys.path.insert(0, "perfbench")
 
 from gen import BlockSpec, write_input  # noqa: E402
 
+from simpair import cli  # noqa: E402
 from simpair.io import (  # noqa: E402
     detection_to_json,
     pairs_to_tsv,
     partition_to_tsv,
     read_citations,
+    write_pairs,
 )
 from simpair.pipeline import Strategy, detect  # noqa: E402
 from simpair import sweeps  # noqa: E402
@@ -50,6 +58,19 @@ def emit(name, text):
     print(h[:16], name, flush=True)
 
 
+def emit_pairs_replay(tag, d, n_nodes):
+    """Hash the outputs of ``simpair detect --pairs`` on ``d.pairs``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs, out = Path(tmp) / "pairs.tsv", Path(tmp) / "out"
+        write_pairs(pairs, d.pairs)
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            code = cli.main(["detect", "--pairs", str(pairs), "--n-nodes", str(n_nodes),
+                             "--out", str(out)])
+        assert code == 0, f"{tag}: detect --pairs exited {code}"
+        for name in ("result.json", "partition_core.tsv", "partition_real.tsv", "pairs.tsv"):
+            emit(f"{tag} replay {name}", (out / name).read_text(encoding="utf-8"))
+
+
 for n, spec in SPECS.items():
     for seed in (0, 7):
         path = inputs / f"n{n}-seed{seed}.tsv"
@@ -64,6 +85,8 @@ for n, spec in SPECS.items():
                 emit(f"{tag} core", partition_to_tsv(d.core))
                 emit(f"{tag} real", partition_to_tsv(d.real))
                 emit(f"{tag} json", detection_to_json(d))
+                if levels == 1:
+                    emit_pairs_replay(tag, d, m.n_nodes)
         cfg = sweeps.ExperimentConfig(repetitions=reps, base_seed=seed)
         emit(f"n{n} seed{seed} sweep-prob", sweeps.run_probability_sweep(m, cfg).to_csv())
         emit(f"n{n} seed{seed} sweep-topn",

@@ -124,7 +124,7 @@ def build_parser() -> _Parser:
     p_detect.add_argument("--pairs", type=Path, default=None,
                           help="skip selection and build communities from this pair list")
     p_detect.add_argument("--n-nodes", type=_POSITIVE, default=None,
-                          help="node count override when using --pairs with integer ids")
+                          help="node count for --pairs with integer ids (default: max id + 1)")
     p_detect.add_argument("--strategy", choices=("max", "psim", "p"), default="max")
     p_detect.add_argument("--topn", type=_POSITIVE, default=None,
                           help="restrict psim to the top-n most similar candidates")
@@ -199,15 +199,12 @@ def _cmd_detect(args, parser) -> int:
         if args.input is not None:
             parser.error("--pairs and --input are mutually exclusive")
         try:
-            pairs, labels = read_pairs(args.pairs, args.n_nodes)
+            pairs, n_nodes, node_labels = read_pairs(args.pairs, args.n_nodes)
         except OSError as exc:
             raise InputFormatError(f"{args.pairs}: {exc.strerror or exc}") from exc
-        n_nodes = args.n_nodes
-        if n_nodes is None:
-            n_nodes = (len(labels) if labels is not None
-                       else max(max(p.selector, p.selected) for p in pairs) + 1)
+        if node_labels is not None and args.n_nodes is not None:
+            parser.error(f"--n-nodes applies only to integer ids; {args.pairs} holds labels")
         detection = detect_from_pairs(pairs, n_nodes)
-        node_labels = labels
     else:
         if args.n_nodes is not None:
             parser.error("--n-nodes only applies to --pairs")

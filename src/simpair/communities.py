@@ -1,12 +1,12 @@
 """Community growth from a ranked pair list.
 
-Pairs are consumed strictly in list order. A pair whose nodes are both new
-founds a core community; a pair with one known node grows that node's core;
-a pair inside one core does nothing; a pair bridging two cores is a tide.
-Tides never change core membership - they merge cores at the coarser
-"real" level, which ends up being the connected components of cores under
-tides. Nodes that never appear in any pair stay unassigned and are treated
-as singletons wherever a total partition is required.
+Pairs (:data:`~simpair.selection.Pairs` columns) are consumed in order. A pair
+whose nodes are both new founds a core community; a pair with one known node
+grows that node's core; a pair inside one core does nothing; a pair bridging
+two cores is a tide. Tides never change core membership - they merge cores at
+the coarser "real" level, which ends up being the connected components of
+cores under tides. Nodes that never appear in any pair stay unassigned and are
+treated as singletons wherever a total partition is required.
 
 A level is arrays (:class:`DetectionResult`): ``core`` maps each node to
 its core (-1 when unassigned), ``real`` maps each core to its real,
@@ -26,14 +26,12 @@ nodes were both placed earlier, in different cores, is a tide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
 
 from .citations import CitationMatrix
-from .selection import RankedPair
+from .selection import Pairs
 
 CORE = "core"
 REAL = "real"
@@ -98,26 +96,22 @@ def grouped(labels: np.ndarray, nodes: np.ndarray) -> list[list[int]]:
     return [g.tolist() for g in np.split(nodes[np.argsort(labels, kind="stable")], bounds)]
 
 
-def build_communities(pairs: list[RankedPair], n_nodes: int,
+def build_communities(pairs: Pairs, n_nodes: int,
                       provenance: dict | None = None) -> DetectionResult:
-    """Scan a sorted pair list and grow core and real communities.
+    """Scan a ranked pair list and grow core and real communities.
 
-    Each pair must join two different nodes in ``[0, n_nodes)``; anything
-    else is a ``ValueError``.
+    Each pair of the ``pairs`` columns must join two different nodes in
+    ``[0, n_nodes)``; anything else is a ``ValueError`` naming the pair.
 
     Every tide event is recorded, including repeats between cores that an
     earlier tide already connected; ``tide_merges`` counts only the events
     that actually joined two real components.
     """
-    try:
-        ends = np.fromiter(chain.from_iterable(map(itemgetter(0, 1), pairs)), dtype=np.int64,
-                           count=2 * len(pairs)).reshape(-1, 2)
-    except OverflowError:
-        raise ValueError(f"a pair references a node outside [0, {n_nodes})") from None
+    ends = np.column_stack(pairs[:2])
     outside = ((ends < 0) | (ends >= n_nodes)).any(axis=1)
     bad = np.flatnonzero(outside | (ends[:, 0] == ends[:, 1]))
     if len(bad):
-        pair = pairs[bad[0]]
+        pair = tuple(col[bad[0]].item() for col in pairs)
         if outside[bad[0]]:
             raise ValueError(f"pair {pair} references a node outside [0, {n_nodes})")
         raise ValueError(f"pair {pair} pairs a node with itself")

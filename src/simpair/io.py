@@ -16,10 +16,11 @@ Two input formats are accepted:
 * dense - N lines of N comma-separated nonnegative integer counts.
 
 Pair lists (``selector<TAB>selected<TAB>similarity``) follow the same id
-rule; their similarities must be finite, and no line may pair a node with
-itself. In both formats an empty id field is an input error. Blank lines
-and ``#`` comments are ignored everywhere. Similarities are printed with
-six decimal digits (round-half-even).
+rules unless a node count is given; their similarities must be finite,
+and no line may pair a node with itself. In both formats an empty id
+field is an input error. Blank lines and ``#`` comments are ignored
+everywhere. Similarities are printed with six decimal digits
+(round-half-even).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .citations import CitationMatrix
 from .communities import CORE, REAL, Partition, grouped
 from .pipeline import Detection
-from .selection import RankedPair
+from .selection import Pairs, RankedPair
 
 
 class InputFormatError(ValueError):
@@ -63,8 +64,9 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
             f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _triples(path, layout: str) -> list[tuple[int, str, str, str]]:
-    """The (line number, field, field, field) rows of a three-column TSV."""
+def _triples(path, layout: str, what: str) -> list[tuple[int, str, str, str]]:
+    """The (line number, field, field, field) rows of a three-column TSV of
+    at least one ``what``."""
     rows = []
     for lineno, line in _content_lines(path):
         parts = line.split("\t")
@@ -73,19 +75,24 @@ def _triples(path, layout: str) -> list[tuple[int, str, str, str]]:
         if not (parts[0] and parts[1]):
             raise InputFormatError(f"{path}:{lineno}: empty node id")
         rows.append((lineno, *parts))
+    if not rows:
+        raise InputFormatError(f"{path}: no {what} found")
     return rows
 
 
-def _node_ids(tokens: list[str]) -> tuple[list[int], list[str] | None]:
-    """Node indices for id tokens, plus the labels when labels are used.
-
-    Ids are integers only when every token is ASCII digits; otherwise all
-    of them are labels, indexed in first-seen order.
-    """
+def _id_columns(rows) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
+    """The two id columns of ``_triples`` rows, and the labels if any: ids are
+    integers only when every token is ASCII digits, kept as Python ints that
+    may pass int64 until the id checks; otherwise all of them are labels,
+    indexed in first-seen order."""
+    tokens = [tok for _, a, b, _ in rows for tok in (a, b)]
     if all(tok.isascii() and tok.isdigit() for tok in tokens):
-        return [int(tok) for tok in tokens], None
-    index: dict[str, int] = {}
-    return [index.setdefault(tok, len(index)) for tok in tokens], list(index)
+        ids, labels = np.array([int(tok) for tok in tokens], dtype=object), None
+    else:
+        index: dict[str, int] = {}
+        ids = np.array([index.setdefault(tok, len(index)) for tok in tokens])
+        labels = list(index)
+    return ids[0::2], ids[1::2], labels
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -101,16 +108,11 @@ def read_edges(path) -> CitationMatrix:
     if columns is not None:
         src, dst, counts = columns
         return _edge_matrix(path, range(1, len(counts) + 1), src, dst, counts)
-    rows = _triples(path, "src<TAB>dst<TAB>count")
-    if not rows:
-        raise InputFormatError(f"{path}: no edges found")
+    rows = _triples(path, "src<TAB>dst<TAB>count", "edges")
     counts = np.array([_parse_count(path, lineno, cnt) for lineno, _, _, cnt in rows],
                       dtype=np.int64)
-    ids, labels = _node_ids([tok for _, src, dst, _ in rows for tok in (src, dst)])
-    # object, because integer ids may pass int64 until the id-space check
-    ids = np.array(ids, dtype=object)
-    return _edge_matrix(path, [lineno for lineno, *_ in rows], ids[0::2], ids[1::2],
-                        counts, labels)
+    src, dst, labels = _id_columns(rows)
+    return _edge_matrix(path, [lineno for lineno, *_ in rows], src, dst, counts, labels)
 
 
 def _digit_columns(buf: bytes) -> np.ndarray | None:
@@ -230,37 +232,41 @@ def format_similarity(value: float) -> str:
 
 
 def pairs_to_tsv(pairs: list[RankedPair]) -> str:
-    return "".join(
-        f"{p.selector}\t{p.selected}\t{format_similarity(p.similarity)}\n" for p in pairs
-    )
+    return "".join(f"{a}\t{b}\t{format_similarity(sim)}\n" for a, b, sim in pairs)
 
 
 def write_pairs(path, pairs: list[RankedPair]) -> None:
     Path(path).write_text(pairs_to_tsv(pairs), encoding="utf-8")
 
 
-def read_pairs(path, n_nodes: int | None = None) -> tuple[list[RankedPair], list[str] | None]:
+def read_pairs(path, n_nodes: int | None = None) -> tuple[Pairs, int, list[str] | None]:
     """Read a pair-list TSV; same integer-vs-label id rule as edge lists.
 
-    Returns the pairs (in file order, unsorted) and the label mapping when
-    labels were used. A similarity must be a finite number, and the two
-    ids of a line must name different nodes. With ``n_nodes`` set, a pair
-    whose node index is not below it is an input error on its line.
+    Returns the pair columns in file order, the node count and the labels
+    if any. Similarities must be finite, a line's ids must differ, and
+    integer ids must be below ``n_nodes`` or, without it, pass the edge
+    files' id-space rule; labels count one node each, whatever ``n_nodes``.
     """
-    rows = _triples(path, "selector<TAB>selected<TAB>similarity")
-    if not rows:
-        raise InputFormatError(f"{path}: no pairs found")
-    sims = [_parse_similarity(path, lineno, tok) for lineno, _, _, tok in rows]
-    ids, labels = _node_ids([tok for _, a, b, _ in rows for tok in (a, b)])
-    pairs = [RankedPair(*p) for p in zip(ids[0::2], ids[1::2], sims)]
-    for (lineno, selector, *_), p in zip(rows, pairs):
-        if p.selector == p.selected:
-            raise InputFormatError(f"{path}:{lineno}: node {selector!r} is paired with itself")
-        if n_nodes is not None and max(p.selector, p.selected) >= n_nodes:
+    rows = _triples(path, "selector<TAB>selected<TAB>similarity", "pairs")
+    sims = np.array([_parse_similarity(path, lineno, tok) for lineno, _, _, tok in rows])
+    selector, selected, labels = _id_columns(rows)
+    if labels is not None:
+        n_nodes = len(labels)
+    elif n_nodes is None:
+        n_nodes = _integer_node_count(path, [lineno for lineno, *_ in rows], selector, selected)
+    top = np.maximum(selector, selected)
+    bad = np.flatnonzero((selector == selected) | (top >= n_nodes) | (top > _INT64_MAX))
+    if len(bad):
+        i = bad[0]
+        lineno, tok = rows[i][:2]
+        if selector[i] == selected[i]:
+            raise InputFormatError(f"{path}:{lineno}: node {tok!r} is paired with itself")
+        if top[i] >= n_nodes:
             raise InputFormatError(
-                f"{path}:{lineno}: node index {max(p.selector, p.selected)} "
-                f"is not below the node count {n_nodes}")
-    return pairs, labels
+                f"{path}:{lineno}: node index {top[i]} is not below the node count {n_nodes}")
+        raise InputFormatError(
+            f"{path}:{lineno}: node id {top[i]} is above the int64 maximum {_INT64_MAX}")
+    return (selector.astype(np.int64), selected.astype(np.int64), sims), n_nodes, labels
 
 
 def _parse_similarity(path, lineno, tok) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .citations import CitationMatrix
 from .communities import (
@@ -29,7 +28,7 @@ from .communities import (
     renormalize,
 )
 from .metrics import partition_stats
-from .selection import RankedPair, Strategy, select_pairs
+from .selection import NO_PAIRS, Pairs, RankedPair, Strategy, select_pairs
 from .similarity import build_similarity_matrix
 
 FIXPOINT = 0
@@ -41,8 +40,8 @@ class Detection:
 
     ``core`` and ``real`` are total partitions over the original nodes;
     for multi-level runs they compose the per-level assignments. ``result``
-    and ``pairs`` are from the first level, where nodes are the original
-    ones; ``level_stats`` summarizes every level that ran.
+    and ``pairs`` (the ``RankedPair`` rows of ``pairs.tsv``) are from the
+    first level; ``level_stats`` summarizes every level that ran.
     """
 
     core: Partition
@@ -53,7 +52,12 @@ class Detection:
     provenance: dict
 
 
-def _level(pairs: list[RankedPair], n_nodes: int, provenance: dict | None = None
+def _rows(pairs: Pairs) -> list[RankedPair]:
+    """The ranked pair list as ``Detection.pairs`` rows."""
+    return list(map(RankedPair, *(col.tolist() for col in pairs)))
+
+
+def _level(pairs: Pairs, n_nodes: int, provenance: dict | None = None
            ) -> tuple[DetectionResult, Partition, Partition, dict]:
     """One pass on a ranked pair list: the result, its core and real
     partitions, and its stats (level 1 over ``n_nodes`` coarse nodes)."""
@@ -66,13 +70,15 @@ def _level(pairs: list[RankedPair], n_nodes: int, provenance: dict | None = None
 
 def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
            levels: int = 1) -> Detection:
+    """Similarity, ``strategy``'s pairs at ``seed`` and one level of communities,
+    repeated on the coarse-grained matrix ``levels`` times (0: to a fixed point)."""
     if levels < 0:
         raise ValueError("levels must be >= 1, or 0 to iterate to a fixed point")
     level_stats: list[dict] = []
     current = matrix
     for level in itertools.count(1):
         pairs = (select_pairs(build_similarity_matrix(current), strategy, seed)
-                 if current.n_nodes >= 2 else [])
+                 if current.n_nodes >= 2 else NO_PAIRS)
         result, core_part, real_part, stats = _level(pairs, current.n_nodes)
         stats["level"] = level
         level_stats.append(stats)
@@ -99,27 +105,28 @@ def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
         core=Partition(labels=core_map, level=CORE),
         real=Partition(labels=real_map, level=REAL),
         result=first_result,
-        pairs=first_pairs,
+        pairs=_rows(first_pairs),
         level_stats=level_stats,
         provenance=provenance,
     )
 
 
-def detect_from_pairs(pairs: list[RankedPair], n_nodes: int,
+def detect_from_pairs(pairs: Pairs, n_nodes: int,
                       provenance: dict | None = None) -> Detection:
     """Run only the community-growth stage on an externally supplied pair list.
 
-    The pairs are ranked by decreasing similarity first, ties kept in the
-    given order, so the list's order matters only among equal similarities;
-    ``Detection.pairs`` holds them in that ranked order.
+    The pair columns are ranked by decreasing similarity first, ties kept
+    in the given order, so the order matters only among equal similarities;
+    ``Detection.pairs`` holds the rows in that ranked order.
     """
-    pairs = sorted(pairs, key=attrgetter("similarity"), reverse=True)
+    order = (-pairs[2]).argsort(kind="stable")
+    pairs = tuple(col[order] for col in pairs)
     result, core, real, stats = _level(pairs, n_nodes, provenance)
     return Detection(
         core=core,
         real=real,
         result=result,
-        pairs=pairs,
+        pairs=_rows(pairs),
         level_stats=[stats],
         provenance=dict(provenance or {"strategy": {"kind": "pairs"}, "seed": None}),
     )

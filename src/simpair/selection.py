@@ -3,8 +3,8 @@
 A :class:`Strategy` names the rule and its parameters;
 :func:`select_pairs` runs one (strategy, seed) and :func:`select_many`
 runs several over one pass of the row blocks, so a sweep fills each
-block once for all its runs. Each run emits directed (selector,
-selected, similarity) triples sorted by decreasing similarity, ties by
+block once for all its runs. Each run emits directed pairs as three
+columns (:data:`Pairs`) sorted by decreasing similarity, ties by
 (selector, selected). Strategies:
 
 * ``max``      - each node pairs with its highest-similarity partner(s);
@@ -43,13 +43,14 @@ import numpy as np
 from .rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, stream
 from .similarity import SimilarityMatrix
 
-# one block's picks: selector, selected and similarity columns
-_Picks = tuple[np.ndarray, np.ndarray, np.ndarray]
+# pairs: equal-length selector (int64), selected (int64), similarity (float64) columns
+Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
+NO_PAIRS: Pairs = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 BLOCK_ROWS = 128
 
 
-class RankedPair(NamedTuple):
+class RankedPair(NamedTuple):  # a row of ``Detection.pairs``
     selector: int
     selected: int
     similarity: float
@@ -111,17 +112,11 @@ def _row_blocks(n: int):
         yield slice(lo, min(lo + BLOCK_ROWS, n))
 
 
-def _ranked(picks: list[_Picks]) -> list[RankedPair]:
+def _ranked(picks: list[Pairs]) -> Pairs:
     """Concatenate picks; decreasing similarity, ties by (selector, selected)."""
-    if not picks:
-        return []
-    if len(picks) == 1:
-        selector, selected, sim = picks[0]
-    else:
-        selector, selected, sim = (np.concatenate(col) for col in zip(*picks))
+    selector, selected, sim = (np.concatenate(col) for col in zip(*picks))
     order = np.lexsort((selected, selector, -sim))
-    return list(map(RankedPair, selector[order].tolist(), selected[order].tolist(),
-                    sim[order].tolist()))
+    return selector[order], selected[order], sim[order]
 
 
 def _deletion_keys(seed: int, n: int, k: int):
@@ -139,7 +134,7 @@ def _deletion_keys(seed: int, n: int, k: int):
     return hidden
 
 
-def _max_picks(vals: np.ndarray, rows: np.ndarray) -> _Picks:
+def _max_picks(vals: np.ndarray, rows: np.ndarray) -> Pairs:
     """Every maximum of each row in ``vals`` (the rows ``rows``), ties included.
 
     Rows whose maximum is not positive emit nothing. Exact ties are rare, so
@@ -161,7 +156,7 @@ def _max_picks(vals: np.ndarray, rows: np.ndarray) -> _Picks:
 
 def _max_job(hidden=None):
     """Max selection; ``hidden(block)`` gives each block row's hidden columns."""
-    def take(blk: np.ndarray, block: slice) -> list[_Picks]:
+    def take(blk: np.ndarray, block: slice) -> list[Pairs]:
         vals = blk
         if hidden is not None:
             vals = blk.copy()  # blk is shared with the other jobs of the pass
@@ -199,7 +194,7 @@ def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
 
 
 def _psim_picks(blk: np.ndarray, local: np.ndarray, rows: np.ndarray, u: np.ndarray,
-                topn: int | None) -> _Picks:
+                topn: int | None) -> Pairs:
     """Proportional draws for block rows ``local`` (nodes ``rows``, uniforms ``u``)."""
     n = blk.shape[1]
     w = blk[local]
@@ -215,7 +210,7 @@ def _psim_picks(blk: np.ndarray, local: np.ndarray, rows: np.ndarray, u: np.ndar
 
 
 def _uniform_picks(blk: np.ndarray, local: np.ndarray, rows: np.ndarray,
-                   u: np.ndarray) -> _Picks:
+                   u: np.ndarray) -> Pairs:
     """Uniform draws over the other n-1 nodes for block rows ``local`` (nodes ``rows``)."""
     j = (u * (blk.shape[1] - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
     j += j >= rows
@@ -226,7 +221,7 @@ def _random_job(kind: str, seed: int, n: int, topn: int | None = None, gate=None
     """``kind`` draws for the nodes whose ``gate`` entry is set (all if None)."""
     u = stream(seed, PARTNER_STREAM).random(n)
 
-    def take(blk: np.ndarray, block: slice) -> list[_Picks]:
+    def take(blk: np.ndarray, block: slice) -> list[Pairs]:
         local = np.arange(len(blk)) if gate is None else np.flatnonzero(gate[block])
         if not len(local):
             return []
@@ -242,7 +237,7 @@ def _mixed_job(p: float, kind: str, seed: int, n: int):
     gate = stream(seed, GATE_STREAM).random(n) < p
     random_take = _random_job(kind, seed, n, gate=gate)
 
-    def take(blk: np.ndarray, block: slice) -> list[_Picks]:
+    def take(blk: np.ndarray, block: slice) -> list[Pairs]:
         keep = ~gate[block]
         picks = random_take(blk, block)
         if keep.any():
@@ -262,7 +257,7 @@ def _job(strategy: Strategy, seed: int, n: int):
 
 
 def select_many(s: SimilarityMatrix,
-                jobs: list[tuple[Strategy, int]]) -> list[list[RankedPair]]:
+                jobs: list[tuple[Strategy, int]]) -> list[Pairs]:
     """Run every (strategy, seed) job in one pass over the row blocks.
 
     Equal to ``[select_pairs(s, strategy, seed) for strategy, seed in jobs]``,
@@ -271,7 +266,7 @@ def select_many(s: SimilarityMatrix,
     if s.n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     takes = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
-    picks: list[list[_Picks]] = [[] for _ in jobs]
+    picks: list[list[Pairs]] = [[] for _ in jobs]
     for block in _row_blocks(s.n_nodes):
         blk = s.block(block.start, block.stop)
         for take, out in zip(takes, picks):
@@ -279,6 +274,6 @@ def select_many(s: SimilarityMatrix,
     return [_ranked(p) for p in picks]
 
 
-def select_pairs(s: SimilarityMatrix, strategy: Strategy, seed: int = 0) -> list[RankedPair]:
+def select_pairs(s: SimilarityMatrix, strategy: Strategy, seed: int = 0) -> Pairs:
     """Pairs of one Strategy descriptor; the one-job case of :func:`select_many`."""
     return select_many(s, [(strategy, seed)])[0]

@@ -17,7 +17,6 @@ from simpair import (
     CORE,
     REAL,
     ExperimentConfig,
-    RankedPair,
     SimilarityMatrix,
     Strategy,
     SyntheticSpec,
@@ -37,6 +36,8 @@ from simpair.io import pairs_to_tsv
 from simpair.rng import derive_seed
 from simpair.sweeps import default_probability_grid
 
+from pairlists import columns, rows
+
 BASE_SEED = 0
 DEFAULT_SPEC = SyntheticSpec()  # 4 blocks x 25 nodes, rates 10:0, volume 50k, seed 1
 
@@ -55,13 +56,13 @@ def default_matrix():
 
 
 def test_golden_ten_pairs():
-    pairs = [
-        RankedPair(2, 3, 0.4988), RankedPair(3, 2, 0.4988),
-        RankedPair(5, 10, 0.3311), RankedPair(10, 5, 0.3311),
-        RankedPair(1, 2, 0.2211), RankedPair(6, 9, 0.2209),
-        RankedPair(9, 5, 0.2109), RankedPair(8, 10, 0.1667),
-        RankedPair(4, 8, 0.1521), RankedPair(7, 1, 0.1456),
-    ]
+    pairs = columns([
+        (2, 3, 0.4988), (3, 2, 0.4988),
+        (5, 10, 0.3311), (10, 5, 0.3311),
+        (1, 2, 0.2211), (6, 9, 0.2209),
+        (9, 5, 0.2109), (8, 10, 0.1667),
+        (4, 8, 0.1521), (7, 1, 0.1456),
+    ])
     build_communities(pairs, 11)  # warm path
     start = time.perf_counter()
     r = build_communities(pairs, 11)
@@ -133,8 +134,8 @@ def test_proportional_sampling_fidelity():
     freq = np.zeros((5, 5))
     psim = Strategy("psim")
     for seed in range(10_000):
-        for p in select_pairs(s, psim, seed):
-            freq[p.selector, p.selected] += 1
+        selector, selected, _ = select_pairs(s, psim, seed)
+        np.add.at(freq, (selector, selected), 1)
     freq /= 10_000
     elapsed = time.perf_counter() - start
     worst = float(np.abs(freq - expected).max())
@@ -192,7 +193,7 @@ def test_mixture_boundaries():
     ok = True
 
     def tsv(strategy, seed=0):
-        return pairs_to_tsv(select_pairs(s, strategy, seed))
+        return pairs_to_tsv(rows(select_pairs(s, strategy, seed)))
 
     def mixed(p, kind):
         return Strategy("mixed", mix_p=p, mix_kind=kind)

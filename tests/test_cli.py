@@ -177,6 +177,30 @@ class TestInputErrors:
         assert len(lines) == 1
         assert "error:" in lines[0] and str(one) in lines[0]
 
+    @pytest.mark.parametrize("text, n_nodes, line, message", [
+        ("0\t300000\t0.5\n", None, 1, "unused"),
+        ("0\t1\t0.5\n1\t0\t0.5\n9\t0\t0.5\n0\t9\t0.5\n", None, 3, "unused"),
+        ("0\t99999999999999999999\t0.5\n", None, 1, "unused"),
+        ("0\t99999999999999999999\t0.5\n", "100000000000000000000", 1, "int64"),
+    ], ids=["300k", "first-max-line", "past-int64", "past-int64-with-n-nodes"])
+    def test_sparse_pair_id_space(self, tmp_path, capsys, text, n_nodes, line, message):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(text)
+        out = tmp_path / "x"
+        argv = ["detect", "--pairs", str(pairs), "--out", str(out)]
+        assert run(argv + (["--n-nodes", n_nodes] if n_nodes else [])) == 2
+        err = capsys.readouterr().err
+        assert f"{pairs}:{line}: node id" in err and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "result.json").exists()
+
+    def test_n_nodes_allows_a_sparse_pair_id_space(self, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("0\t9\t0.5\n")
+        out = tmp_path / "out"
+        assert run(["detect", "--pairs", str(pairs), "--n-nodes", "10", "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["n_nodes"] == 10
+
     def test_pair_id_beyond_n_nodes(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("# selector selected similarity\n0\t1\t0.5\n1\t2\t0.4\n")
@@ -221,6 +245,18 @@ class TestInputErrors:
         out = tmp_path / "out"
         assert run(["detect", "--pairs", str(pairs), "--out", str(out)]) == 0
         assert (out / "partition_core.tsv").read_text(encoding="utf-8") == "0\t0\n\u00b2\t0\n"
+
+    @pytest.mark.parametrize("n_nodes", ["5", "2"])
+    def test_n_nodes_with_labelled_pairs_is_usage_error(self, tmp_path, capsys, n_nodes):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a\tb\t0.9\nb\tc\t0.5\n")
+        with pytest.raises(SystemExit) as err:
+            run(["detect", "--pairs", str(pairs), "--n-nodes", n_nodes,
+                 "--out", str(tmp_path / "x")])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert "--n-nodes" in lines[-1] and "labels" in lines[-1]
+        assert not any("Traceback" in line for line in lines)
 
     def test_n_nodes_with_input_is_usage_error(self, tmp_path, block_edges, capsys):
         with pytest.raises(SystemExit) as err:

@@ -8,27 +8,30 @@ from simpair import (
     REAL,
     CitationMatrix,
     Partition,
-    RankedPair,
     build_communities,
     extract_partition,
     partition_stats,
     renormalize,
 )
 
+from pairlists import columns, rows
+
 # Golden ten-pair example: two mutual top pairs, two joiners per side,
 # and one bridge; nodes are 1..10 with 0 never mentioned.
-TEN_PAIRS = [
-    RankedPair(2, 3, 0.4988),
-    RankedPair(3, 2, 0.4988),
-    RankedPair(5, 10, 0.3311),
-    RankedPair(10, 5, 0.3311),
-    RankedPair(1, 2, 0.2211),
-    RankedPair(6, 9, 0.2209),
-    RankedPair(9, 5, 0.2109),
-    RankedPair(8, 10, 0.1667),
-    RankedPair(4, 8, 0.1521),
-    RankedPair(7, 1, 0.1456),
-]
+TEN_PAIRS = columns([
+    (2, 3, 0.4988),
+    (3, 2, 0.4988),
+    (5, 10, 0.3311),
+    (10, 5, 0.3311),
+    (1, 2, 0.2211),
+    (6, 9, 0.2209),
+    (9, 5, 0.2109),
+    (8, 10, 0.1667),
+    (4, 8, 0.1521),
+    (7, 1, 0.1456),
+])
+# the same pairs on a dense 0..9 universe, so every node is mentioned
+SHIFTED = (TEN_PAIRS[0] - 1, TEN_PAIRS[1] - 1, TEN_PAIRS[2])
 
 
 def naive_build(pairs, n_nodes):
@@ -65,9 +68,10 @@ def naive_build(pairs, n_nodes):
 
 
 def matches_naive(got, pairs, n_nodes) -> bool:
-    """Whether a built result agrees with ``naive_build`` on the same pairs:
-    core member order, real member sets, tide count and unassigned nodes."""
-    cores, reals, tides, unassigned = naive_build(pairs, n_nodes)
+    """Whether a built result agrees with ``naive_build`` on the same pair
+    columns: core member order, real member sets, tide count and unassigned
+    nodes."""
+    cores, reals, tides, unassigned = naive_build(rows(pairs), n_nodes)
     return (got.member_lists(CORE) == cores
             and sorted(map(sorted, got.member_lists(REAL))) == sorted(map(sorted, reals))
             and len(got.tides) == tides
@@ -75,14 +79,15 @@ def matches_naive(got, pairs, n_nodes) -> bool:
 
 
 def random_pairs(rng, n_nodes, n_pairs):
+    """Ranked pair columns of random pairs, with few distinct similarities."""
     pairs = []
     for _ in range(n_pairs):
         a = int(rng.integers(n_nodes))
         b = int(rng.integers(n_nodes - 1))
         if b >= a:
             b += 1
-        pairs.append(RankedPair(a, b, float(rng.integers(1, 6)) / 10))
-    return sorted(pairs, key=lambda p: (-p.similarity, p.selector, p.selected))
+        pairs.append((a, b, float(rng.integers(1, 6)) / 10))
+    return columns(sorted(pairs, key=lambda p: (-p[2], p[0], p[1])))
 
 
 class TestGoldenTenPairs:
@@ -102,10 +107,7 @@ class TestGoldenTenPairs:
         assert r.member_lists(REAL) == [[2, 3, 1, 7], [5, 10, 8, 4, 6, 9]]
 
     def test_counts(self):
-        # shift to a dense 0..9 universe so every node is mentioned
-        shifted = [RankedPair(p.selector - 1, p.selected - 1, p.similarity)
-                   for p in TEN_PAIRS]
-        stats = partition_stats(build_communities(shifted, 10))
+        stats = partition_stats(build_communities(SHIFTED, 10))
         assert stats["cores"] == 3
         assert stats["reals"] == 2
         assert stats["tides"] == 1
@@ -114,25 +116,24 @@ class TestGoldenTenPairs:
 
 class TestBuildCommunities:
     def test_empty_pairs_all_singletons(self):
-        r = build_communities([], 3)
+        r = build_communities(columns([]), 3)
         assert len(r.real) == 0
         assert len(r.tides) == 0
         assert r.unassigned.tolist() == [0, 1, 2]
         assert partition_stats(r)["reals"] == 3
 
     def test_duplicate_reverse_pair_is_noop(self):
-        pairs = [RankedPair(0, 1, 0.9), RankedPair(1, 0, 0.9)]
-        r = build_communities(pairs, 2)
+        r = build_communities(columns([(0, 1, 0.9), (1, 0, 0.9)]), 2)
         assert len(r.real) == 1
         assert r.member_lists(CORE) == [[0, 1]]
 
     def test_repeat_tides_counted_as_events(self):
-        pairs = [
-            RankedPair(0, 1, 0.9),
-            RankedPair(2, 3, 0.8),
-            RankedPair(0, 2, 0.7),
-            RankedPair(1, 3, 0.6),  # same two cores again
-        ]
+        pairs = columns([
+            (0, 1, 0.9),
+            (2, 3, 0.8),
+            (0, 2, 0.7),
+            (1, 3, 0.6),  # same two cores again
+        ])
         r = build_communities(pairs, 4)
         assert len(r.tides) == 2
         assert r.tide_merges == 1
@@ -143,11 +144,11 @@ class TestBuildCommunities:
 
     def test_out_of_range_node_rejected(self):
         with pytest.raises(ValueError):
-            build_communities([RankedPair(0, 5, 0.5)], 3)
+            build_communities(columns([(0, 5, 0.5)]), 3)
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError, match="itself"):
-            build_communities([RankedPair(1, 2, 0.9), RankedPair(0, 0, 0.5)], 3)
+            build_communities(columns([(1, 2, 0.9), (0, 0, 0.5)]), 3)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(100)
@@ -167,12 +168,12 @@ class TestBuildCommunities:
             baseline = extract_partition(build_communities(pairs, n), REAL)
             # shuffle within blocks of equal similarity
             blocks = {}
-            for p in pairs:
+            for p in rows(pairs):
                 blocks.setdefault(p.similarity, []).append(p)
             for block in blocks.values():
                 rng.shuffle(block)
-            shuffled = [p for sim in sorted(blocks, reverse=True)
-                        for p in blocks[sim]]
+            shuffled = columns(p for sim in sorted(blocks, reverse=True)
+                               for p in blocks[sim])
             permuted = extract_partition(build_communities(shuffled, n), REAL)
             assert np.array_equal(co_membership(baseline), co_membership(permuted))
 
@@ -186,19 +187,15 @@ class TestBuildCommunities:
 
 class TestExtractPartition:
     def test_core_level_of_golden_example(self):
-        shifted = [RankedPair(p.selector - 1, p.selected - 1, p.similarity)
-                   for p in TEN_PAIRS]
-        part = extract_partition(build_communities(shifted, 10), CORE)
+        part = extract_partition(build_communities(SHIFTED, 10), CORE)
         assert part.n_communities == 3
 
     def test_real_level_of_golden_example(self):
-        shifted = [RankedPair(p.selector - 1, p.selected - 1, p.similarity)
-                   for p in TEN_PAIRS]
-        part = extract_partition(build_communities(shifted, 10), REAL)
+        part = extract_partition(build_communities(SHIFTED, 10), REAL)
         assert part.n_communities == 2
 
     def test_empty_result_gives_distinct_labels(self):
-        part = extract_partition(build_communities([], 4), CORE)
+        part = extract_partition(build_communities(columns([]), 4), CORE)
         assert sorted(part.labels) == [0, 1, 2, 3]
 
     def test_partition_is_total_and_dense(self):

@@ -16,6 +16,8 @@ from simpair.io import (
     read_pairs,
 )
 
+from pairlists import columns, rows
+
 
 class TestReadEdges:
     def test_integer_ids(self, tmp_path):
@@ -122,10 +124,52 @@ class TestIdRule:
         pairs_path = tmp_path / "pairs.tsv"
         pairs_path.write_text(f"0\t{odd}\t0.5\n{odd}\t1\t0.4\n", encoding="utf-8")
         m = read_edges(edges)
-        pairs, labels = read_pairs(pairs_path)
+        pairs, n_nodes, labels = read_pairs(pairs_path)
         assert m.node_labels == labels == ["0", odd, "1"]
         assert m.to_dense()[0, 1] == 2 and m.to_dense()[1, 2] == 1
-        assert pairs == [RankedPair(0, 1, 0.5), RankedPair(1, 2, 0.4)]
+        assert rows(pairs) == [(0, 1, 0.5), (1, 2, 0.4)]
+        assert n_nodes == 3
+
+
+class TestPairIdSpace:
+    """Integer pair ids pass the edge files' id-space rule unless a node
+    count is given; then only the bound applies."""
+
+    def pairs_file(self, tmp_path, text):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(text)
+        return path
+
+    def test_dense_ids_give_the_node_count(self, tmp_path):
+        pairs, n_nodes, labels = read_pairs(self.pairs_file(tmp_path, "0\t2\t0.5\n"))
+        assert (n_nodes, labels) == (3, None)
+        assert [col.dtype for col in pairs] == [np.int64, np.int64, np.float64]
+
+    @pytest.mark.parametrize("text, line", [
+        ("0\t300000\t0.5\n", 1),
+        ("0\t1\t0.5\n1\t0\t0.5\n9\t0\t0.5\n0\t9\t0.5\n", 3),  # first line of the max id
+        ("0\t1\t0.5\n1\t99999999999999999999\t0.5\n", 2),  # past int64
+    ], ids=["300k", "first-max-line", "past-int64"])
+    def test_sparse_ids_rejected_at_the_max_id_line(self, tmp_path, text, line):
+        with pytest.raises(InputFormatError, match=rf":{line}: node id .* unused"):
+            read_pairs(self.pairs_file(tmp_path, text))
+
+    def test_node_count_replaces_the_id_space_rule(self, tmp_path):
+        path = self.pairs_file(tmp_path, "0\t300000\t0.5\n")
+        pairs, n_nodes, _ = read_pairs(path, n_nodes=300_001)
+        assert n_nodes == 300_001 and rows(pairs) == [(0, 300000, 0.5)]
+        with pytest.raises(InputFormatError, match=r":1: node index 300000 is not below"):
+            read_pairs(path, n_nodes=300_000)
+
+    def test_id_past_int64_below_the_node_count(self, tmp_path):
+        path = self.pairs_file(tmp_path, "0\t1\t0.5\n99999999999999999999\t0\t0.5\n")
+        with pytest.raises(InputFormatError, match=r":2: node id .* int64"):
+            read_pairs(path, n_nodes=10**20)
+
+    def test_labels_count_one_node_each(self, tmp_path):
+        path = self.pairs_file(tmp_path, "a\tb\t0.9\nb\tc\t0.5\n")
+        for n_nodes in (None, 2, 5):
+            assert read_pairs(path, n_nodes)[1:] == (3, ["a", "b", "c"])
 
 
 class TestReadDense:
@@ -169,16 +213,16 @@ class TestPairsSerialization:
     def test_round_trip_integer_ids(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("2\t3\t0.498800\n3\t2\t0.498800\n")
-        pairs, labels = read_pairs(path)
+        pairs, _, labels = read_pairs(path)
         assert labels is None
-        assert pairs[0] == RankedPair(2, 3, 0.4988)
+        assert rows(pairs)[0] == (2, 3, 0.4988)
 
     def test_labeled_pairs(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t0.9\nb\ta\t0.9\n")
-        pairs, labels = read_pairs(path)
+        pairs, _, labels = read_pairs(path)
         assert labels == ["a", "b"]
-        assert pairs[0] == RankedPair(0, 1, 0.9)
+        assert rows(pairs)[0] == (0, 1, 0.9)
 
     def test_bad_similarity_reports_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -197,11 +241,11 @@ class TestPairsSerialization:
 
 class TestPartitionSerialization:
     def test_index_rows(self):
-        r = build_communities([RankedPair(0, 1, 0.5)], 3)
+        r = build_communities(columns([(0, 1, 0.5)]), 3)
         text = partition_to_tsv(extract_partition(r, "core"))
         assert text == "0\t0\n1\t0\n2\t1\n"
 
     def test_label_rows(self):
-        r = build_communities([RankedPair(0, 1, 0.5)], 3)
+        r = build_communities(columns([(0, 1, 0.5)]), 3)
         text = partition_to_tsv(extract_partition(r, "core"), ["a", "b", "c"])
         assert text.splitlines() == ["a\t0", "b\t0", "c\t1"]

@@ -7,12 +7,13 @@ import pytest
 
 from simpair import (
     Partition,
-    RankedPair,
     build_communities,
     nmi,
     partition_stats,
 )
 from simpair.metrics import entropy, joint_entropy
+
+from pairlists import columns
 
 
 def brute_joint_entropy(x, y):
@@ -157,7 +158,7 @@ class TestNmi:
 
 class TestPartitionStats:
     def test_empty_result(self):
-        stats = partition_stats(build_communities([], 5))
+        stats = partition_stats(build_communities(columns([]), 5))
         assert stats["cores"] == 0
         assert stats["reals"] == 5
         assert stats["tides"] == 0
@@ -173,12 +174,12 @@ class TestPartitionStats:
                 a = int(rng.integers(n))
                 b = int(rng.integers(n - 1))
                 b += b >= a
-                pairs.append(RankedPair(a, b, 0.5))
-            stats = partition_stats(build_communities(pairs, n))
+                pairs.append((a, b, 0.5))
+            stats = partition_stats(build_communities(columns(pairs), n))
             assert stats["reals"] <= stats["cores"] + stats["unassigned"]
 
     def test_size_summary(self):
-        pairs = [RankedPair(0, 1, 0.9), RankedPair(2, 1, 0.8), RankedPair(3, 4, 0.7)]
+        pairs = columns([(0, 1, 0.9), (2, 1, 0.8), (3, 4, 0.7)])
         stats = partition_stats(build_communities(pairs, 6))
         assert stats["core_sizes"] == {
             "min": 2, "max": 3, "mean": 2.5, "histogram": {2: 1, 3: 1}}

@@ -5,11 +5,12 @@ import pytest
 
 from simpair import (
     CitationMatrix,
-    RankedPair,
     Strategy,
     detect,
     detect_from_pairs,
 )
+
+from pairlists import columns
 
 
 @pytest.fixture()
@@ -56,32 +57,31 @@ class TestDetect:
 
 class TestDetectFromPairs:
     def test_matches_build_on_same_pairs(self):
-        pairs = [RankedPair(0, 1, 0.9), RankedPair(2, 1, 0.8)]
-        d = detect_from_pairs(pairs, 4)
+        d = detect_from_pairs(columns([(0, 1, 0.9), (2, 1, 0.8)]), 4)
         assert d.core.labels.tolist() == [0, 0, 0, 1]
         assert d.level_stats[0]["unassigned"] == 1
 
     def test_records_pairs_provenance(self):
-        d = detect_from_pairs([RankedPair(0, 1, 0.5)], 2)
+        d = detect_from_pairs(columns([(0, 1, 0.5)]), 2)
         assert d.provenance["strategy"] == {"kind": "pairs"}
 
     def test_pair_order_does_not_matter(self):
-        given = [RankedPair(0, 1, 0.1), RankedPair(2, 3, 0.2), RankedPair(1, 2, 0.9)]
+        given = [(0, 1, 0.1), (2, 3, 0.2), (1, 2, 0.9)]
         ranked = [given[2], given[1], given[0]]
         for pairs in (given, ranked):
-            d = detect_from_pairs(pairs, 4)
+            d = detect_from_pairs(columns(pairs), 4)
             assert d.core.labels.tolist() == [0, 0, 0, 0]
             assert d.pairs == ranked
 
     def test_ties_keep_their_given_order(self):
-        a, b = RankedPair(0, 1, 0.5), RankedPair(2, 3, 0.5)
-        assert detect_from_pairs([a, b], 4).pairs == [a, b]
-        assert detect_from_pairs([b, a], 4).pairs == [b, a]
+        a, b = (0, 1, 0.5), (2, 3, 0.5)
+        assert detect_from_pairs(columns([a, b]), 4).pairs == [a, b]
+        assert detect_from_pairs(columns([b, a]), 4).pairs == [b, a]
 
     @pytest.mark.parametrize("kind", ["max", "psim"])
     def test_detect_pairs_replay_the_first_level(self, two_cliques, kind):
         d = detect(two_cliques, Strategy(kind), seed=3)
-        replay = detect_from_pairs(d.pairs, two_cliques.n_nodes)
+        replay = detect_from_pairs(columns(d.pairs), two_cliques.n_nodes)
         assert np.array_equal(replay.core.labels, d.core.labels)
         assert np.array_equal(replay.real.labels, d.real.labels)
         assert replay.level_stats[0] == d.level_stats[0]

@@ -20,9 +20,11 @@ from simpair import (
     build_communities,
     build_similarity_matrix,
     detect,
+    detect_from_pairs,
     extract_partition,
     partition_stats,
     renormalize,
+    select_pairs,
 )
 from simpair.io import (
     InputFormatError,
@@ -32,6 +34,7 @@ from simpair.io import (
     write_pairs,
     write_partition,
 )
+from pairlists import columns, rows
 from test_communities import matches_naive
 
 # derandomized, so the suite stays a deterministic gate
@@ -40,7 +43,8 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 @st.composite
 def pair_lists(draw, max_n=8):
-    """(pairs, n): pairs over n nodes, never a self-pair, with repeats and reversals."""
+    """(pairs, n): pair columns over n nodes, never a self-pair, with repeats
+    and reversals."""
     n = draw(st.integers(2, max_n))
     node = st.integers(0, n - 1)
     edge = st.tuples(node, node).filter(lambda e: e[0] != e[1])
@@ -51,7 +55,7 @@ def pair_lists(draw, max_n=8):
         pairs += [p if i % 2 else RankedPair(p.selected, p.selector, p.similarity)
                   for i, p in enumerate(again)]
         pairs = draw(st.permutations(pairs))
-    return list(pairs), n
+    return columns(pairs), n
 
 
 @st.composite
@@ -143,6 +147,39 @@ def test_max_detection_is_invariant_under_relabelling(dense, rnd):
     assert groups(got.real.labels[perm]) == groups(want.real.labels)
 
 
+STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=2), Strategy("p"),
+              Strategy("max", deletion=0.5), Strategy("mixed", mix_p=0.5, mix_kind="psim")]
+# small dense counts: similarities tie often, so the tie order is exercised
+DENSE_COUNTS = st.integers(2, 10).flatmap(
+    lambda n: arrays(np.int64, (n, n), elements=st.integers(0, 3)))
+
+
+@PROPERTY
+@given(DENSE_COUNTS, st.sampled_from(STRATEGIES), st.integers(0, 2**63))
+def test_pair_columns_are_ranked_and_replay_from_a_pair_file(dense, strategy, seed):
+    m = CitationMatrix.from_dense(dense)
+    pairs = select_pairs(build_similarity_matrix(m), strategy, seed)
+    selector, selected, sim = pairs
+    assert [col.dtype for col in pairs] == [np.int64, np.int64, np.float64]
+    assert len(selector) == len(selected) == len(sim)
+    keys = list(zip((-sim).tolist(), selector.tolist(), selected.tolist()))
+    assert keys == sorted(keys)
+
+    d = detect(m, strategy, seed, levels=1)
+    assert d.pairs == rows(pairs)
+    if not d.pairs:
+        return  # a pair file holds at least one pair
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        write_pairs(path, d.pairs)
+        back, n_nodes, _ = read_pairs(path, n_nodes=m.n_nodes)
+    # six-decimal rounding keeps the ranking and only adds ties, which
+    # keep their file order
+    replay = detect_from_pairs(back, n_nodes)
+    assert np.array_equal(replay.core.labels, d.core.labels)
+    assert np.array_equal(replay.real.labels, d.real.labels)
+
+
 @PROPERTY
 @given(st.lists(st.builds(RankedPair, st.integers(0, 50), st.integers(0, 50),
                           st.floats(-1000.0, 1000.0)).filter(lambda p: p.selector != p.selected),
@@ -151,12 +188,13 @@ def test_pairs_round_trip_to_six_decimals(pairs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.tsv"
         write_pairs(path, pairs)
-        back, labels = read_pairs(path)
+        # a node count, because random ids in 0..50 may leave most ids unused
+        (selector, selected, sims), _, labels = read_pairs(path, n_nodes=51)
     assert labels is None
-    assert [(p.selector, p.selected) for p in back] == [(p.selector, p.selected) for p in pairs]
-    for p, q in zip(pairs, back):
-        assert q.similarity == float(format_similarity(p.similarity))
-        assert abs(q.similarity - p.similarity) <= 5e-7 + 1e-12
+    assert list(zip(selector.tolist(), selected.tolist())) == [p[:2] for p in pairs]
+    for p, back in zip(pairs, sims.tolist()):
+        assert back == float(format_similarity(p.similarity))
+        assert abs(back - p.similarity) <= 5e-7 + 1e-12
 
 
 @PROPERTY

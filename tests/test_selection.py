@@ -7,6 +7,8 @@ from simpair import SimilarityMatrix, Strategy, select_pairs
 from simpair.io import pairs_to_tsv
 from simpair.selection import _deletion_keys, _proportional_pick
 
+from pairlists import rows
+
 MAX = Strategy("max")
 PSIM = Strategy("psim")
 UNIFORM = Strategy("p")
@@ -42,15 +44,26 @@ FIVE = sim_from([
 
 
 def assert_sorted(pairs):
-    keys = [(-p.similarity, p.selector, p.selected) for p in pairs]
+    selector, selected, sim = pairs
+    keys = list(zip((-sim).tolist(), selector.tolist(), selected.tolist()))
     assert keys == sorted(keys)
+
+
+def edges(pairs) -> list[tuple[int, int]]:
+    """The (selector, selected) of each pair, in rank order."""
+    return list(zip(pairs[0].tolist(), pairs[1].tolist()))
+
+
+def partner_of_zero(s, strategy, seed):
+    """The node that node 0 selects in one run."""
+    selector, selected, _ = select_pairs(s, strategy, seed)
+    return int(selected[selector == 0][0])
 
 
 class TestSelectMax:
     def test_two_nodes(self):
         s = sim_from([[0.0, 0.3], [0.3, 0.0]])
-        assert [(p.selector, p.selected, p.similarity) for p in select_pairs(s, MAX)] == [
-            (0, 1, 0.3), (1, 0, 0.3)]
+        assert rows(select_pairs(s, MAX)) == [(0, 1, 0.3), (1, 0, 0.3)]
 
     def test_tied_maxima_all_emitted(self):
         s = sim_from([
@@ -59,24 +72,24 @@ class TestSelectMax:
             [0.5, 0.1, 0.0, 0.1],
             [0.2, 0.1, 0.1, 0.0],
         ])
-        from_zero = [(p.selector, p.selected) for p in select_pairs(s, MAX) if p.selector == 0]
-        assert from_zero == [(0, 1), (0, 2)]
+        selector, selected, _ = select_pairs(s, MAX)
+        assert selected[selector == 0].tolist() == [1, 2]
 
     def test_max_dominance_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             s = random_similarity(rng, int(rng.integers(2, 14)))
-            pairs = select_pairs(s, MAX)
+            selector, _, sim = select_pairs(s, MAX)
             emitted = {}
-            for p in pairs:
-                emitted.setdefault(p.selector, p.similarity)
+            for i, value in zip(selector.tolist(), sim.tolist()):
+                emitted.setdefault(i, value)
             for i, best in emitted.items():
                 row_max = max(s.values[i, j] for j in range(s.n_nodes) if j != i)
                 assert best == row_max
 
     def test_all_zero_row_emits_nothing(self):
         s = sim_from([[0.0, 0.0, 0.0], [0.0, 0.0, 0.9], [0.0, 0.9, 0.0]])
-        assert {p.selector for p in select_pairs(s, MAX)} == {1, 2}
+        assert set(select_pairs(s, MAX)[0].tolist()) == {1, 2}
 
     def test_sorted_output(self):
         rng = np.random.default_rng(1)
@@ -85,11 +98,12 @@ class TestSelectMax:
 
 class TestRandomDeletion:
     def test_zero_fraction_is_empty(self):
-        assert select_pairs(FIVE, Strategy("max", deletion=0.0), 9) == select_pairs(FIVE, MAX)
+        assert (rows(select_pairs(FIVE, Strategy("max", deletion=0.0), 9))
+                == rows(select_pairs(FIVE, MAX)))
 
     def test_full_deletion_silences_everyone(self):
         assert hidden_columns(9, 5, 4).shape == (5, 4)
-        assert select_pairs(FIVE, Strategy("max", deletion=1.0), 9) == []
+        assert rows(select_pairs(FIVE, Strategy("max", deletion=1.0), 9)) == []
 
     def test_floor_arithmetic(self):
         # floor(0.5 * 10) = 5 of each row's 10 other columns are hidden
@@ -97,11 +111,11 @@ class TestRandomDeletion:
         s = random_similarity(rng, 11)
         hidden = hidden_columns(1, 11, 5)
         assert all(len(set(row)) == 5 and i not in row for i, row in enumerate(hidden.tolist()))
-        pairs = select_pairs(s, Strategy("max", deletion=0.5), 1)
-        assert sorted(p.selector for p in pairs) == list(range(11))
-        for p in pairs:
-            visible = [j for j in range(11) if j != p.selector and j not in hidden[p.selector]]
-            assert p.selected == max(visible, key=lambda j: s.values[p.selector, j])
+        selector, selected, _ = select_pairs(s, Strategy("max", deletion=0.5), 1)
+        assert sorted(selector.tolist()) == list(range(11))
+        for i, j_best in zip(selector.tolist(), selected.tolist()):
+            visible = [j for j in range(11) if j != i and j not in hidden[i]]
+            assert j_best == max(visible, key=lambda j: s.values[i, j])
 
     def test_mask_rows_are_independent(self):
         assert not np.array_equal(hidden_columns(1, 5, 2), hidden_columns(2, 5, 2))
@@ -110,8 +124,7 @@ class TestRandomDeletion:
 class TestSelectPsim:
     def test_two_equal_candidates_split_evenly(self):
         s = sim_from([[0.0, 0.5, 0.5], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
-        picks = [next(p.selected for p in select_pairs(s, PSIM, seed) if p.selector == 0)
-                 for seed in range(10_000)]
+        picks = [partner_of_zero(s, PSIM, seed) for seed in range(10_000)]
         freq = np.bincount(picks, minlength=3) / 10_000
         assert freq[1] == pytest.approx(0.5, abs=0.02)
         assert freq[2] == pytest.approx(0.5, abs=0.02)
@@ -119,39 +132,34 @@ class TestSelectPsim:
     def test_frequencies_proportional_to_similarity(self):
         s = sim_from([[0.0, 0.1, 0.3, 0.6], [0.1, 0.0, 0.0, 0.0],
                       [0.3, 0.0, 0.0, 0.0], [0.6, 0.0, 0.0, 0.0]])
-        picks = [next(p.selected for p in select_pairs(s, PSIM, seed) if p.selector == 0)
-                 for seed in range(10_000)]
+        picks = [partner_of_zero(s, PSIM, seed) for seed in range(10_000)]
         freq = np.bincount(picks, minlength=4) / 10_000
         for j, expected in ((1, 0.1), (2, 0.3), (3, 0.6)):
             assert freq[j] == pytest.approx(expected, abs=0.02)
 
     def test_zero_mass_node_emits_nothing(self):
         s = sim_from([[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.4, 0.0]])
-        assert {p.selector for p in select_pairs(s, PSIM, 3)} == {1, 2}
+        assert set(select_pairs(s, PSIM, 3)[0].tolist()) == {1, 2}
 
     def test_topn_one_equals_max_when_tie_free(self):
         rng = np.random.default_rng(4)
         for seed in range(5):
             s = random_similarity(rng, 12)
-            got = set((p.selector, p.selected)
-                      for p in select_pairs(s, Strategy("psim", topn=1), seed))
-            want = set((p.selector, p.selected) for p in select_pairs(s, MAX))
+            got = set(edges(select_pairs(s, Strategy("psim", topn=1), seed)))
+            want = set(edges(select_pairs(s, MAX)))
             assert got == want
 
     def test_topn_restricts_candidates(self):
         picks = set()
         for seed in range(200):
-            picks.update((p.selector, p.selected)
-                         for p in select_pairs(FIVE, Strategy("psim", topn=2), seed)
-                         if p.selector == 0)
+            picks.add((0, partner_of_zero(FIVE, Strategy("psim", topn=2), seed)))
         # node 0's top-2 candidates by similarity are 3 (0.6) and 2 (0.3)
         assert picks == {(0, 3), (0, 2)}
 
     def test_topn_boundary_tie_prefers_lower_id(self):
         s = sim_from([[0.0, 0.4, 0.4, 0.1], [0.4, 0.0, 0.0, 0.0],
                       [0.4, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]])
-        picks = {next(p.selected for p in select_pairs(s, Strategy("psim", topn=1), seed)
-                      if p.selector == 0) for seed in range(50)}
+        picks = {partner_of_zero(s, Strategy("psim", topn=1), seed) for seed in range(50)}
         assert picks == {1}
 
     def test_draw_near_one_never_picks_trailing_zero(self):
@@ -170,22 +178,21 @@ class TestSelectPsim:
         rng = np.random.default_rng(6)
         s = random_similarity(rng, 15)
         pairs = select_pairs(s, PSIM, 0)
-        assert sorted(p.selector for p in pairs) == list(range(15))
+        assert sorted(pairs[0].tolist()) == list(range(15))
         assert_sorted(pairs)
 
 
 class TestSelectRandom:
     def test_two_nodes_deterministic(self):
         s = sim_from([[0.0, 0.7], [0.7, 0.0]])
-        assert [(p.selector, p.selected) for p in select_pairs(s, UNIFORM, 123)] == [
-            (0, 1), (1, 0)]
+        assert edges(select_pairs(s, UNIFORM, 123)) == [(0, 1), (1, 0)]
 
     def test_uniform_frequencies(self):
         s = sim_from(np.full((4, 4), 0.5))
         counts = np.zeros((4, 4))
         for seed in range(12_000):
-            for p in select_pairs(s, UNIFORM, seed):
-                counts[p.selector, p.selected] += 1
+            selector, selected, _ = select_pairs(s, UNIFORM, seed)
+            np.add.at(counts, (selector, selected), 1)
         freq = counts / 12_000
         off_diag = freq[~np.eye(4, dtype=bool)]
         assert np.abs(off_diag - 1 / 3).max() <= 0.02
@@ -195,7 +202,7 @@ class TestSelectRandom:
         for seed in range(5):
             s = random_similarity(rng, 9)
             pairs = select_pairs(s, UNIFORM, seed)
-            assert len(pairs) == 9
+            assert len(pairs[0]) == 9
             assert_sorted(pairs)
 
 
@@ -204,33 +211,35 @@ class TestSelectMixed:
         rng = np.random.default_rng(10)
         s = random_similarity(rng, 25)
         for seed in (0, 99):
-            assert select_pairs(s, mixed(0.0, "psim"), seed) == select_pairs(s, MAX)
-            assert select_pairs(s, mixed(0.0, "p"), seed) == select_pairs(s, MAX)
+            assert rows(select_pairs(s, mixed(0.0, "psim"), seed)) == rows(select_pairs(s, MAX))
+            assert rows(select_pairs(s, mixed(0.0, "p"), seed)) == rows(select_pairs(s, MAX))
 
     def test_p_one_is_exactly_pure_strategy(self):
         rng = np.random.default_rng(12)
         s = random_similarity(rng, 25)
         for seed in (0, 7):
-            assert select_pairs(s, mixed(1.0, "psim"), seed) == select_pairs(s, PSIM, seed)
-            assert select_pairs(s, mixed(1.0, "p"), seed) == select_pairs(s, UNIFORM, seed)
+            assert (rows(select_pairs(s, mixed(1.0, "psim"), seed))
+                    == rows(select_pairs(s, PSIM, seed)))
+            assert (rows(select_pairs(s, mixed(1.0, "p"), seed))
+                    == rows(select_pairs(s, UNIFORM, seed)))
 
     def test_boundary_serializations_are_byte_identical(self):
         rng = np.random.default_rng(13)
         s = random_similarity(rng, 30)
-        assert (pairs_to_tsv(select_pairs(s, mixed(0.0, "p"), 5))
-                == pairs_to_tsv(select_pairs(s, MAX)))
-        assert (pairs_to_tsv(select_pairs(s, mixed(1.0, "p"), 5))
-                == pairs_to_tsv(select_pairs(s, UNIFORM, 5)))
+        assert (pairs_to_tsv(rows(select_pairs(s, mixed(0.0, "p"), 5)))
+                == pairs_to_tsv(rows(select_pairs(s, MAX))))
+        assert (pairs_to_tsv(rows(select_pairs(s, mixed(1.0, "p"), 5)))
+                == pairs_to_tsv(rows(select_pairs(s, UNIFORM, 5))))
 
     def test_half_mix_uses_max_about_half_the_time(self):
         rng = np.random.default_rng(14)
         s = random_similarity(rng, 50)
-        max_partner = {p.selector: p.selected for p in select_pairs(s, MAX)}
+        max_partner = dict(edges(select_pairs(s, MAX)))
         n_max = 0
         for seed in range(1_000):
             got = {}
-            for p in select_pairs(s, mixed(0.5, "p"), seed):
-                got.setdefault(p.selector, p.selected)
+            for i, j in edges(select_pairs(s, mixed(0.5, "p"), seed)):
+                got.setdefault(i, j)
             # count nodes whose emitted partner matches their max partner
             n_max += sum(got[i] == max_partner[i] for i in range(50))
         frac = n_max / 50_000
@@ -246,15 +255,15 @@ class TestDeterminism:
         for strategy in (Strategy("max"), Strategy("psim"), Strategy("p"),
                          Strategy("psim", topn=3), Strategy("max", deletion=0.4),
                          Strategy("mixed", mix_p=0.3, mix_kind="psim")):
-            a = pairs_to_tsv(select_pairs(s, strategy, seed=77))
-            b = pairs_to_tsv(select_pairs(s, strategy, seed=77))
+            a = pairs_to_tsv(rows(select_pairs(s, strategy, seed=77)))
+            b = pairs_to_tsv(rows(select_pairs(s, strategy, seed=77)))
             assert a == b
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(21)
         s = random_similarity(rng, 18)
-        a = select_pairs(s, PSIM, 1)
-        b = select_pairs(s, PSIM, 2)
+        a = rows(select_pairs(s, PSIM, 1))
+        b = rows(select_pairs(s, PSIM, 2))
         assert a != b
 
 

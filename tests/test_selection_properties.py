@@ -14,6 +14,8 @@ from simpair import selection
 from simpair.selection import _deletion_keys
 from simpair.io import pairs_to_tsv
 
+from pairlists import rows
+
 SEEDS = st.integers(0, 2**63)
 # few distinct levels, zeros included, so ties and zero rows are common
 LEVELS = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -40,7 +42,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 @given(similarities(), SEEDS, st.sampled_from([None, 1, 2, 3]))
 def test_psim_picks_positive_partner_never_self(s, seed, topn):
     pairs = select_pairs(s, Strategy("psim", topn=topn), seed)
-    for p in pairs:
+    for p in rows(pairs):
         assert p.selector != p.selected
         assert p.similarity > 0.0
         assert p.similarity == s.values[p.selector, p.selected]
@@ -48,17 +50,16 @@ def test_psim_picks_positive_partner_never_self(s, seed, topn):
             assert p.selected in top_candidates(s, p.selector, topn)
     eligible = {i for i in range(s.n_nodes)
                 if sum(s.values[i, j] for j in top_candidates(s, i, topn or s.n_nodes)) > 0}
-    assert sorted(p.selector for p in pairs) == sorted(eligible)
+    assert sorted(pairs[0].tolist()) == sorted(eligible)
 
 
 @PROPERTY
 @given(similarities())
 def test_max_picks_every_positive_row_maximum(s):
-    pairs = select_pairs(s, Strategy("max"))
-    for p in pairs:
-        assert p.selector != p.selected
-        assert p.similarity > 0.0
-    got = {(p.selector, p.selected) for p in pairs}
+    selector, selected, sim = select_pairs(s, Strategy("max"))
+    assert (selector != selected).all()
+    assert (sim > 0.0).all()
+    got = set(zip(selector.tolist(), selected.tolist()))
     want = {(i, j) for i in range(s.n_nodes) for j in range(s.n_nodes)
             if i != j and s.values[i, j] > 0.0 and s.values[i, j] == s.values[i].max()}
     assert got == want
@@ -67,10 +68,10 @@ def test_max_picks_every_positive_row_maximum(s):
 @PROPERTY
 @given(similarities(), SEEDS)
 def test_uniform_never_picks_self(s, seed):
-    pairs = select_pairs(s, Strategy("p"), seed)
-    assert sorted(p.selector for p in pairs) == list(range(s.n_nodes))
-    assert all(p.selector != p.selected for p in pairs)
-    assert all(0 <= p.selected < s.n_nodes for p in pairs)
+    selector, selected, _ = select_pairs(s, Strategy("p"), seed)
+    assert sorted(selector.tolist()) == list(range(s.n_nodes))
+    assert (selector != selected).all()
+    assert ((0 <= selected) & (selected < s.n_nodes)).all()
 
 
 @PROPERTY
@@ -85,15 +86,15 @@ def test_deletion_hides_floor_fraction_never_diagonal(s, seed, d):
     visible = [[j for j in range(n) if j != i and j not in deleted[i]] for i in range(n)]
     want = {(i, j) for i in range(n) for j in visible[i]
             if s.values[i, j] > 0.0 and s.values[i, j] == max(s.values[i, c] for c in visible[i])}
-    pairs = select_pairs(s, Strategy("max", deletion=d), seed)
-    assert {(p.selector, p.selected) for p in pairs} == want
+    selector, selected, _ = select_pairs(s, Strategy("max", deletion=d), seed)
+    assert set(zip(selector.tolist(), selected.tolist())) == want
 
 
 @PROPERTY
 @given(similarities(), SEEDS, st.sampled_from(["psim", "p"]))
 def test_mixed_boundaries_are_byte_identical(s, seed, kind):
     def tsv(strategy):
-        return pairs_to_tsv(select_pairs(s, strategy, seed))
+        return pairs_to_tsv(rows(select_pairs(s, strategy, seed)))
 
     assert tsv(Strategy("mixed", mix_p=0.0, mix_kind=kind)) == tsv(Strategy("max"))
     assert tsv(Strategy("mixed", mix_p=1.0, mix_kind=kind)) == tsv(Strategy(kind))
@@ -108,7 +109,7 @@ STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=2), Strat
 @PROPERTY
 @given(similarities(), SEEDS, st.sampled_from(STRATEGIES))
 def test_selection_is_deterministic_per_seed(s, seed, strategy):
-    assert select_pairs(s, strategy, seed) == select_pairs(s, strategy, seed)
+    assert rows(select_pairs(s, strategy, seed)) == rows(select_pairs(s, strategy, seed))
 
 
 @PROPERTY
@@ -116,7 +117,8 @@ def test_selection_is_deterministic_per_seed(s, seed, strategy):
        st.integers(1, 5))
 def test_select_many_equals_one_job_at_a_time(s, jobs, block_rows):
     with mock.patch.object(selection, "BLOCK_ROWS", block_rows):
-        assert select_many(s, jobs) == [select_pairs(s, st_, seed) for st_, seed in jobs]
+        assert ([rows(pairs) for pairs in select_many(s, jobs)]
+                == [rows(select_pairs(s, st_, seed)) for st_, seed in jobs])
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda st_: str(st_.describe()))
@@ -124,6 +126,6 @@ def test_row_blocks_do_not_change_the_draw(monkeypatch, strategy):
     rng = np.random.default_rng(40)
     upper = np.triu(np.round(rng.random((37, 37)), 1), 1)
     s = SimilarityMatrix(values=upper + upper.T)
-    whole = select_pairs(s, strategy, seed=3)
+    whole = rows(select_pairs(s, strategy, seed=3))
     monkeypatch.setattr(selection, "BLOCK_ROWS", 5)
-    assert select_pairs(s, strategy, seed=3) == whole
+    assert rows(select_pairs(s, strategy, seed=3)) == whole
