@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .citations import CitationMatrix
 from .communities import Partition
 from .io import (
@@ -191,6 +193,19 @@ def _load_matrix(args, parser):
         raise InputFormatError(f"{args.input}: {exc.strerror or exc}") from exc
 
 
+def _check_node_count(n_nodes: int, parser) -> None:
+    """Usage error unless one int64 per node can be allocated.
+
+    Runs before the level allocates anything node-sized; the probe array is
+    never written, so it is freed untouched.
+    """
+    try:
+        np.empty(n_nodes, dtype=np.int64)
+    except (ValueError, MemoryError):
+        parser.error(f"--n-nodes {n_nodes} is too large: "
+                     "cannot allocate one 8-byte entry per node")
+
+
 def _cmd_detect(args, parser) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -204,6 +219,8 @@ def _cmd_detect(args, parser) -> int:
             raise InputFormatError(f"{args.pairs}: {exc.strerror or exc}") from exc
         if node_labels is not None and args.n_nodes is not None:
             parser.error(f"--n-nodes applies only to integer ids; {args.pairs} holds labels")
+        if args.n_nodes is not None:
+            _check_node_count(args.n_nodes, parser)
         detection = detect_from_pairs(pairs, n_nodes)
     else:
         if args.n_nodes is not None:

@@ -25,9 +25,12 @@ columns (:data:`Pairs`) sorted by decreasing similarity, ties by
 
 Random draws come from one stream per (seed, purpose); node i reads
 element i (see :mod:`simpair.rng`). Every strategy reads the similarity
-a dense block of rows at a time (:meth:`SimilarityMatrix.block`); the
-largest temporary is one ``BLOCK_ROWS`` x N block of rows, plus that
-block's deletion keys.
+a block of rows at a time (:meth:`SimilarityMatrix.block`), over only the
+columns those rows store, and maps positions back to node ids through the
+block's ``cols``. An absent column is zero in every row of the block, so
+each draw is the one the full rows would give. The largest temporary is
+one ``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N,
+plus, with deletion, that block's ``BLOCK_ROWS`` x N keys.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -134,12 +137,23 @@ def _deletion_keys(seed: int, n: int, k: int):
     return hidden
 
 
-def _max_picks(vals: np.ndarray, rows: np.ndarray) -> Pairs:
+def _positions(cols: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Position of each of ``nodes`` in the sorted ``cols``; -1 where absent."""
+    pos = np.searchsorted(cols, nodes)
+    found = pos < len(cols)
+    found[found] = cols[pos[found]] == nodes[found]
+    return np.where(found, pos, -1)
+
+
+def _max_picks(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> Pairs:
     """Every maximum of each row in ``vals`` (the rows ``rows``), ties included.
 
-    Rows whose maximum is not positive emit nothing. Exact ties are rare, so
-    they are found by a tie count and only tied rows are scanned again.
+    Rows whose maximum is not positive emit nothing; a positive maximum is
+    always in a stored column. Exact ties are rare, so they are found by a
+    tie count and only tied rows are scanned again.
     """
+    if not vals.shape[1]:
+        return NO_PAIRS
     at = np.arange(len(rows))
     best = vals.argmax(axis=1)
     m = vals[at, best]
@@ -148,21 +162,33 @@ def _max_picks(vals: np.ndarray, rows: np.ndarray) -> Pairs:
     single = live & (ties == 1)
     tied = np.flatnonzero(live & (ties > 1))
     if not len(tied):
-        return rows[single], best[single], m[single]
+        return rows[single], cols[best[single]], m[single]
     r, c = np.nonzero(vals[tied] == m[tied, None])
-    return (np.concatenate((rows[single], rows[tied[r]])), np.concatenate((best[single], c)),
+    return (np.concatenate((rows[single], rows[tied[r]])),
+            np.concatenate((cols[best[single]], cols[c])),
             np.concatenate((m[single], m[tied[r]])))
 
 
-def _max_job(hidden=None):
+def _max_job(n: int, hidden=None):
     """Max selection; ``hidden(block)`` gives each block row's hidden columns."""
-    def take(blk: np.ndarray, block: slice) -> list[Pairs]:
-        vals = blk
-        if hidden is not None:
-            vals = blk.copy()  # blk is shared with the other jobs of the pass
-            # hidden: below any real similarity
-            vals[np.arange(len(vals))[:, None], hidden(block)] = -1.0
-        return [_max_picks(vals, np.arange(block.start, block.stop))]
+    def take(cols: np.ndarray, vals: np.ndarray, block: slice) -> list[Pairs]:
+        rows = np.arange(block.start, block.stop)
+        if hidden is None:
+            return [_max_picks(cols, vals, rows)]
+        hide = hidden(block)
+        at = np.arange(len(rows))[:, None]
+        if len(cols) == n:  # every column stored: node ids are positions
+            work = vals.copy()  # vals is shared with the other jobs of the pass
+            work[at, hide] = -1.0  # below any real similarity
+            return [_max_picks(cols, work, rows)]
+        # hidden absent columns go to a trailing sink column: they hold
+        # zeros, which can never win a max
+        sink = np.full(n, len(cols))
+        sink[cols] = np.arange(len(cols))
+        work = np.empty((len(rows), len(cols) + 1))
+        work[:, :-1] = vals
+        work[at, sink[hide]] = -1.0
+        return [_max_picks(cols, work[:, :-1], rows)]
     return take
 
 
@@ -193,42 +219,60 @@ def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
     return above | (at & (np.cumsum(at, axis=1) <= room[:, None]))
 
 
-def _psim_picks(blk: np.ndarray, local: np.ndarray, rows: np.ndarray, u: np.ndarray,
-                topn: int | None) -> Pairs:
-    """Proportional draws for block rows ``local`` (nodes ``rows``, uniforms ``u``)."""
-    n = blk.shape[1]
-    w = blk[local]
-    own = (np.arange(len(rows)), rows)
-    if topn is not None and topn < n - 1:
+def _psim_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: np.ndarray,
+                u: np.ndarray, topn: int | None, n: int) -> Pairs:
+    """Proportional draws for block rows ``local`` (nodes ``rows``, uniforms ``u``).
+
+    Absent columns are zeros, and a zero adds exactly, so the row cumsum
+    and its ``u * total`` threshold are those of the full row.
+    """
+    if not vals.shape[1]:
+        return NO_PAIRS
+    w = vals[local]
+    if len(cols) == n:  # every column stored: node ids are positions
+        own, candidates = (np.arange(len(rows)), rows), n - 1
+    else:
+        pos = _positions(cols, rows)
+        at = np.flatnonzero(pos >= 0)
+        # the most candidates a row has: the stored columns, less its own
+        # when every row's own column is among them
+        own, candidates = (at, pos[at]), len(cols) - (len(at) == len(rows))
+    if topn is not None and topn < candidates:
         w[own] = -np.inf  # a node is never its own candidate
         w[~_top_candidates(w, topn)] = 0.0
     else:
         w[own] = 0.0
     j = _proportional_pick(w, u)
     hit = j >= 0
-    return rows[hit], j[hit], blk[local[hit], j[hit]]
+    return rows[hit], cols[j[hit]], vals[local[hit], j[hit]]
 
 
-def _uniform_picks(blk: np.ndarray, local: np.ndarray, rows: np.ndarray,
-                   u: np.ndarray) -> Pairs:
+def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: np.ndarray,
+                   u: np.ndarray, n: int) -> Pairs:
     """Uniform draws over the other n-1 nodes for block rows ``local`` (nodes ``rows``)."""
-    j = (u * (blk.shape[1] - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
+    j = (u * (n - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
     j += j >= rows
-    return rows, j, blk[local, j]
+    if len(cols) == n:  # every column stored: node ids are positions
+        return rows, j, vals[local, j]
+    pos = _positions(cols, j)
+    sim = np.zeros(len(rows))  # an absent column holds 0.0
+    hit = pos >= 0
+    sim[hit] = vals[local[hit], pos[hit]]
+    return rows, j, sim
 
 
 def _random_job(kind: str, seed: int, n: int, topn: int | None = None, gate=None):
     """``kind`` draws for the nodes whose ``gate`` entry is set (all if None)."""
     u = stream(seed, PARTNER_STREAM).random(n)
 
-    def take(blk: np.ndarray, block: slice) -> list[Pairs]:
-        local = np.arange(len(blk)) if gate is None else np.flatnonzero(gate[block])
+    def take(cols: np.ndarray, vals: np.ndarray, block: slice) -> list[Pairs]:
+        local = np.arange(len(vals)) if gate is None else np.flatnonzero(gate[block])
         if not len(local):
             return []
         rows = block.start + local
         if kind == "psim":
-            return [_psim_picks(blk, local, rows, u[rows], topn)]
-        return [_uniform_picks(blk, local, rows, u[rows])]
+            return [_psim_picks(cols, vals, local, rows, u[rows], topn, n)]
+        return [_uniform_picks(cols, vals, local, rows, u[rows], n)]
     return take
 
 
@@ -237,11 +281,12 @@ def _mixed_job(p: float, kind: str, seed: int, n: int):
     gate = stream(seed, GATE_STREAM).random(n) < p
     random_take = _random_job(kind, seed, n, gate=gate)
 
-    def take(blk: np.ndarray, block: slice) -> list[Pairs]:
+    def take(cols: np.ndarray, vals: np.ndarray, block: slice) -> list[Pairs]:
         keep = ~gate[block]
-        picks = random_take(blk, block)
+        picks = random_take(cols, vals, block)
         if keep.any():
-            picks.append(_max_picks(blk[keep], np.arange(block.start, block.stop)[keep]))
+            picks.append(_max_picks(cols, vals[keep],
+                                    np.arange(block.start, block.stop)[keep]))
         return picks
     return take
 
@@ -250,7 +295,7 @@ def _job(strategy: Strategy, seed: int, n: int):
     """Per-block picker for one (strategy, seed) run over ``n`` nodes."""
     if strategy.kind == "max":
         k = int(np.floor((strategy.deletion or 0.0) * (n - 1)))
-        return _max_job(_deletion_keys(seed, n, k) if k else None)
+        return _max_job(n, _deletion_keys(seed, n, k) if k else None)
     if strategy.kind == "mixed":
         return _mixed_job(strategy.mix_p, strategy.mix_kind, seed, n)
     return _random_job(strategy.kind, seed, n, strategy.topn)
@@ -268,9 +313,9 @@ def select_many(s: SimilarityMatrix,
     takes = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
     picks: list[list[Pairs]] = [[] for _ in jobs]
     for block in _row_blocks(s.n_nodes):
-        blk = s.block(block.start, block.stop)
+        cols, vals = s.block(block.start, block.stop)
         for take, out in zip(takes, picks):
-            out += take(blk, block)
+            out += take(cols, vals, block)
     return [_ranked(p) for p in picks]
 
 

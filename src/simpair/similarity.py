@@ -6,8 +6,9 @@ their patterns, so values live in [0, 1] regardless of citation volume.
 
 Two nodes that cite no common target have similarity 0, so on real
 citation data almost every entry is 0. The matrix is kept sparse (CSR):
-memory is O(nnz), and selection reads it a dense block of rows at a time
-through :meth:`SimilarityMatrix.block`.
+memory is O(nnz), and selection reads it a block of rows at a time
+through :meth:`SimilarityMatrix.block`, over only the columns those rows
+store.
 """
 
 from __future__ import annotations
@@ -62,15 +63,44 @@ class SimilarityMatrix:
     def n_nodes(self) -> int:
         return self.values.shape[0]
 
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` as a new dense (hi - lo, N) array."""
+    def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``lo:hi`` over the columns they store, as ``(cols, vals)``.
+
+        ``cols`` is the sorted set of columns stored by any of the rows and
+        ``vals`` a new (hi - lo, len(cols)) array whose column k is column
+        ``cols[k]`` of the rows. Every column left out is zero in all of
+        them. When every column is stored, ``cols`` is ``arange(N)``.
+        """
         v = self.values
         ip = v.indptr
         start, stop = ip[lo], ip[hi]
-        out = np.zeros((hi - lo, v.shape[1]))
-        rows = np.repeat(np.arange(hi - lo), ip[lo + 1:hi + 1] - ip[lo:hi])
-        out[rows, v.indices[start:stop]] = v.data[start:stop]
-        return out
+        idx = v.indices[start:stop]
+        present = np.zeros(v.shape[1], dtype=bool)
+        present[idx] = True
+        if np.count_nonzero(present) == len(present):
+            cols = np.arange(len(present))
+        else:
+            cols = np.flatnonzero(present)
+            # positions as a running count; sorting idx (np.unique) is
+            # slower on near-dense blocks
+            idx = (np.cumsum(present) - 1)[idx]
+        out = np.zeros((hi - lo, len(cols)))
+        # flat offsets: one 1-d scatter is faster than a (rows, cols) one
+        row_at = np.repeat(np.arange(hi - lo) * len(cols), ip[lo + 1:hi + 1] - ip[lo:hi])
+        out.ravel()[row_at + idx] = v.data[start:stop]
+        return cols, out
+
+
+def _row_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-row sums of CSR ``data``, added as scipy's ``sum(axis=1)`` adds them.
+
+    An empty row sums to 0 (``reduceat`` alone would give it the next
+    row's first entry).
+    """
+    out = np.zeros(len(indptr) - 1)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    out[nonempty] = np.add.reduceat(data, indptr[nonempty])
+    return out
 
 
 def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
@@ -83,18 +113,18 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     same common targets in the same order.
     """
     counts = m.counts.astype(np.float64)
-    row_sums = np.asarray(counts.sum(axis=1)).ravel()
+    counts.sum_duplicates()  # sorted rows, one entry per column
+    ip = counts.indptr
+    rows = np.repeat(np.arange(counts.shape[0]), np.diff(ip))
+    row_sums = _row_sums(counts.data, ip)
     inv = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
-    frac = sparse.csr_array(counts.multiply(inv[:, None]))
+    frac = counts.data * inv[rows]
 
-    sq = np.asarray(frac.multiply(frac).sum(axis=1)).ravel()
-    norms = np.sqrt(sq)
+    norms = np.sqrt(_row_sums(frac * frac, ip))
     inv_norm = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    unit = sparse.csr_array(frac.multiply(inv_norm[:, None]))
-    unit.sort_indices()
+    unit = sparse.csr_array((frac * inv_norm[rows], counts.indices, ip), shape=counts.shape)
 
     s = unit @ unit.T
-    rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
-    s.data[s.indices == rows] = 0.0
+    s.data[s.indices == np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))] = 0.0
     s.eliminate_zeros()
     return SimilarityMatrix(values=s)

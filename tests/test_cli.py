@@ -201,6 +201,20 @@ class TestInputErrors:
         assert run(["detect", "--pairs", str(pairs), "--n-nodes", "10", "--out", str(out)]) == 0
         assert json.loads((out / "result.json").read_text())["n_nodes"] == 10
 
+    # past every array dimension, and an exabyte-scale array numpy refuses at once
+    @pytest.mark.parametrize("n_nodes", ["100000000000000000000", "100000000000000000"])
+    def test_n_nodes_too_large_to_allocate_is_usage_error(self, tmp_path, capsys, n_nodes):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("0\t1\t0.5\n")
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            run(["detect", "--pairs", str(pairs), "--n-nodes", n_nodes, "--out", str(out)])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert f"--n-nodes {n_nodes}" in lines[-1] and "allocate" in lines[-1]
+        assert not any("Traceback" in line for line in lines)
+        assert not (out / "result.json").exists()
+
     def test_pair_id_beyond_n_nodes(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("# selector selected similarity\n0\t1\t0.5\n1\t2\t0.4\n")

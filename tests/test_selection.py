@@ -1,11 +1,14 @@
 """Selection strategies: determinism, sorting, tie handling, sampling laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from simpair import SimilarityMatrix, Strategy, select_pairs
 from simpair.io import pairs_to_tsv
-from simpair.selection import _deletion_keys, _proportional_pick
+from simpair.selection import BLOCK_ROWS, _deletion_keys, _proportional_pick
 
 from pairlists import rows
 
@@ -281,3 +284,27 @@ class TestStrategyValidation:
             Strategy("mixed", mix_p=0.5, mix_kind="max")
         with pytest.raises(ValueError):
             Strategy("mixed", mix_p=1.5, mix_kind="p")
+
+
+class TestMemory:
+    # deletion is left out: it draws BLOCK_ROWS x N random keys per block by design
+    @pytest.mark.parametrize("strategy", [MAX, PSIM, UNIFORM], ids=lambda st: st.kind)
+    def test_sparse_rows_peak_far_below_one_dense_block(self, strategy):
+        # 2,000 blocks of 10 nodes: each 128-row block stores about 140 columns
+        n_blocks, size = 2000, 10
+        n = n_blocks * size
+        i, j = np.triu_indices(size, 1)
+        lo = (np.arange(n_blocks) * size)[:, None]
+        r, c = (lo + i).ravel(), (lo + j).ravel()
+        v = np.random.default_rng(5).random(len(r))
+        s = SimilarityMatrix(values=sparse.csr_array(
+            (np.r_[v, v], (np.r_[r, c], np.r_[c, r])), shape=(n, n)))
+        dense_block = BLOCK_ROWS * n * 8
+        tracemalloc.start()
+        try:
+            selector, _, _ = select_pairs(s, strategy, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(np.unique(selector)) == n
+        assert peak < dense_block / 8, (peak, dense_block)

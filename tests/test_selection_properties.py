@@ -1,5 +1,6 @@
 """Selection laws checked by property tests over random similarity matrices."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -129,3 +130,50 @@ def test_row_blocks_do_not_change_the_draw(monkeypatch, strategy):
     whole = rows(select_pairs(s, strategy, seed=3))
     monkeypatch.setattr(selection, "BLOCK_ROWS", 5)
     assert rows(select_pairs(s, strategy, seed=3)) == whole
+
+
+def golden_similarity() -> SimilarityMatrix:
+    """64 nodes in chunks of 8 rows: diagonal blocks, isolated nodes, and two
+    chunks that store none of their own columns.
+
+    Values are rounded to one decimal, so ties and zeros inside blocks occur.
+    """
+    rng = np.random.default_rng(2026)
+    upper = np.zeros((64, 64))
+    for lo, hi in [(0, 5), (5, 12), (12, 15), (15, 24), (48, 50), (51, 57), (58, 64)]:
+        upper[lo:hi, lo:hi] = np.triu(np.round(rng.random((hi - lo, hi - lo)), 1), 1)
+    # nodes 24-31 are isolated (a chunk storing nothing), as are 50 and 57;
+    # rows 32-39 and 40-47 are similar only across the two chunks
+    upper[32:40, 40:48] = np.round(rng.random((8, 8)), 1)
+    return SimilarityMatrix(values=upper + upper.T)
+
+
+# sha256 of each strategy's three pair columns (int64, int64, float64 bytes)
+# on golden_similarity() with rows in chunks of 8, seed 11, as drawn from
+# dense rows; top-7 is one below the 8 columns that rows 32-47 store
+GOLDEN = {
+    "{'kind': 'max'}": "6b71d1f035547d5b2840dd8f1cf4c79c4682f5b405e13e1ce9b8a083189389d5",
+    "{'kind': 'psim'}": "d7d3beca6c5bbd57e649b183103a6bd79bd65dd08ce356d859746ff837a93cb7",
+    "{'kind': 'psim', 'topn': 2}":
+        "e8e4dba6ec9cff33b6506ab9810032242718a1a2301425ee94a4c76a8e18b7a9",
+    "{'kind': 'p'}": "12bc25dbb3f364f87c88f490d3975fe5988783bddd0edceed29d02ed70ef27cd",
+    "{'kind': 'max', 'deletion': 0.5}":
+        "fd4991114037dafc0df2852d8d2877ad6ec2da944dc2e674991dc0e6b8493db2",
+    "{'kind': 'mixed', 'mix_p': 0.5, 'mix_kind': 'psim'}":
+        "b27d2cd016f05164977de8774a1608ffb1cc44e6efb4411c196a1592d99802b3",
+    "{'kind': 'mixed', 'mix_p': 0.5, 'mix_kind': 'p'}":
+        "968fda7778a2c40a6fa442218695a47ef2d8d8de8f5622cf55709cfc3bc5966d",
+    "{'kind': 'psim', 'topn': 7}":
+        "ad948e79b6ba87e49602b7f16d7e8244b12c77f2b117c347de3399c48ce25ae6",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES + [Strategy("psim", topn=7)],
+                         ids=lambda st_: str(st_.describe()))
+def test_golden_draws_on_a_sparse_input(monkeypatch, strategy):
+    monkeypatch.setattr(selection, "BLOCK_ROWS", 8)
+    pairs = select_pairs(golden_similarity(), strategy, seed=11)
+    digest = hashlib.sha256()
+    for col, dtype in zip(pairs, (np.int64, np.int64, np.float64)):
+        digest.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
+    assert digest.hexdigest() == GOLDEN[str(strategy.describe())]

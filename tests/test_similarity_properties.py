@@ -42,6 +42,28 @@ def test_sparse_similarity_is_exact_symmetric_and_lean(m):
     assert np.abs(dense - want).max(initial=0.0) <= 1e-12
 
 
+def scipy_row_ops_similarity(m: CitationMatrix) -> np.ndarray:
+    """Dense S from unit patterns normalised with scipy's row sum and multiply."""
+    counts = m.counts.astype(np.float64)
+    row_sums = np.asarray(counts.sum(axis=1)).ravel()
+    inv = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
+    frac = sparse.csr_array(counts.multiply(inv[:, None]))
+    norms = np.sqrt(np.asarray(frac.multiply(frac).sum(axis=1)).ravel())
+    inv_norm = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    unit = sparse.csr_array(frac.multiply(inv_norm[:, None]))
+    unit.sort_indices()
+    s = (unit @ unit.T).toarray()
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
+@PROPERTY
+@given(citation_matrices())
+def test_normalising_on_csr_arrays_is_bitwise_scipys(m):
+    assert np.array_equal(build_similarity_matrix(m).values.toarray(),
+                          scipy_row_ops_similarity(m))
+
+
 def test_block_sparse_12k_stays_far_below_dense_size():
     """Similarity plus max selection at N = 12 000 never nears an N x N array."""
     rng = np.random.default_rng(12)
