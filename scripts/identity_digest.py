@@ -1,13 +1,21 @@
 """Byte-identity digest of seeded simpair outputs on the benchmark's block inputs.
 
-usage, from the repository root: python3 scripts/identity_digest.py SRC_DIR INPUT_DIR [reps]
+usage, from the repository root:
+    python3 scripts/identity_digest.py SRC_DIR INPUT_DIR [reps] [--expect EXPECTED]
+
 Prints one SHA-256 per output and a final digest over all of them. Every
 ``detect`` run is hashed as its pairs, both partitions and its
 ``result.json`` text (core member order, real member lists, tide rows).
 Every one-level run's pairs are also written to a pair file and replayed
 through ``simpair detect --pairs`` in-process, and that run's four output
 files are hashed too.
+
+EXPECTED is the final digest, or a file of an earlier run's printed lines
+(``scripts/identity_digest.expected`` holds those of the default 2 reps).
+If the outputs differ from it, the script names the first output that
+differs (given a file) and exits 1.
 """
+import argparse
 import contextlib
 import hashlib
 import os
@@ -15,8 +23,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-src, inputs = sys.argv[1], Path(sys.argv[2])
-reps = int(sys.argv[3]) if len(sys.argv) > 3 else 2
+ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+ap.add_argument("src")
+ap.add_argument("inputs", type=Path)
+ap.add_argument("reps", type=int, nargs="?", default=2)
+ap.add_argument("--expect", help="the expected final digest, or a file of printed lines")
+args = ap.parse_args()
+src, inputs, reps = args.src, args.inputs, args.reps
 sys.path.insert(0, src)
 sys.path.insert(0, "perfbench")
 
@@ -50,12 +63,24 @@ STRATEGIES = {
 
 inputs.mkdir(parents=True, exist_ok=True)
 total = hashlib.sha256()
+# output name -> printed hash prefix; "ALL" -> the final digest
+expected = {}
+if args.expect:
+    lines = (Path(args.expect).read_text().splitlines() if os.path.isfile(args.expect)
+             else [f"ALL {args.expect}"])
+    for line in lines:
+        first, rest = line.split(" ", 1)
+        expected.update({first: rest} if first == "ALL" else {rest: first})
+differs = []
 
 
 def emit(name, text):
     h = hashlib.sha256(text.encode()).hexdigest()
     total.update(name.encode() + b"\0" + h.encode() + b"\n")
     print(h[:16], name, flush=True)
+    if len(expected) > 1 and expected.get(name) != h[:16] and not differs:
+        differs.append(name)
+        print(f"first differing output: {name}", file=sys.stderr, flush=True)
 
 
 def emit_pairs_replay(tag, d, n_nodes):
@@ -94,3 +119,7 @@ for n, spec in SPECS.items():
         emit(f"n{n} seed{seed} sweep-del", sweeps.run_deletion_sweep(m, cfg).to_csv())
 
 print("ALL", total.hexdigest())
+if expected and (differs or expected.get("ALL") != total.hexdigest()):
+    print("digest differs from the expected one" + (f"; first at {differs[0]}" if differs else ""),
+          file=sys.stderr)
+    sys.exit(1)

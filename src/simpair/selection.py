@@ -2,7 +2,7 @@
 
 A :class:`Strategy` names the rule and its parameters;
 :func:`select_pairs` runs one (strategy, seed) and :func:`select_many`
-runs several over one pass of the row blocks, so a sweep fills each
+runs several over one pass of the row blocks, so a sweep computes each
 block once for all its runs. Each run emits directed pairs as three
 columns (:data:`Pairs`) sorted by decreasing similarity, ties by
 (selector, selected). Strategies:
@@ -28,9 +28,11 @@ element i (see :mod:`simpair.rng`). Every strategy reads the similarity
 a block of rows at a time (:meth:`SimilarityMatrix.block`), over only the
 columns those rows store, and maps positions back to node ids through the
 block's ``cols``. An absent column is zero in every row of the block, so
-each draw is the one the full rows would give. The largest temporary is
-one ``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N,
-plus, with deletion, that block's ``BLOCK_ROWS`` x N keys.
+each draw is the one the full rows would give. The rows are computed a
+chunk at a time as the blocks are read, and no whole similarity is
+stored. The largest temporaries are one ``BLOCK_ROWS`` x (columns stored)
+block, at most ``BLOCK_ROWS`` x N, the chunk product it comes from, and,
+with deletion, that block's ``BLOCK_ROWS`` x N keys.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -216,7 +218,10 @@ def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
     above = w > threshold
     at = w == threshold
     room = topn - np.count_nonzero(above, axis=1)
-    return above | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+    # only rows with more ties at the threshold than room choose among them
+    over = np.flatnonzero(np.count_nonzero(at, axis=1) > room)
+    at[over] &= np.cumsum(at[over], axis=1) <= room[over, None]
+    return above | at
 
 
 def _psim_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: np.ndarray,
@@ -306,7 +311,7 @@ def select_many(s: SimilarityMatrix,
     """Run every (strategy, seed) job in one pass over the row blocks.
 
     Equal to ``[select_pairs(s, strategy, seed) for strategy, seed in jobs]``,
-    but each block of similarity rows is filled once and handed to every job.
+    but each block of similarity rows is computed once and handed to every job.
     """
     if s.n_nodes < 2:
         raise ValueError("need at least 2 nodes")
@@ -316,6 +321,7 @@ def select_many(s: SimilarityMatrix,
         cols, vals = s.block(block.start, block.stop)
         for take, out in zip(takes, picks):
             out += take(cols, vals, block)
+        del cols, vals  # freed before the next block is filled
     return [_ranked(p) for p in picks]
 
 

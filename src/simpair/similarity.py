@@ -4,21 +4,28 @@ Each node's citation pattern is its row of the citation matrix divided by
 the row sum; the similarity of two nodes is the cosine of the angle between
 their patterns, so values live in [0, 1] regardless of citation volume.
 
-Two nodes that cite no common target have similarity 0, so on real
-citation data almost every entry is 0. The matrix is kept sparse (CSR):
-memory is O(nnz), and selection reads it a block of rows at a time
-through :meth:`SimilarityMatrix.block`, over only the columns those rows
-store.
+The similarity S is ``unit @ unit.T`` for the unit-length patterns
+``unit``. On hub-heavy citation data S is nearly dense even when the
+citations are sparse, so it is never stored whole: a
+:class:`SimilarityMatrix` holds ``unit`` and its transpose, and
+:meth:`SimilarityMatrix.block` computes the rows selection asks for from
+the product of one chunk of ``unit``'s rows with ``unit.T``. scipy's CSR
+product is Gustavson's row-wise algorithm, so row i of a chunk product
+depends only on row i of ``unit`` and is bit for bit row i of the full
+product. A chunk holds at most about ``CHUNK_ROWS`` x N entries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .citations import CitationMatrix
+
+# a chunk product's rows are chosen so that the sum over them of
+# min(flops_i, N), an upper bound on the entries it stores, is at most
+# CHUNK_ROWS * N; a chunk takes at least the rows asked for
+CHUNK_ROWS = 128
 
 
 class SparseValues(sparse.csr_array):
@@ -38,30 +45,96 @@ class SparseValues(sparse.csr_array):
         return func._implementation(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Symmetric node-by-node similarity values, stored sparse.
+def _stored(values) -> SparseValues:
+    """``values`` (dense or sparse) as CSR, without diagonal or stored zeros."""
+    csr = sparse.csr_array(values, dtype=np.float64)
+    own = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    keep = (csr.indices != own) & (csr.data != 0.0)
+    kept = np.zeros(len(keep) + 1, dtype=csr.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return SparseValues((csr.data[keep], csr.indices[keep], kept[csr.indptr]), shape=csr.shape)
 
-    ``values`` is a CSR array with no diagonal entry: a node is not a
-    candidate partner for itself. A dense array passed in is converted,
-    with its diagonal dropped. Column indices within a row need not be
-    sorted.
+
+class SimilarityMatrix:
+    """Symmetric node-by-node similarity, read a block of rows at a time.
+
+    Give exactly one of:
+
+    * ``unit``: the unit-length patterns (CSR, sorted rows), as
+      :func:`build_similarity_matrix` does. The similarity is their
+      product with their transpose, computed a chunk of rows at a time.
+    * ``values``: the similarity itself, dense or sparse; it is stored.
+
+    Either way a node is not a candidate partner for itself: its own
+    column reads 0 in every block. ``values`` is the whole similarity as
+    CSR, with no diagonal entry and no stored zero; from ``unit`` it is
+    built on first access and kept. It costs O(nnz(S)), which selection
+    never needs.
     """
 
-    values: SparseValues
-
-    def __post_init__(self):
-        values = self.values
-        if not sparse.issparse(values):
-            values = np.array(values, dtype=np.float64)
-            np.fill_diagonal(values, 0.0)
-        csr = sparse.csr_array(values)
-        object.__setattr__(self, "values", SparseValues(
-            (csr.data, csr.indices, csr.indptr), shape=csr.shape))
+    def __init__(self, values=None, *, unit: sparse.csr_array | None = None):
+        if (values is None) == (unit is None):
+            raise TypeError("give exactly one of values and unit")
+        self.unit = unit
+        self._values = None if values is None else _stored(values)
+        self._chunk = None  # (lo, hi, rows lo:hi of unit @ unit.T)
+        if unit is not None:
+            n = unit.shape[0]
+            self._unit_t = sparse.csr_array(unit.T)
+            # flops_i, the multiply-adds of row i, is the summed length of
+            # the unit.T rows its columns select; cost[i] sums min(flops, N)
+            # over the rows before i
+            flops = np.zeros(unit.nnz + 1, dtype=np.int64)
+            np.cumsum(np.diff(self._unit_t.indptr)[unit.indices], out=flops[1:])
+            flops = np.diff(flops[unit.indptr])
+            self._cost = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.minimum(flops, n), out=self._cost[1:])
 
     @property
     def n_nodes(self) -> int:
-        return self.values.shape[0]
+        return (self.unit if self._values is None else self._values).shape[0]
+
+    @property
+    def values(self) -> SparseValues:
+        if self._values is None:
+            self._values = _stored(self.unit @ self._unit_t)
+        return self._values
+
+    def _chunk_product(self, lo: int, hi: int) -> tuple[int, int, sparse.csr_array]:
+        """Rows ``lo:stop`` of ``unit @ unit.T`` with their diagonal set to 0,
+        stop >= hi a whole number of steps of hi - lo past lo, as far as
+        ``CHUNK_ROWS`` allows."""
+        n = self.n_nodes
+        step = hi - lo
+        fits = np.searchsorted(self._cost, self._cost[lo] + CHUNK_ROWS * n, side="right") - 1
+        stop = min(n, lo + step * max(1, (fits - lo) // step))
+        u = self.unit
+        if lo == 0 and stop == n:
+            rows = u
+        else:
+            ip = u.indptr[lo:stop + 1]
+            start, end = ip[0], ip[-1]
+            rows = sparse.csr_array((u.data[start:end], u.indices[start:end], ip - start),
+                                    shape=(stop - lo, n))
+        p = rows @ self._unit_t
+        own = np.repeat(np.arange(lo, stop, dtype=p.indices.dtype), np.diff(p.indptr))
+        p.data[p.indices == own] = 0.0
+        return lo, stop, p
+
+    def _rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(data, indices, indptr)`` of rows ``lo:hi``, indptr from 0."""
+        if self._values is None:
+            chunk = self._chunk
+            if chunk is None or not chunk[0] <= lo < hi <= chunk[1]:
+                chunk = self._chunk = self._chunk_product(lo, hi)
+            first, last, rows = chunk
+            if hi == last:  # selection reads rows in order: this chunk is used up
+                self._chunk = None
+            lo, hi = lo - first, hi - first
+        else:
+            rows = self._values
+        ip = rows.indptr[lo:hi + 1]
+        return rows.data[ip[0]:ip[-1]], rows.indices[ip[0]:ip[-1]], ip - ip[0]
 
     def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``lo:hi`` over the columns they store, as ``(cols, vals)``.
@@ -69,13 +142,11 @@ class SimilarityMatrix:
         ``cols`` is the sorted set of columns stored by any of the rows and
         ``vals`` a new (hi - lo, len(cols)) array whose column k is column
         ``cols[k]`` of the rows. Every column left out is zero in all of
-        them. When every column is stored, ``cols`` is ``arange(N)``.
+        them; a stored one may be too. When every column is stored,
+        ``cols`` is ``arange(N)``.
         """
-        v = self.values
-        ip = v.indptr
-        start, stop = ip[lo], ip[hi]
-        idx = v.indices[start:stop]
-        present = np.zeros(v.shape[1], dtype=bool)
+        data, idx, ip = self._rows(lo, hi)
+        present = np.zeros(self.n_nodes, dtype=bool)
         present[idx] = True
         if np.count_nonzero(present) == len(present):
             cols = np.arange(len(present))
@@ -85,9 +156,11 @@ class SimilarityMatrix:
             # slower on near-dense blocks
             idx = (np.cumsum(present) - 1)[idx]
         out = np.zeros((hi - lo, len(cols)))
-        # flat offsets: one 1-d scatter is faster than a (rows, cols) one
-        row_at = np.repeat(np.arange(hi - lo) * len(cols), ip[lo + 1:hi + 1] - ip[lo:hi])
-        out.ravel()[row_at + idx] = v.data[start:stop]
+        # flat offsets, added in place: one 1-d scatter is faster than a
+        # (rows, cols) one
+        flat = np.repeat(np.arange(hi - lo) * len(cols), np.diff(ip))
+        flat += idx
+        out.ravel()[flat] = data
         return cols, out
 
 
@@ -106,25 +179,29 @@ def _row_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     """All-pairs cosine similarity of row-normalized citation counts.
 
-    The result is the sparse product ``unit @ unit.T`` of the unit-length
-    patterns, with the diagonal dropped; no N x N array is formed. It is
-    bitwise deterministic and bitwise symmetric without mirroring: with
-    sorted pattern rows, scipy sums entry (i, j) and entry (j, i) over the
-    same common targets in the same order.
+    Only normalises: the result holds the unit-length patterns, and S is
+    computed a chunk of rows at a time as it is read. S is bitwise
+    deterministic and bitwise symmetric without mirroring: with sorted
+    pattern rows, scipy sums entry (i, j) and entry (j, i) over the same
+    common targets in the same order. Index arrays are int32 when N and
+    the number of stored citations fit.
     """
-    counts = m.counts.astype(np.float64)
+    counts = m.counts.astype(np.float64)  # a copy, so it is scaled in place
     counts.sum_duplicates()  # sorted rows, one entry per column
     ip = counts.indptr
-    rows = np.repeat(np.arange(counts.shape[0]), np.diff(ip))
-    row_sums = _row_sums(counts.data, ip)
+    per_row = np.diff(ip)
+    frac = counts.data
+    row_sums = _row_sums(frac, ip)
     inv = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
-    frac = counts.data * inv[rows]
+    frac *= np.repeat(inv, per_row)
 
-    norms = np.sqrt(_row_sums(frac * frac, ip))
+    squares = frac * frac
+    norms = np.sqrt(_row_sums(squares, ip))
+    del squares
     inv_norm = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    unit = sparse.csr_array((frac * inv_norm[rows], counts.indices, ip), shape=counts.shape)
+    frac *= np.repeat(inv_norm, per_row)
 
-    s = unit @ unit.T
-    s.data[s.indices == np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))] = 0.0
-    s.eliminate_zeros()
-    return SimilarityMatrix(values=s)
+    index = np.int32 if max(counts.shape[0], len(frac)) <= np.iinfo(np.int32).max else np.int64
+    unit = sparse.csr_array((frac, counts.indices.astype(index, copy=False),
+                             ip.astype(index, copy=False)), shape=counts.shape)
+    return SimilarityMatrix(unit=unit)

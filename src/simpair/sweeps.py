@@ -12,11 +12,11 @@ the two random kinds share that seed, so psim-vs-p comparisons are paired.
 Results are pure functions of (input matrix, config): rerunning a sweep
 reproduces its CSV byte for byte, regardless of worker count.
 
-A sweep builds the similarity once, takes the max reference from it, and
-selects the pairs of every (grid point, repetition) run in one
-:func:`~simpair.selection.select_many` call, which reads each block of
-similarity rows once for all runs. The reference and every run then go
-through the same single-level pass as ``detect`` (``pipeline._level``).
+A sweep selects the pairs of the max reference and of every (grid point,
+repetition) run in one :func:`~simpair.selection.select_many` call, which
+computes each chunk of similarity rows once for all of them; no whole
+similarity is stored. The reference and every run then go through the
+same single-level pass as ``detect`` (``pipeline._level``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .communities import Partition
 from .metrics import nmi
 from .pipeline import FIXPOINT, Strategy, _level, detect
 from .rng import derive_seed
-from .selection import select_many, select_pairs
+from .selection import Pairs, select_many
 from .similarity import SimilarityMatrix, build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
@@ -89,15 +89,15 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _reference_partitions(sim: SimilarityMatrix,
-                          cfg: ExperimentConfig) -> tuple[Partition, Partition]:
+def _reference_partitions(sim: SimilarityMatrix, cfg: ExperimentConfig,
+                          max_pairs: Pairs) -> tuple[Partition, Partition]:
     """Core and real reference partitions: the configured Partition, or the
-    single-pass max run on ``sim``."""
+    single-pass max run on ``sim``, whose pairs are ``max_pairs``."""
     if isinstance(cfg.reference, Partition):
         return cfg.reference, cfg.reference
     if cfg.reference != "max":
         raise ValueError("reference must be 'max' or a Partition")
-    _, core, real, _ = _level(select_pairs(sim, Strategy("max")), sim.n_nodes)
+    _, core, real, _ = _level(max_pairs, sim.n_nodes)
     return core, real
 
 
@@ -111,11 +111,11 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     run on paired seeds.
     """
     sim = build_similarity_matrix(matrix)
-    ref_core, ref_real = _reference_partitions(sim, cfg)
-
     jobs = [(strategy, derive_seed(cfg.base_seed, g, r))
             for g, _, _, strategy in tasks for r in range(cfg.repetitions)]
-    selections = select_many(sim, jobs)
+    # the max reference rides in the runs' pass: each chunk of S is computed once
+    max_pairs, *selections = select_many(sim, [(Strategy("max"), 0)] + jobs)
+    ref_core, ref_real = _reference_partitions(sim, cfg, max_pairs)
 
     def run(pairs):
         _, core, real, stats = _level(pairs, matrix.n_nodes)

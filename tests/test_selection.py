@@ -98,6 +98,11 @@ class TestSelectMax:
         rng = np.random.default_rng(1)
         assert_sorted(select_pairs(random_similarity(rng, 20), MAX))
 
+    def test_stored_diagonal_of_sparse_values_is_dropped(self):
+        s = SimilarityMatrix(values=sparse.csr_array([[1.0, 0.5, 0], [0.5, 0, 0.2], [0, 0.2, 0]]))
+        assert (0, 1, 0.5) in rows(select_pairs(s, MAX))
+        assert (0, 0, 1.0) not in rows(select_pairs(s, MAX))
+
 
 class TestRandomDeletion:
     def test_zero_fraction_is_empty(self):

@@ -1,6 +1,7 @@
 """Sparse similarity laws: bitwise symmetry, no stored diagonal or zero, bounded memory."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,9 +9,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from simpair import CitationMatrix, Partition, build_similarity_matrix, renormalize
+from simpair import (
+    CitationMatrix,
+    Partition,
+    SimilarityMatrix,
+    build_similarity_matrix,
+    detect,
+    renormalize,
+    select_many,
+)
+from simpair import selection, similarity
 from simpair.selection import Strategy, select_pairs
+from simpair.similarity import _row_sums
 from test_similarity import similarity_matrix_naive
+
+from pairlists import rows
 
 # many zeros, so zero rows and disjoint patterns are common
 COUNTS = st.sampled_from([0, 0, 0, 1, 2, 5]) | st.integers(0, 1000)
@@ -82,3 +95,90 @@ def test_block_sparse_12k_stays_far_below_dense_size():
         tracemalloc.stop()
     assert len(pairs[0]) >= n
     assert peak < n * n * 8 / 8
+
+
+def unit_patterns_by_row_index(m: CitationMatrix):
+    """Unit patterns normalised with one int64 row index per stored entry."""
+    counts = m.counts.astype(np.float64)
+    counts.sum_duplicates()
+    ip = counts.indptr
+    row = np.repeat(np.arange(counts.shape[0]), np.diff(ip))
+    row_sums = _row_sums(counts.data, ip)
+    inv = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
+    frac = counts.data * inv[row]
+    norms = np.sqrt(_row_sums(frac * frac, ip))
+    inv_norm = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return frac * inv_norm[row], counts.indices, ip
+
+
+@PROPERTY
+@given(citation_matrices())
+def test_normalising_in_place_keeps_the_unit_patterns(m):
+    data, indices, indptr = unit_patterns_by_row_index(m)
+    unit = build_similarity_matrix(m).unit
+    assert unit.data.tobytes() == data.tobytes()
+    assert np.array_equal(unit.indices, indices)
+    assert np.array_equal(unit.indptr, indptr)
+
+
+def test_index_arrays_are_int32_when_they_fit():
+    rng = np.random.default_rng(8)
+    s = build_similarity_matrix(CitationMatrix.from_dense(rng.integers(0, 3, (30, 30))))
+    assert s.unit.indices.dtype == s.unit.indptr.dtype == np.int32
+    assert s.values.indices.dtype == np.int32  # so is every chunk product's
+
+
+SEEDS = st.integers(0, 2**63)
+# the seven strategies of scripts/identity_digest.py
+DIGEST_STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=5), Strategy("p"),
+                     Strategy("max", deletion=0.3),
+                     Strategy("mixed", mix_p=0.4, mix_kind="psim"),
+                     Strategy("mixed", mix_p=0.4, mix_kind="p")]
+
+
+@PROPERTY
+@given(citation_matrices(max_n=24), SEEDS, st.integers(0, 3), st.integers(1, 5))
+def test_chunk_products_never_change_the_pairs(m, seed, chunk_rows, block_rows):
+    """Pairs from chunk products of a few rows equal those from the stored S."""
+    if m.n_nodes < 2:
+        return
+    jobs = [(Strategy("max"), 0)] + [(strategy, seed) for strategy in DIGEST_STRATEGIES]
+    stored = SimilarityMatrix(values=build_similarity_matrix(m).values)
+    want = [rows(select_pairs(stored, strategy, sd)) for strategy, sd in jobs]
+    with (mock.patch.object(similarity, "CHUNK_ROWS", chunk_rows),
+          mock.patch.object(selection, "BLOCK_ROWS", block_rows)):
+        s = build_similarity_matrix(m)
+        assert [rows(select_pairs(s, strategy, sd)) for strategy, sd in jobs] == want
+        assert [rows(pairs) for pairs in select_many(s, jobs)] == want
+
+
+def hub_citations(n: int, per_node: int = 50, alpha: float = 2.5, seed: int = 0) -> CitationMatrix:
+    """``per_node`` citations per node to targets drawn from a power law.
+
+    The target of rank r is drawn with weight r ** (-1 / (alpha - 1)), the
+    rank-size form of a degree distribution of exponent ``alpha``, so a few
+    hubs are cited by almost every node and S is nearly dense.
+    """
+    rng = np.random.default_rng(seed)
+    weight = np.arange(1, n + 1, dtype=float) ** (-1.0 / (alpha - 1.0))
+    dst = rng.permutation(n)[rng.choice(n, size=n * per_node, p=weight / weight.sum())]
+    src = np.repeat(np.arange(n), per_node)
+    counts = sparse.csr_array((np.ones(len(src), dtype=np.int64), (src, dst)), shape=(n, n))
+    counts.sum_duplicates()
+    return CitationMatrix(counts)
+
+
+def test_hub_heavy_detect_stays_far_below_the_whole_similarity():
+    """``detect`` on a nearly dense S never holds a large part of it."""
+    n = 2000
+    m = hub_citations(n)
+    tracemalloc.start()
+    try:
+        detection = detect(m, Strategy("max"), levels=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = build_similarity_matrix(m).values
+    assert values.nnz > 0.5 * n * n
+    assert len(detection.pairs) >= n
+    assert peak < values.nbytes / 4, (peak, values.nbytes)

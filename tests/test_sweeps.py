@@ -5,6 +5,7 @@ import pytest
 
 from simpair import (
     ExperimentConfig,
+    SimilarityMatrix,
     Strategy,
     SyntheticSpec,
     build_similarity_matrix,
@@ -14,7 +15,9 @@ from simpair import (
     run_deletion_sweep,
     run_probability_sweep,
     run_topn_sweep,
+    select_pairs,
 )
+from simpair import selection, similarity
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +121,8 @@ class TestReference:
         from simpair.sweeps import _reference_partitions
 
         sim = build_similarity_matrix(small_matrix)
-        ref_core, ref_real = _reference_partitions(sim, ExperimentConfig())
+        ref_core, ref_real = _reference_partitions(sim, ExperimentConfig(),
+                                                   select_pairs(sim, Strategy("max")))
         standalone = detect(small_matrix, Strategy("max"), seed=0, levels=1)
         assert np.array_equal(ref_core.labels, standalone.core.labels)
         assert np.array_equal(ref_real.labels, standalone.real.labels)
@@ -131,6 +135,24 @@ class TestReference:
         result = run_probability_sweep(matrix, cfg, [0.0], kinds=("p",))
         # max against planted truth: fragmented cores, so below 1 at one level
         assert result.rows[0].mean["nmi_real"] < 1.0
+
+    def test_a_sweep_computes_each_chunk_of_rows_once(self, small_matrix, monkeypatch):
+        monkeypatch.setattr(similarity, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(selection, "BLOCK_ROWS", 5)
+        chunks = []
+        product = SimilarityMatrix._chunk_product
+
+        def counted(self, lo, hi):
+            chunk = product(self, lo, hi)
+            chunks.append(chunk[:2])
+            return chunk
+
+        monkeypatch.setattr(SimilarityMatrix, "_chunk_product", counted)
+        run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.0, 0.5])
+        # consecutive row ranges, reference and runs together, each computed once
+        assert len(chunks) > 1
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == small_matrix.n_nodes
 
     def test_rejects_unknown_reference(self, small_matrix):
         cfg = ExperimentConfig(reference="truth")
