@@ -24,15 +24,16 @@ columns (:data:`Pairs`) sorted by decreasing similarity, ties by
                  random strategy byte for byte.
 
 Random draws come from one stream per (seed, purpose); node i reads
-element i (see :mod:`simpair.rng`). Every strategy reads the similarity
-a block of rows at a time (:meth:`SimilarityMatrix.block`), over only the
-columns those rows store, and maps positions back to node ids through the
-block's ``cols``. An absent column is zero in every row of the block, so
-each draw is the one the full rows would give. The rows are computed a
-chunk at a time as the blocks are read, and no whole similarity is
-stored. The largest temporaries are one ``BLOCK_ROWS`` x (columns stored)
-block, at most ``BLOCK_ROWS`` x N, the chunk product it comes from, and,
-with deletion, that block's ``BLOCK_ROWS`` x N keys.
+element i (see :mod:`simpair.rng`). One forward pass of
+:meth:`SimilarityMatrix.blocks` hands every strategy the similarity a
+block of ``BLOCK_ROWS`` rows at a time, over only the columns those rows
+store, and each maps positions back to node ids through the block's
+``cols``. An absent column is zero in every row of the block, so each
+draw is the one the full rows would give. The rows are computed a chunk
+at a time as the blocks are read, and no whole similarity is stored. The
+largest temporaries are one ``BLOCK_ROWS`` x (columns stored) block, at
+most ``BLOCK_ROWS`` x N, the chunk product it comes from, and, with
+deletion, that block's ``BLOCK_ROWS`` x N keys and an N-wide copy of it.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -112,11 +113,6 @@ class Strategy:
         return out
 
 
-def _row_blocks(n: int):
-    for lo in range(0, n, BLOCK_ROWS):
-        yield slice(lo, min(lo + BLOCK_ROWS, n))
-
-
 def _ranked(picks: list[Pairs]) -> Pairs:
     """Concatenate picks; decreasing similarity, ties by (selector, selected)."""
     selector, selected, sim = (np.concatenate(col) for col in zip(*picks))
@@ -177,20 +173,13 @@ def _max_job(n: int, hidden=None):
         rows = np.arange(block.start, block.stop)
         if hidden is None:
             return [_max_picks(cols, vals, rows)]
-        hide = hidden(block)
-        at = np.arange(len(rows))[:, None]
-        if len(cols) == n:  # every column stored: node ids are positions
-            work = vals.copy()  # vals is shared with the other jobs of the pass
-            work[at, hide] = -1.0  # below any real similarity
-            return [_max_picks(cols, work, rows)]
-        # hidden absent columns go to a trailing sink column: they hold
-        # zeros, which can never win a max
-        sink = np.full(n, len(cols))
-        sink[cols] = np.arange(len(cols))
-        work = np.empty((len(rows), len(cols) + 1))
-        work[:, :-1] = vals
-        work[at, sink[hide]] = -1.0
-        return [_max_picks(cols, work[:, :-1], rows)]
+        hide = hidden(block)  # drawn first: its N-wide keys are freed before work is filled
+        # N wide, so node ids are positions; vals is shared with the other
+        # jobs of the pass and stays as it is
+        work = np.zeros((len(rows), n))
+        work[:, cols] = vals
+        work[np.arange(len(rows))[:, None], hide] = -1.0  # below any real similarity
+        return [_max_picks(np.arange(n), work, rows)]
     return take
 
 
@@ -225,28 +214,24 @@ def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
 
 
 def _psim_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: np.ndarray,
-                u: np.ndarray, topn: int | None, n: int) -> Pairs:
+                u: np.ndarray, topn: int | None) -> Pairs:
     """Proportional draws for block rows ``local`` (nodes ``rows``, uniforms ``u``).
 
     Absent columns are zeros, and a zero adds exactly, so the row cumsum
-    and its ``u * total`` threshold are those of the full row.
+    and its ``u * total`` threshold are those of the full row. A row's own
+    column reads 0, so it is never drawn.
     """
     if not vals.shape[1]:
         return NO_PAIRS
     w = vals[local]
-    if len(cols) == n:  # every column stored: node ids are positions
-        own, candidates = (np.arange(len(rows)), rows), n - 1
-    else:
+    if topn is not None:
         pos = _positions(cols, rows)
         at = np.flatnonzero(pos >= 0)
         # the most candidates a row has: the stored columns, less its own
         # when every row's own column is among them
-        own, candidates = (at, pos[at]), len(cols) - (len(at) == len(rows))
-    if topn is not None and topn < candidates:
-        w[own] = -np.inf  # a node is never its own candidate
-        w[~_top_candidates(w, topn)] = 0.0
-    else:
-        w[own] = 0.0
+        if topn < len(cols) - (len(at) == len(rows)):
+            w[at, pos[at]] = -np.inf  # a node is never its own candidate
+            w[~_top_candidates(w, topn)] = 0.0
     j = _proportional_pick(w, u)
     hit = j >= 0
     return rows[hit], cols[j[hit]], vals[local[hit], j[hit]]
@@ -257,8 +242,6 @@ def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: 
     """Uniform draws over the other n-1 nodes for block rows ``local`` (nodes ``rows``)."""
     j = (u * (n - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
     j += j >= rows
-    if len(cols) == n:  # every column stored: node ids are positions
-        return rows, j, vals[local, j]
     pos = _positions(cols, j)
     sim = np.zeros(len(rows))  # an absent column holds 0.0
     hit = pos >= 0
@@ -276,7 +259,7 @@ def _random_job(kind: str, seed: int, n: int, topn: int | None = None, gate=None
             return []
         rows = block.start + local
         if kind == "psim":
-            return [_psim_picks(cols, vals, local, rows, u[rows], topn, n)]
+            return [_psim_picks(cols, vals, local, rows, u[rows], topn)]
         return [_uniform_picks(cols, vals, local, rows, u[rows], n)]
     return take
 
@@ -317,8 +300,7 @@ def select_many(s: SimilarityMatrix,
         raise ValueError("need at least 2 nodes")
     takes = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
     picks: list[list[Pairs]] = [[] for _ in jobs]
-    for block in _row_blocks(s.n_nodes):
-        cols, vals = s.block(block.start, block.stop)
+    for block, cols, vals in s.blocks(BLOCK_ROWS):
         for take, out in zip(takes, picks):
             out += take(cols, vals, block)
         del cols, vals  # freed before the next block is filled

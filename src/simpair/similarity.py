@@ -7,12 +7,14 @@ their patterns, so values live in [0, 1] regardless of citation volume.
 The similarity S is ``unit @ unit.T`` for the unit-length patterns
 ``unit``. On hub-heavy citation data S is nearly dense even when the
 citations are sparse, so it is never stored whole: a
-:class:`SimilarityMatrix` holds ``unit`` and its transpose, and
-:meth:`SimilarityMatrix.block` computes the rows selection asks for from
-the product of one chunk of ``unit``'s rows with ``unit.T``. scipy's CSR
-product is Gustavson's row-wise algorithm, so row i of a chunk product
-depends only on row i of ``unit`` and is bit for bit row i of the full
-product. A chunk holds at most about ``CHUNK_ROWS`` x N entries.
+:class:`SimilarityMatrix` holds ``unit`` and its transpose, and its one
+reader, :meth:`SimilarityMatrix.blocks`, walks S forward a block of rows
+at a time, computing each chunk of rows as the product of those rows of
+``unit`` with ``unit.T``. scipy's CSR product is Gustavson's row-wise
+algorithm, so row i of a chunk product depends only on row i of ``unit``
+and is bit for bit row i of the full product. A chunk holds at most about
+``CHUNK_ROWS`` x N entries, and it is dropped before its last block is
+handed out.
 """
 
 from __future__ import annotations
@@ -46,8 +48,15 @@ class SparseValues(sparse.csr_array):
 
 
 def _stored(values) -> SparseValues:
-    """``values`` (dense or sparse) as CSR, without diagonal or stored zeros."""
+    """``values`` (dense or sparse) as CSR, without diagonal or stored zeros.
+
+    Raises ValueError unless ``values`` is square, finite and non-negative.
+    """
     csr = sparse.csr_array(values, dtype=np.float64)
+    if csr.shape[0] != csr.shape[1]:
+        raise ValueError(f"similarity must be square, got shape {csr.shape}")
+    if not (np.isfinite(csr.data) & (csr.data >= 0.0)).all():
+        raise ValueError("similarity entries must be finite and non-negative")
     own = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
     keep = (csr.indices != own) & (csr.data != 0.0)
     kept = np.zeros(len(keep) + 1, dtype=csr.indptr.dtype)
@@ -63,7 +72,8 @@ class SimilarityMatrix:
     * ``unit``: the unit-length patterns (CSR, sorted rows), as
       :func:`build_similarity_matrix` does. The similarity is their
       product with their transpose, computed a chunk of rows at a time.
-    * ``values``: the similarity itself, dense or sparse; it is stored.
+    * ``values``: the similarity itself, dense or sparse, square, finite
+      and non-negative; it is stored.
 
     Either way a node is not a candidate partner for itself: its own
     column reads 0 in every block. ``values`` is the whole similarity as
@@ -77,7 +87,6 @@ class SimilarityMatrix:
             raise TypeError("give exactly one of values and unit")
         self.unit = unit
         self._values = None if values is None else _stored(values)
-        self._chunk = None  # (lo, hi, rows lo:hi of unit @ unit.T)
         if unit is not None:
             n = unit.shape[0]
             self._unit_t = sparse.csr_array(unit.T)
@@ -100,12 +109,13 @@ class SimilarityMatrix:
             self._values = _stored(self.unit @ self._unit_t)
         return self._values
 
-    def _chunk_product(self, lo: int, hi: int) -> tuple[int, int, sparse.csr_array]:
-        """Rows ``lo:stop`` of ``unit @ unit.T`` with their diagonal set to 0,
-        stop >= hi a whole number of steps of hi - lo past lo, as far as
-        ``CHUNK_ROWS`` allows."""
+    def _chunk(self, lo: int, step: int) -> tuple[int, sparse.csr_array]:
+        """``(stop, rows)``: rows ``lo:stop`` of S with their diagonal 0, as CSR
+        whose row 0 is row ``lo``. stop is a whole number of steps past lo, as
+        far as ``CHUNK_ROWS`` allows, or N. A stored S is one chunk, (N, values)."""
         n = self.n_nodes
-        step = hi - lo
+        if self._values is not None:
+            return n, self._values
         fits = np.searchsorted(self._cost, self._cost[lo] + CHUNK_ROWS * n, side="right") - 1
         stop = min(n, lo + step * max(1, (fits - lo) // step))
         u = self.unit
@@ -119,49 +129,51 @@ class SimilarityMatrix:
         p = rows @ self._unit_t
         own = np.repeat(np.arange(lo, stop, dtype=p.indices.dtype), np.diff(p.indptr))
         p.data[p.indices == own] = 0.0
-        return lo, stop, p
+        return stop, p
 
-    def _rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR ``(data, indices, indptr)`` of rows ``lo:hi``, indptr from 0."""
-        if self._values is None:
-            chunk = self._chunk
-            if chunk is None or not chunk[0] <= lo < hi <= chunk[1]:
-                chunk = self._chunk = self._chunk_product(lo, hi)
-            first, last, rows = chunk
-            if hi == last:  # selection reads rows in order: this chunk is used up
-                self._chunk = None
-            lo, hi = lo - first, hi - first
-        else:
-            rows = self._values
-        ip = rows.indptr[lo:hi + 1]
-        return rows.data[ip[0]:ip[-1]], rows.indices[ip[0]:ip[-1]], ip - ip[0]
+    def blocks(self, step: int):
+        """Consecutive ``step``-row blocks of S, in order, as ``(rows, cols, vals)``.
 
-    def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``lo:hi`` over the columns they store, as ``(cols, vals)``.
-
-        ``cols`` is the sorted set of columns stored by any of the rows and
-        ``vals`` a new (hi - lo, len(cols)) array whose column k is column
-        ``cols[k]`` of the rows. Every column left out is zero in all of
-        them; a stored one may be too. When every column is stored,
-        ``cols`` is ``arange(N)``.
+        ``rows`` is the block's slice of nodes, ``cols`` the sorted set of
+        columns stored by any of its rows and ``vals`` a new
+        (len(rows), len(cols)) array whose column k is column ``cols[k]`` of
+        the rows. Every column left out is zero in all of them; a stored one
+        may be too. When every column is stored, ``cols`` is ``arange(N)``.
+        A chunk is dropped before its last block is handed out.
         """
-        data, idx, ip = self._rows(lo, hi)
-        present = np.zeros(self.n_nodes, dtype=bool)
-        present[idx] = True
-        if np.count_nonzero(present) == len(present):
-            cols = np.arange(len(present))
-        else:
-            cols = np.flatnonzero(present)
-            # positions as a running count; sorting idx (np.unique) is
-            # slower on near-dense blocks
-            idx = (np.cumsum(present) - 1)[idx]
-        out = np.zeros((hi - lo, len(cols)))
-        # flat offsets, added in place: one 1-d scatter is faster than a
-        # (rows, cols) one
-        flat = np.repeat(np.arange(hi - lo) * len(cols), np.diff(ip))
-        flat += idx
-        out.ravel()[flat] = data
-        return cols, out
+        lo = 0
+        while lo < self.n_nodes:
+            stop, chunk = self._chunk(lo, step)
+            for first in range(lo, stop, step):
+                last = min(first + step, stop)
+                cols, vals = _columns(chunk, first - lo, last - lo)
+                if last == stop:
+                    del chunk
+                yield slice(first, last), cols, vals
+                del cols, vals  # freed before the next block is filled
+            lo = stop
+
+
+def _columns(rows: sparse.csr_array, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``lo:hi`` of ``rows`` over the columns they store, as ``(cols, vals)``."""
+    ip = rows.indptr[lo:hi + 1]
+    data, idx = rows.data[ip[0]:ip[-1]], rows.indices[ip[0]:ip[-1]]
+    present = np.zeros(rows.shape[1], dtype=bool)
+    present[idx] = True
+    if np.count_nonzero(present) == len(present):
+        cols = np.arange(len(present))
+    else:
+        cols = np.flatnonzero(present)
+        # positions as a running count; sorting idx (np.unique) is
+        # slower on near-dense blocks
+        idx = (np.cumsum(present) - 1)[idx]
+    out = np.zeros((hi - lo, len(cols)))
+    # flat offsets, added in place: one 1-d scatter is faster than a
+    # (rows, cols) one
+    flat = np.repeat(np.arange(hi - lo) * len(cols), np.diff(ip))
+    flat += idx
+    out.ravel()[flat] = data
+    return cols, out
 
 
 def _row_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:

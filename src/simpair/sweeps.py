@@ -32,7 +32,7 @@ from .metrics import nmi
 from .pipeline import FIXPOINT, Strategy, _level, detect
 from .rng import derive_seed
 from .selection import Pairs, select_many
-from .similarity import SimilarityMatrix, build_similarity_matrix
+from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
 QUANTITIES = ("cores", "reals", "tides", "nmi_core", "nmi_real")
@@ -89,15 +89,15 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _reference_partitions(sim: SimilarityMatrix, cfg: ExperimentConfig,
+def _reference_partitions(n_nodes: int, cfg: ExperimentConfig,
                           max_pairs: Pairs) -> tuple[Partition, Partition]:
     """Core and real reference partitions: the configured Partition, or the
-    single-pass max run on ``sim``, whose pairs are ``max_pairs``."""
+    single-pass max run over ``n_nodes`` nodes, whose pairs are ``max_pairs``."""
     if isinstance(cfg.reference, Partition):
         return cfg.reference, cfg.reference
     if cfg.reference != "max":
         raise ValueError("reference must be 'max' or a Partition")
-    _, core, real, _ = _level(max_pairs, sim.n_nodes)
+    _, core, real, _ = _level(max_pairs, n_nodes)
     return core, real
 
 
@@ -115,7 +115,7 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
             for g, _, _, strategy in tasks for r in range(cfg.repetitions)]
     # the max reference rides in the runs' pass: each chunk of S is computed once
     max_pairs, *selections = select_many(sim, [(Strategy("max"), 0)] + jobs)
-    ref_core, ref_real = _reference_partitions(sim, cfg, max_pairs)
+    ref_core, ref_real = _reference_partitions(matrix.n_nodes, cfg, max_pairs)
 
     def run(pairs):
         _, core, real, stats = _level(pairs, matrix.n_nodes)

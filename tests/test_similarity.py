@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from simpair import CitationMatrix, SimilarityMatrix, build_similarity_matrix
 
@@ -198,3 +199,23 @@ class TestBuildSimilarityMatrix:
         s = build_similarity_matrix(m).values.toarray()
         assert s[0].max() == 0.0
         assert s[:, 0].max() == 0.0
+
+
+class TestStoredValues:
+    """``SimilarityMatrix(values=...)`` takes only a square, finite, non-negative S."""
+
+    def test_non_square_values_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            SimilarityMatrix(values=np.array([[0, .5, .9], [.5, 0, .1]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.array([[0, .5, .2], [.5, 0, bad], [.2, bad, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            SimilarityMatrix(values=values)
+        with pytest.raises(ValueError, match="finite"):
+            SimilarityMatrix(values=sparse.csr_array(values))
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SimilarityMatrix(values=np.array([[0, -.5, .2], [-.5, 0, .1], [.2, .1, 0]]))

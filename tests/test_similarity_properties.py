@@ -168,17 +168,47 @@ def hub_citations(n: int, per_node: int = 50, alpha: float = 2.5, seed: int = 0)
     return CitationMatrix(counts)
 
 
+# every picker's temporaries, deletion's N-wide keys included
+HUB_STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=5), Strategy("p"),
+                  Strategy("max", deletion=0.3), Strategy("mixed", mix_p=0.4, mix_kind="psim")]
+
+
 def test_hub_heavy_detect_stays_far_below_the_whole_similarity():
-    """``detect`` on a nearly dense S never holds a large part of it."""
+    """``detect`` on a nearly dense S never holds a large part of it, whatever the strategy."""
     n = 2000
     m = hub_citations(n)
-    tracemalloc.start()
-    try:
-        detection = detect(m, Strategy("max"), levels=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     values = build_similarity_matrix(m).values
     assert values.nnz > 0.5 * n * n
-    assert len(detection.pairs) >= n
-    assert peak < values.nbytes / 4, (peak, values.nbytes)
+    for strategy in HUB_STRATEGIES:
+        tracemalloc.start()
+        try:
+            detection = detect(m, strategy, seed=1, levels=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(detection.pairs) >= n, strategy
+        assert peak < values.nbytes / 4, (strategy, peak, values.nbytes)
+
+
+@PROPERTY
+@given(citation_matrices(max_n=24), st.booleans(), st.integers(0, 3), st.integers(1, 5))
+def test_blocks_walk_the_rows_in_order_over_their_stored_columns(m, stored, chunk_rows, step):
+    """``blocks`` covers [0, N) in ``step``-row blocks, each the stored columns of its rows."""
+    values = build_similarity_matrix(m).values
+    dense = values.toarray()
+    with mock.patch.object(similarity, "CHUNK_ROWS", chunk_rows):
+        s = SimilarityMatrix(values=values) if stored else build_similarity_matrix(m)
+        # the columns a row stores: those of S, or of the product it is computed from
+        pattern = values if stored else s.unit @ s.unit.T
+        blocks = list(s.blocks(step))
+    starts = [rows.start for rows, _, _ in blocks]
+    stops = [rows.stop for rows, _, _ in blocks]
+    assert starts == [0] + stops[:-1] and stops[-1] == m.n_nodes
+    assert all(b - a == step for a, b in zip(starts[:-1], stops[:-1]))
+    assert 0 < stops[-1] - starts[-1] <= step
+    for rows, cols, vals in blocks:
+        assert np.all(np.diff(cols) > 0)
+        ip = pattern.indptr
+        assert np.array_equal(cols, np.unique(pattern.indices[ip[rows.start]:ip[rows.stop]]))
+        assert vals.tobytes() == dense[rows][:, cols].tobytes()
+        assert not np.delete(dense[rows], cols, axis=1).any()

@@ -121,7 +121,7 @@ class TestReference:
         from simpair.sweeps import _reference_partitions
 
         sim = build_similarity_matrix(small_matrix)
-        ref_core, ref_real = _reference_partitions(sim, ExperimentConfig(),
+        ref_core, ref_real = _reference_partitions(sim.n_nodes, ExperimentConfig(),
                                                    select_pairs(sim, Strategy("max")))
         standalone = detect(small_matrix, Strategy("max"), seed=0, levels=1)
         assert np.array_equal(ref_core.labels, standalone.core.labels)
@@ -140,14 +140,14 @@ class TestReference:
         monkeypatch.setattr(similarity, "CHUNK_ROWS", 1)
         monkeypatch.setattr(selection, "BLOCK_ROWS", 5)
         chunks = []
-        product = SimilarityMatrix._chunk_product
+        chunk = SimilarityMatrix._chunk
 
-        def counted(self, lo, hi):
-            chunk = product(self, lo, hi)
-            chunks.append(chunk[:2])
-            return chunk
+        def counted(self, lo, step):
+            stop, rows = chunk(self, lo, step)
+            chunks.append((lo, stop))
+            return stop, rows
 
-        monkeypatch.setattr(SimilarityMatrix, "_chunk_product", counted)
+        monkeypatch.setattr(SimilarityMatrix, "_chunk", counted)
         run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.0, 0.5])
         # consecutive row ranges, reference and runs together, each computed once
         assert len(chunks) > 1
