@@ -175,6 +175,8 @@ def _synthetic(args, parser):
         return (spec, *generate_planted_citation_matrix(spec))
     except ValueError as exc:
         parser.error(f"synthetic spec: {exc}")
+    except MemoryError:
+        parser.error(f"synthetic spec: {sum(sizes)} nodes do not fit in memory")
 
 
 def _load_matrix(args, parser):

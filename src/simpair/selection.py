@@ -29,11 +29,12 @@ element i (see :mod:`simpair.rng`). One forward pass of
 block of ``BLOCK_ROWS`` rows at a time, over only the columns those rows
 store, and each maps positions back to node ids through the block's
 ``cols``. An absent column is zero in every row of the block, so each
-draw is the one the full rows would give. The rows are computed a chunk
-at a time as the blocks are read, and no whole similarity is stored. The
-largest temporaries are one ``BLOCK_ROWS`` x (columns stored) block, at
-most ``BLOCK_ROWS`` x N, the chunk product it comes from, and, with
-deletion, that block's ``BLOCK_ROWS`` x N keys and an N-wide copy of it.
+draw is the one the full rows would give. Each block's rows are computed
+as one product as the block is read, and no whole similarity is stored.
+The largest temporaries are one ``BLOCK_ROWS`` x (columns stored) block,
+at most ``BLOCK_ROWS`` x N, the product it comes from (dropped before the
+block is used), and, with deletion, that block's ``BLOCK_ROWS`` x N keys
+and an N-wide copy of it.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.

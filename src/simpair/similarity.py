@@ -9,11 +9,11 @@ The similarity S is ``unit @ unit.T`` for the unit-length patterns
 citations are sparse, so it is never stored whole: a
 :class:`SimilarityMatrix` holds ``unit`` and its transpose, and its one
 reader, :meth:`SimilarityMatrix.blocks`, walks S forward a block of rows
-at a time, computing each chunk of rows as the product of those rows of
-``unit`` with ``unit.T``. scipy's CSR product is Gustavson's row-wise
-algorithm, so row i of a chunk product depends only on row i of ``unit``
-and is bit for bit row i of the full product. A chunk holds at most about
-``CHUNK_ROWS`` x N entries, and it is dropped before its last block is
+at a time, computing each block as the product of its rows of ``unit``
+with ``unit.T``. scipy's CSR product is Gustavson's row-wise algorithm,
+so row i of a block product depends only on row i of ``unit`` and is bit
+for bit row i of the full product. A block's product holds at most
+(rows in the block) x N entries, and it is dropped before the block is
 handed out.
 """
 
@@ -23,11 +23,6 @@ import numpy as np
 from scipy import sparse
 
 from .citations import CitationMatrix
-
-# a chunk product's rows are chosen so that the sum over them of
-# min(flops_i, N), an upper bound on the entries it stores, is at most
-# CHUNK_ROWS * N; a chunk takes at least the rows asked for
-CHUNK_ROWS = 128
 
 
 class SparseValues(sparse.csr_array):
@@ -71,7 +66,7 @@ class SimilarityMatrix:
 
     * ``unit``: the unit-length patterns (CSR, sorted rows), as
       :func:`build_similarity_matrix` does. The similarity is their
-      product with their transpose, computed a chunk of rows at a time.
+      product with their transpose, computed a block of rows at a time.
     * ``values``: the similarity itself, dense or sparse, square, finite
       and non-negative; it is stored.
 
@@ -88,16 +83,7 @@ class SimilarityMatrix:
         self.unit = unit
         self._values = None if values is None else _stored(values)
         if unit is not None:
-            n = unit.shape[0]
             self._unit_t = sparse.csr_array(unit.T)
-            # flops_i, the multiply-adds of row i, is the summed length of
-            # the unit.T rows its columns select; cost[i] sums min(flops, N)
-            # over the rows before i
-            flops = np.zeros(unit.nnz + 1, dtype=np.int64)
-            np.cumsum(np.diff(self._unit_t.indptr)[unit.indices], out=flops[1:])
-            flops = np.diff(flops[unit.indptr])
-            self._cost = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.minimum(flops, n), out=self._cost[1:])
 
     @property
     def n_nodes(self) -> int:
@@ -109,27 +95,21 @@ class SimilarityMatrix:
             self._values = _stored(self.unit @ self._unit_t)
         return self._values
 
-    def _chunk(self, lo: int, step: int) -> tuple[int, sparse.csr_array]:
-        """``(stop, rows)``: rows ``lo:stop`` of S with their diagonal 0, as CSR
-        whose row 0 is row ``lo``. stop is a whole number of steps past lo, as
-        far as ``CHUNK_ROWS`` allows, or N. A stored S is one chunk, (N, values)."""
-        n = self.n_nodes
+    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``lo:hi`` of S, diagonal 0, over the columns they store, as
+        ``(cols, vals)``. A stored S is read in place; otherwise the rows are
+        one product, dropped on return."""
         if self._values is not None:
-            return n, self._values
-        fits = np.searchsorted(self._cost, self._cost[lo] + CHUNK_ROWS * n, side="right") - 1
-        stop = min(n, lo + step * max(1, (fits - lo) // step))
+            return _columns(self._values, lo, hi)
         u = self.unit
-        if lo == 0 and stop == n:
-            rows = u
-        else:
-            ip = u.indptr[lo:stop + 1]
-            start, end = ip[0], ip[-1]
-            rows = sparse.csr_array((u.data[start:end], u.indices[start:end], ip - start),
-                                    shape=(stop - lo, n))
+        ip = u.indptr[lo:hi + 1]
+        start, end = ip[0], ip[-1]
+        rows = sparse.csr_array((u.data[start:end], u.indices[start:end], ip - start),
+                                shape=(hi - lo, u.shape[1]))
         p = rows @ self._unit_t
-        own = np.repeat(np.arange(lo, stop, dtype=p.indices.dtype), np.diff(p.indptr))
+        own = np.repeat(np.arange(lo, hi, dtype=p.indices.dtype), np.diff(p.indptr))
         p.data[p.indices == own] = 0.0
-        return stop, p
+        return _columns(p, 0, hi - lo)
 
     def blocks(self, step: int):
         """Consecutive ``step``-row blocks of S, in order, as ``(rows, cols, vals)``.
@@ -139,19 +119,13 @@ class SimilarityMatrix:
         (len(rows), len(cols)) array whose column k is column ``cols[k]`` of
         the rows. Every column left out is zero in all of them; a stored one
         may be too. When every column is stored, ``cols`` is ``arange(N)``.
-        A chunk is dropped before its last block is handed out.
         """
-        lo = 0
-        while lo < self.n_nodes:
-            stop, chunk = self._chunk(lo, step)
-            for first in range(lo, stop, step):
-                last = min(first + step, stop)
-                cols, vals = _columns(chunk, first - lo, last - lo)
-                if last == stop:
-                    del chunk
-                yield slice(first, last), cols, vals
-                del cols, vals  # freed before the next block is filled
-            lo = stop
+        n = self.n_nodes
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            cols, vals = self._block(lo, hi)
+            yield slice(lo, hi), cols, vals
+            del cols, vals  # freed before the next block is filled
 
 
 def _columns(rows: sparse.csr_array, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +166,7 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     """All-pairs cosine similarity of row-normalized citation counts.
 
     Only normalises: the result holds the unit-length patterns, and S is
-    computed a chunk of rows at a time as it is read. S is bitwise
+    computed a block of rows at a time as it is read. S is bitwise
     deterministic and bitwise symmetric without mirroring: with sorted
     pattern rows, scipy sums entry (i, j) and entry (j, i) over the same
     common targets in the same order. Index arrays are int32 when N and

@@ -14,7 +14,7 @@ reproduces its CSV byte for byte, regardless of worker count.
 
 A sweep selects the pairs of the max reference and of every (grid point,
 repetition) run in one :func:`~simpair.selection.select_many` call, which
-computes each chunk of similarity rows once for all of them; no whole
+computes each block of similarity rows once for all of them; no whole
 similarity is stored. The reference and every run then go through the
 same single-level pass as ``detect`` (``pipeline._level``).
 """
@@ -113,7 +113,7 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     sim = build_similarity_matrix(matrix)
     jobs = [(strategy, derive_seed(cfg.base_seed, g, r))
             for g, _, _, strategy in tasks for r in range(cfg.repetitions)]
-    # the max reference rides in the runs' pass: each chunk of S is computed once
+    # the max reference rides in the runs' pass: each block of S is computed once
     max_pairs, *selections = select_many(sim, [(Strategy("max"), 0)] + jobs)
     ref_core, ref_real = _reference_partitions(matrix.n_nodes, cfg, max_pairs)
 

@@ -49,6 +49,8 @@ class SyntheticSpec:
             raise ValueError("in_rate must be at least cross_rate")
         if self.volume < 1:
             raise ValueError("volume must be positive")
+        if self.volume > np.iinfo(np.int64).max:  # the most multinomial can draw
+            raise ValueError(f"volume must be at most {np.iinfo(np.int64).max}")
 
     @property
     def n_nodes(self) -> int:
@@ -75,9 +77,10 @@ def generate_planted_citation_matrix(spec: SyntheticSpec) -> tuple[CitationMatri
     truth = np.repeat(np.arange(spec.n_blocks), spec.block_sizes)
     weights = np.where(truth[:, None] == truth[None, :], spec.in_rate, spec.cross_rate)
     np.fill_diagonal(weights, 0.0)
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("degenerate spec: no positive citation weight")
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError("degenerate spec: total citation weight must be positive and finite")
     rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed)]))
     counts = rng.multinomial(spec.volume, (weights / total).ravel()).reshape(n, n)
     matrix = CitationMatrix.from_dense(counts)

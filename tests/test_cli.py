@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from simpair import cli
 from simpair.cli import main
 
 
@@ -332,6 +333,10 @@ class TestParameterErrors:
         ["sweep-topn", "--synth", "--topn-grid", "1,0"],
         ["gen-synth", "--blocks", "0"],
         ["gen-synth", "--in-rate", "1", "--cross-rate", "2"],
+        ["gen-synth", "--blocks", "2", "--block-size", "2", "--volume", str(10**20)],
+        ["sweep-prob", "--synth", "--volume", str(10**20)],
+        ["gen-synth", "--blocks", "2", "--block-size", "2",
+         "--in-rate", "1e308", "--cross-rate", "1e308"],
     ], ids=lambda argv: " ".join(argv))
     def test_out_of_range_flag(self, tmp_path, block_edges, capsys, argv):
         if argv[0] == "detect":
@@ -341,6 +346,23 @@ class TestParameterErrors:
         assert err.value.code == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert "error:" in lines[-1]
+        assert not any("Traceback" in line for line in lines)
+
+    @pytest.mark.parametrize("command", ["gen-synth", "sweep-prob"])
+    def test_synthetic_size_out_of_memory(self, tmp_path, capsys, monkeypatch, command):
+        # never allocate the real size: an overcommitting host would try
+        def out_of_memory(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate_planted_citation_matrix", out_of_memory)
+        argv = [command, "--blocks", "10000", "--block-size", "100"]
+        if command == "sweep-prob":
+            argv.append("--synth")
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--out", str(tmp_path / "x")])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[-1] == "simpair: error: synthetic spec: 1000000 nodes do not fit in memory"
         assert not any("Traceback" in line for line in lines)
 
     def test_unwritable_out(self, tmp_path, block_edges, capsys):

@@ -17,7 +17,7 @@ from simpair import (
     run_topn_sweep,
     select_pairs,
 )
-from simpair import selection, similarity
+from simpair import selection
 
 
 @pytest.fixture(scope="module")
@@ -136,23 +136,21 @@ class TestReference:
         # max against planted truth: fragmented cores, so below 1 at one level
         assert result.rows[0].mean["nmi_real"] < 1.0
 
-    def test_a_sweep_computes_each_chunk_of_rows_once(self, small_matrix, monkeypatch):
-        monkeypatch.setattr(similarity, "CHUNK_ROWS", 1)
+    def test_a_sweep_computes_each_block_of_rows_once(self, small_matrix, monkeypatch):
         monkeypatch.setattr(selection, "BLOCK_ROWS", 5)
-        chunks = []
-        chunk = SimilarityMatrix._chunk
+        blocks = []
+        block = SimilarityMatrix._block
 
-        def counted(self, lo, step):
-            stop, rows = chunk(self, lo, step)
-            chunks.append((lo, stop))
-            return stop, rows
+        def counted(self, lo, hi):
+            blocks.append((lo, hi))
+            return block(self, lo, hi)
 
-        monkeypatch.setattr(SimilarityMatrix, "_chunk", counted)
+        monkeypatch.setattr(SimilarityMatrix, "_block", counted)
         run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.0, 0.5])
         # consecutive row ranges, reference and runs together, each computed once
-        assert len(chunks) > 1
-        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
-        assert chunks[-1][1] == small_matrix.n_nodes
+        assert len(blocks) > 1
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == small_matrix.n_nodes
 
     def test_rejects_unknown_reference(self, small_matrix):
         cfg = ExperimentConfig(reference="truth")

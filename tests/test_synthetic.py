@@ -54,6 +54,12 @@ class TestGenerator:
             SyntheticSpec(in_rate=1.0, cross_rate=2.0)
         with pytest.raises(ValueError):
             SyntheticSpec(n_blocks=2, block_sizes=(5,))
+        with pytest.raises(ValueError):
+            SyntheticSpec(volume=2**63)  # more than multinomial can draw
+        # an infinite total weight would put every citation on one diagonal cell
+        with pytest.raises(ValueError, match="finite"):
+            generate_planted_citation_matrix(
+                SyntheticSpec(n_blocks=2, block_sizes=(2, 2), in_rate=1e308))
 
 
 class TestRecovery:
