@@ -74,9 +74,12 @@ def _float_in(low: float, high: float = math.inf):
 
 
 def _list_of(parse_one):
-    """argparse type: a comma list, each item checked by ``parse_one``."""
+    """argparse type: a non-empty comma list, each item checked by ``parse_one``."""
     def parse(text: str) -> list:
-        return [parse_one(tok) for tok in text.split(",") if tok.strip()]
+        items = [parse_one(tok) for tok in text.split(",") if tok.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return items
     return parse
 
 
@@ -272,6 +275,8 @@ def _write_sweep(args, result) -> int:
 
 def _cmd_sweep_prob(args, parser) -> int:
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    if not kinds:
+        parser.error(f"--kinds: empty list: {args.kinds!r}")
     for kind in kinds:
         if kind not in ("psim", "p"):
             parser.error(f"unknown kind {kind!r}")

@@ -19,22 +19,25 @@ columns (:data:`Pairs`) sorted by decreasing similarity, ties by
                  rest. Deletion is row-local: i may lose sight of j while
                  j still sees i.
 * ``mixed``    - per node, a seeded coin picks between max and a random
-                 strategy. The coin and the partner draw use separate
-                 streams, so mix_p=0 reproduces max and mix_p=1 the pure
-                 random strategy byte for byte.
+                 strategy.
 
-Random draws come from one stream per (seed, purpose); node i reads
-element i (see :mod:`simpair.rng`). One forward pass of
-:meth:`SimilarityMatrix.blocks` hands every strategy the similarity a
-block of ``BLOCK_ROWS`` rows at a time, over only the columns those rows
-store, and each maps positions back to node ids through the block's
-``cols``. An absent column is zero in every row of the block, so each
-draw is the one the full rows would give. Each block's rows are computed
-as one product as the block is read, and no whole similarity is stored.
-The largest temporaries are one ``BLOCK_ROWS`` x (columns stored) block,
-at most ``BLOCK_ROWS`` x N, the product it comes from (dropped before the
-block is used), and, with deletion, that block's ``BLOCK_ROWS`` x N keys
-and an N-wide copy of it.
+Every run is one picker: a node draws its partner (always under ``psim``
+and ``p``, where its coin comes up under ``mixed``) or else takes its
+maximum, so mix_p=0 runs max's code and mix_p=1 the random strategy's,
+byte for byte. Random draws come from one stream per (seed, purpose);
+node i reads element i (see :mod:`simpair.rng`). A run draws only the
+streams it reads, and the coin and the partner use separate ones.
+
+One forward pass of :meth:`SimilarityMatrix.blocks` hands every strategy
+the similarity a block of ``BLOCK_ROWS`` rows at a time, over only the
+columns those rows store, and each maps positions back to node ids
+through the block's ``cols``. An absent column is zero in every row of
+the block, so each draw is the one the full rows would give. Each
+block's rows are computed as one product as the block is read, and no
+whole similarity is stored. The largest temporaries are one
+``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N, the
+product it comes from (dropped before the block is used), and, with
+deletion, that block's ``BLOCK_ROWS`` x N keys and an N-wide copy of it.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -96,6 +99,8 @@ class Strategy:
                 raise ValueError("deletion only applies to max")
             if not 0.0 <= self.deletion <= 1.0:
                 raise ValueError("deletion fraction must be in [0, 1]")
+        if self.kind != "mixed" and (self.mix_p is not None or self.mix_kind is not None):
+            raise ValueError("mix_p and mix_kind only apply to mixed")
         if self.kind == "mixed":
             if self.mix_kind not in RANDOM_KINDS:
                 raise ValueError("mixed strategy needs mix_kind 'psim' or 'p'")
@@ -168,22 +173,6 @@ def _max_picks(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> Pairs:
             np.concatenate((m[single], m[tied[r]])))
 
 
-def _max_job(n: int, hidden=None):
-    """Max selection; ``hidden(block)`` gives each block row's hidden columns."""
-    def take(cols: np.ndarray, vals: np.ndarray, block: slice) -> list[Pairs]:
-        rows = np.arange(block.start, block.stop)
-        if hidden is None:
-            return [_max_picks(cols, vals, rows)]
-        hide = hidden(block)  # drawn first: its N-wide keys are freed before work is filled
-        # N wide, so node ids are positions; vals is shared with the other
-        # jobs of the pass and stays as it is
-        work = np.zeros((len(rows), n))
-        work[:, cols] = vals
-        work[np.arange(len(rows))[:, None], hide] = -1.0  # below any real similarity
-        return [_max_picks(np.arange(n), work, rows)]
-    return take
-
-
 def _proportional_pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column drawn from each row of ``weights`` in proportion to its weight.
 
@@ -250,44 +239,47 @@ def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: 
     return rows, j, sim
 
 
-def _random_job(kind: str, seed: int, n: int, topn: int | None = None, gate=None):
-    """``kind`` draws for the nodes whose ``gate`` entry is set (all if None)."""
-    u = stream(seed, PARTNER_STREAM).random(n)
+def _job(strategy: Strategy, seed: int, n: int):
+    """Per-block picker for one (strategy, seed) run over ``n`` nodes.
+
+    A node draws its partner under psim and p, never under max, and under
+    mixed where its gate draw is below mix_p; the rest take their maximum.
+    """
+    kind, topn = strategy.kind, strategy.topn
+    if kind == "mixed":
+        kind = strategy.mix_kind
+        draw = stream(seed, GATE_STREAM).random(n) < strategy.mix_p
+    else:
+        draw = np.full(n, kind != "max")
+    u = stream(seed, PARTNER_STREAM).random(n) if np.count_nonzero(draw) else None
+    k = int(np.floor((strategy.deletion or 0.0) * (n - 1)))
+    hidden = _deletion_keys(seed, n, k) if k else None
 
     def take(cols: np.ndarray, vals: np.ndarray, block: slice) -> list[Pairs]:
-        local = np.arange(len(vals)) if gate is None else np.flatnonzero(gate[block])
-        if not len(local):
-            return []
-        rows = block.start + local
-        if kind == "psim":
-            return [_psim_picks(cols, vals, local, rows, u[rows], topn)]
-        return [_uniform_picks(cols, vals, local, rows, u[rows], n)]
-    return take
-
-
-def _mixed_job(p: float, kind: str, seed: int, n: int):
-    """Per-node coin: the random ``kind`` where it comes up, max elsewhere."""
-    gate = stream(seed, GATE_STREAM).random(n) < p
-    random_take = _random_job(kind, seed, n, gate=gate)
-
-    def take(cols: np.ndarray, vals: np.ndarray, block: slice) -> list[Pairs]:
-        keep = ~gate[block]
-        picks = random_take(cols, vals, block)
-        if keep.any():
-            picks.append(_max_picks(cols, vals[keep],
-                                    np.arange(block.start, block.stop)[keep]))
+        rows = np.arange(block.start, block.stop)
+        drawn = draw[block]
+        local = drawn.nonzero()[0]
+        picks = []
+        if len(local):
+            at = rows[local]
+            if kind == "psim":
+                picks.append(_psim_picks(cols, vals, local, at, u[at], topn))
+            else:
+                picks.append(_uniform_picks(cols, vals, local, at, u[at], n))
+            if len(local) == len(rows):
+                return picks
+            vals, rows = vals[~drawn], rows[~drawn]
+        if hidden is not None:  # deletion is max only, so no row of the block drew
+            hide = hidden(block)  # drawn first: its N-wide keys are freed before work is filled
+            # N wide, so node ids are positions; vals is shared with the other
+            # jobs of the pass and stays as it is
+            work = np.zeros((len(rows), n))
+            work[:, cols] = vals
+            work[np.arange(len(rows))[:, None], hide] = -1.0  # below any real similarity
+            cols, vals = np.arange(n), work
+        picks.append(_max_picks(cols, vals, rows))
         return picks
     return take
-
-
-def _job(strategy: Strategy, seed: int, n: int):
-    """Per-block picker for one (strategy, seed) run over ``n`` nodes."""
-    if strategy.kind == "max":
-        k = int(np.floor((strategy.deletion or 0.0) * (n - 1)))
-        return _max_job(n, _deletion_keys(seed, n, k) if k else None)
-    if strategy.kind == "mixed":
-        return _mixed_job(strategy.mix_p, strategy.mix_kind, seed, n)
-    return _random_job(strategy.kind, seed, n, strategy.topn)
 
 
 def select_many(s: SimilarityMatrix,

@@ -110,6 +110,8 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     depends on the grid index, not the kind, so kinds sharing a grid value
     run on paired seeds.
     """
+    if not tasks:
+        raise ValueError("nothing to sweep: the grid or the kinds are empty")
     sim = build_similarity_matrix(matrix)
     jobs = [(strategy, derive_seed(cfg.base_seed, g, r))
             for g, _, _, strategy in tasks for r in range(cfg.repetitions)]

@@ -337,6 +337,10 @@ class TestParameterErrors:
         ["sweep-prob", "--synth", "--volume", str(10**20)],
         ["gen-synth", "--blocks", "2", "--block-size", "2",
          "--in-rate", "1e308", "--cross-rate", "1e308"],
+        ["sweep-prob", "--synth", "--kinds", ","],
+        ["sweep-prob", "--synth", "--p-grid", ","],
+        ["sweep-topn", "--synth", "--topn-grid", ","],
+        ["sweep-del", "--synth", "--del-grid", ","],
     ], ids=lambda argv: " ".join(argv))
     def test_out_of_range_flag(self, tmp_path, block_edges, capsys, argv):
         if argv[0] == "detect":

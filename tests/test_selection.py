@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from simpair import SimilarityMatrix, Strategy, select_pairs
+from simpair import SimilarityMatrix, Strategy, select_pairs, selection
 from simpair.io import pairs_to_tsv
+from simpair.rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, stream
 from simpair.selection import BLOCK_ROWS, _deletion_keys, _proportional_pick
 
 from pairlists import rows
@@ -275,6 +276,28 @@ class TestDeterminism:
         assert a != b
 
 
+class TestStreams:
+    @pytest.mark.parametrize("strategy, purposes", [
+        (MAX, set()),
+        (Strategy("max", deletion=0.5), {MASK_STREAM}),
+        (PSIM, {PARTNER_STREAM}),
+        (Strategy("psim", topn=2), {PARTNER_STREAM}),
+        (UNIFORM, {PARTNER_STREAM}),
+        (mixed(0.5, "psim"), {GATE_STREAM, PARTNER_STREAM}),
+        (mixed(0.5, "p"), {GATE_STREAM, PARTNER_STREAM}),
+    ], ids=["max", "max-deletion", "psim", "psim-topn", "p", "mixed-psim", "mixed-p"])
+    def test_each_run_draws_only_the_streams_it_reads(self, monkeypatch, strategy, purposes):
+        drawn = []
+
+        def recording_stream(seed, purpose):
+            drawn.append((seed, purpose))
+            return stream(seed, purpose)
+
+        monkeypatch.setattr(selection, "stream", recording_stream)
+        select_pairs(FIVE, strategy, seed=4)
+        assert sorted(drawn) == sorted((4, purpose) for purpose in purposes)
+
+
 class TestStrategyValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -289,6 +312,14 @@ class TestStrategyValidation:
             Strategy("mixed", mix_p=0.5, mix_kind="max")
         with pytest.raises(ValueError):
             Strategy("mixed", mix_p=1.5, mix_kind="p")
+
+    def test_rejects_mix_fields_off_mixed(self):
+        with pytest.raises(ValueError):
+            Strategy("max", mix_p=0.5)
+        with pytest.raises(ValueError):
+            Strategy("psim", mix_kind="p")
+        with pytest.raises(ValueError):
+            Strategy("p", mix_p=0.2, mix_kind="psim")
 
 
 class TestMemory:

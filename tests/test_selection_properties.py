@@ -165,15 +165,32 @@ GOLDEN = {
         "968fda7778a2c40a6fa442218695a47ef2d8d8de8f5622cf55709cfc3bc5966d",
     "{'kind': 'psim', 'topn': 7}":
         "ad948e79b6ba87e49602b7f16d7e8244b12c77f2b117c347de3399c48ce25ae6",
+    # 3 of 63 columns hidden per row, most of them absent from the row's block
+    "{'kind': 'max', 'deletion': 0.05}":
+        "e6126a22f2fccd9a1f2491b93cf9159dbeb5b9909db7703daf31eef7822cc21d",
 }
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES + [Strategy("psim", topn=7)],
-                         ids=lambda st_: str(st_.describe()))
-def test_golden_draws_on_a_sparse_input(monkeypatch, strategy):
-    monkeypatch.setattr(selection, "BLOCK_ROWS", 8)
+def golden_digest(strategy: Strategy) -> str:
     pairs = select_pairs(golden_similarity(), strategy, seed=11)
     digest = hashlib.sha256()
     for col, dtype in zip(pairs, (np.int64, np.int64, np.float64)):
         digest.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
-    assert digest.hexdigest() == GOLDEN[str(strategy.describe())]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES + [Strategy("psim", topn=7),
+                                                   Strategy("max", deletion=0.05)],
+                         ids=lambda st_: str(st_.describe()))
+def test_golden_draws_on_a_sparse_input(monkeypatch, strategy):
+    monkeypatch.setattr(selection, "BLOCK_ROWS", 8)
+    assert golden_digest(strategy) == GOLDEN[str(strategy.describe())]
+
+
+@pytest.mark.parametrize("mix_p, kind, same_as", [
+    (0.0, "psim", "max"), (0.0, "p", "max"), (1.0, "psim", "psim"), (1.0, "p", "p"),
+])
+def test_golden_mixture_boundaries(monkeypatch, mix_p, kind, same_as):
+    monkeypatch.setattr(selection, "BLOCK_ROWS", 8)
+    got = golden_digest(Strategy("mixed", mix_p=mix_p, mix_kind=kind))
+    assert got == GOLDEN[str(Strategy(same_as).describe())]

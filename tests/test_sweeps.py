@@ -28,6 +28,17 @@ def small_matrix():
     return matrix
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda m, cfg: run_probability_sweep(m, cfg, []),
+    lambda m, cfg: run_probability_sweep(m, cfg, [0.5], kinds=()),
+    lambda m, cfg: run_topn_sweep(m, cfg, []),
+    lambda m, cfg: run_deletion_sweep(m, cfg, []),
+], ids=["empty p-grid", "empty kinds", "empty topn-grid", "empty del-grid"])
+def test_an_empty_sweep_is_rejected(small_matrix, sweep):
+    with pytest.raises(ValueError):
+        sweep(small_matrix, ExperimentConfig(repetitions=2))
+
+
 class TestProbabilitySweep:
     def test_p_zero_reproduces_reference_exactly(self, small_matrix):
         cfg = ExperimentConfig(repetitions=5, base_seed=3)
