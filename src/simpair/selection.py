@@ -15,9 +15,9 @@ columns (:data:`Pairs`) sorted by decreasing similarity, ties by
                  the lower node id).
 * ``p``        - each node samples one partner uniformly.
 * ``max`` with ``deletion`` - each row hides a uniform random
-                 floor(d*(N-1)) of its columns, then max runs over the
-                 rest. Deletion is row-local: i may lose sight of j while
-                 j still sees i.
+                 floor(d*(N-1)) of its other columns, then max runs over
+                 the rest. Deletion is row-local: i may lose sight of j
+                 while j still sees i.
 * ``mixed``    - per node, a seeded coin picks between max and a random
                  strategy.
 
@@ -25,8 +25,9 @@ Every run is one picker: a node draws its partner (always under ``psim``
 and ``p``, where its coin comes up under ``mixed``) or else takes its
 maximum, so mix_p=0 runs max's code and mix_p=1 the random strategy's,
 byte for byte. Random draws come from one stream per (seed, purpose);
-node i reads element i (see :mod:`simpair.rng`). A run draws only the
-streams it reads, and the coin and the partner use separate ones.
+node i reads element i, or for deletion's tie draws reads draw j of
+its own by position (see :mod:`simpair.rng`). A run draws only the streams it reads, and
+the coin and the partner use separate ones.
 
 One forward pass of :meth:`SimilarityMatrix.blocks` hands every strategy
 the similarity a block of ``BLOCK_ROWS`` rows at a time, over only the
@@ -37,7 +38,17 @@ block's rows are computed as one product as the block is read, and no
 whole similarity is stored. The largest temporaries are one
 ``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N, the
 product it comes from (dropped before the block is used), and, with
-deletion, that block's ``BLOCK_ROWS`` x N keys and an N-wide copy of it.
+deletion, one ``argpartition`` of the block and a copy of its tied rows.
+
+Deletion never draws the hidden columns. Taken in decreasing similarity,
+ties by column id, only a row's first visible entry can be its maximum,
+so each run draws T, the number of hidden entries in front of it, one
+uniform per node, and reads the row's top T+1 entries. A block's walks
+share one window of each row's largest entries, as wide as the longest
+walk that ends on a positive entry plus 2, built once per block for
+every deletion run of the pass. Rows whose entry at T ties with later
+ones are read over the whole block row, all tied rows of a block at
+once.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -50,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, stream
+from .rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, TIE_STREAM, draws, stream
 from .similarity import SimilarityMatrix
 
 # pairs: equal-length selector (int64), selected (int64), similarity (float64) columns
@@ -126,19 +137,110 @@ def _ranked(picks: list[Pairs]) -> Pairs:
     return selector[order], selected[order], sim[order]
 
 
-def _deletion_keys(seed: int, n: int, k: int):
-    """Hidden columns per row block, to be called on consecutive blocks in order.
+def _walk_steps(seed: int, n: int, k: int) -> np.ndarray:
+    """T per node: how many of its k hidden columns precede its first visible one.
 
-    Row i hides the k smallest of its random keys (row i of one (N, N)
-    draw), with its own column keyed +inf so it is never hidden.
+    A row hides a uniform k-subset of its n-1 other columns, taken in
+    decreasing similarity, so P(T >= t) = prod_{s<t} (k-s)/(n-1-s). Node i
+    reads element i of one uniform draw.
     """
-    rng = stream(seed, MASK_STREAM)
+    s = np.arange(k)
+    survival = np.cumprod((k - s) / (n - 1 - s))  # P(T >= t) for t = 1..k
+    return np.searchsorted(-survival, -stream(seed, MASK_STREAM).random(n))
 
-    def hidden(block: slice) -> np.ndarray:
-        keys = rng.random((block.stop - block.start, n))
-        keys[np.arange(len(keys)), np.arange(block.start, block.stop)] = np.inf
-        return np.argpartition(keys, k - 1, axis=1)[:, :k]
-    return hidden
+
+def _window(vals: np.ndarray, steps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest entries, shared by a block's walks, as ``(pos, top)``.
+
+    ``steps`` holds each walk's T for the block's rows. A walk ends on its
+    row's position T; it emits only if that entry is positive, and reads
+    one entry past it. So the window is as wide as the longest walk that
+    ends on a positive entry, plus 2, and at most the whole row. ``pos``
+    holds positions in the block's columns and ``top`` their values,
+    largest first, ties by position (that is, by column id).
+    """
+    positive = np.count_nonzero(vals, axis=1)  # entries are >= 0
+    longest = max(t[t < positive].max(initial=-2) for t in steps)
+    width = min(longest + 2, vals.shape[1])
+    if width <= 0:
+        return np.empty((len(vals), 0), np.int64), np.empty((len(vals), 0))
+    # selecting the smallest of -vals stays fast when most entries are equal zeros
+    part = np.argpartition(-vals, width - 1, axis=1)[:, :width]
+    top = np.take_along_axis(vals, part, axis=1)
+    order = np.lexsort((part, -top), axis=1)
+    return np.take_along_axis(part, order, axis=1), np.take_along_axis(top, order, axis=1)
+
+
+def _walk_picks(cols: np.ndarray, vals: np.ndarray, window: tuple[np.ndarray, np.ndarray],
+                rows: np.ndarray, t: np.ndarray, k: int, n: int, seed: int) -> Pairs:
+    """The visible maxima of rows ``rows`` whose first T = ``t`` entries are hidden.
+
+    Entries are taken in decreasing similarity, ties by column id. The
+    entry at position T is visible and, if positive, the row's maximum.
+    A row where the next entry ties with it goes to :func:`_tied_picks`.
+    """
+    pos, top = window
+    width = top.shape[1]
+    if not width:
+        return NO_PAIRS
+    at = np.arange(len(rows))
+    end = np.minimum(t, width - 1)
+    v = np.where(t < width, top[at, end], 0.0)
+    # a row with v > 0 has t + 1 < width unless the window is the whole row
+    after = np.where(t + 1 < width, top[at, np.minimum(t + 1, width - 1)], 0.0)
+    single = (v > 0.0) & (after < v)
+    picks = [(rows[single], cols[pos[at[single], end[single]]], v[single])]
+    tied = np.flatnonzero((v > 0.0) & (after == v))
+    if len(tied):
+        picks.append(_tied_picks(cols, vals[tied], rows[tied], t[tied], v[tied], k, n, seed))
+    return tuple(np.concatenate(col) for col in zip(*picks))
+
+
+def _hypergeometric_weights(m: np.ndarray, hidden: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Per row, the relative chance that h = 0..max(m) of its m entries are
+    hidden when ``hidden`` of the ``left`` columns they come from are.
+
+    Built from the ratio of consecutive terms, in logs, so no binomial
+    coefficient is formed; h outside its support gets 0.
+    """
+    m, hidden, left = m[:, None], hidden[:, None], left[:, None]
+    lo, hi = np.maximum(m - (left - hidden), 0), np.minimum(m, hidden)
+    x = np.arange(m.max())
+    step = (x >= lo) & (x < hi)  # the ratio w(x + 1) / w(x) is defined and positive
+    num = np.where(step, (hidden - x) * (m - x), 1)
+    den = np.where(step, (x + 1) * (left - hidden - m + x + 1), 1)
+    log_w = np.cumsum(np.log(num / den), axis=1)
+    log_w = np.concatenate((np.zeros((len(m), 1)), log_w), axis=1)
+    h = np.arange(m.max() + 1)
+    return np.where((h >= lo) & (h <= hi), np.exp(log_w - log_w.max(axis=1, keepdims=True)), 0.0)
+
+
+def _tied_picks(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, t: np.ndarray,
+                v: np.ndarray, k: int, n: int, seed: int) -> Pairs:
+    """Visible maxima of rows whose entry at position T = ``t``, of value ``v``,
+    ties with later ones; read over the rows' whole ``vals``.
+
+    After position T the row's other k - T hidden columns are a uniform
+    subset of its n - 2 - T later ones. So of the m later entries equal to
+    v, a hypergeometric count h is hidden, drawn by inverse CDF on draw 0
+    of (seed, TIE_STREAM, node), and they are the h whose keys, draw
+    1 + column, are smallest.
+    """
+    r, c = np.nonzero(vals == v[:, None])  # by row, then column
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
+    first = t - np.count_nonzero(vals > v[:, None], axis=1)  # rank of the entry at T
+    off = rank - first[r]  # 0 at T, > 0 after it, < 0 hidden before it
+    later = np.flatnonzero(off > 0)
+    m = np.bincount(r[later], minlength=len(rows))
+    u = draws(seed, TIE_STREAM, np.concatenate((rows, rows[r[later]])),
+              np.concatenate((np.zeros_like(rows), 1 + cols[c[later]])))
+    h = _proportional_pick(_hypergeometric_weights(m, k - t, n - 2 - t), u[:len(rows)])
+    keys = u[len(rows):]
+    order = later[np.lexsort((keys, r[later]))]
+    nth = np.arange(len(order)) - np.searchsorted(r[order], r[order])
+    keep = off == 0
+    keep[order] = nth >= h[r[order]]
+    return rows[r[keep]], cols[c[keep]], v[r[keep]]
 
 
 def _positions(cols: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -240,10 +342,12 @@ def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: 
 
 
 def _job(strategy: Strategy, seed: int, n: int):
-    """Per-block picker for one (strategy, seed) run over ``n`` nodes.
+    """Per-block picker for one (strategy, seed) run over ``n`` nodes, and
+    its walk lengths T under deletion (else None).
 
     A node draws its partner under psim and p, never under max, and under
-    mixed where its gate draw is below mix_p; the rest take their maximum.
+    mixed where its gate draw is below mix_p; the rest take their maximum,
+    or under deletion their first visible one.
     """
     kind, topn = strategy.kind, strategy.topn
     if kind == "mixed":
@@ -253,9 +357,10 @@ def _job(strategy: Strategy, seed: int, n: int):
         draw = np.full(n, kind != "max")
     u = stream(seed, PARTNER_STREAM).random(n) if np.count_nonzero(draw) else None
     k = int(np.floor((strategy.deletion or 0.0) * (n - 1)))
-    hidden = _deletion_keys(seed, n, k) if k else None
+    steps = _walk_steps(seed, n, k) if k else None
 
-    def take(cols: np.ndarray, vals: np.ndarray, block: slice) -> list[Pairs]:
+    def take(cols: np.ndarray, vals: np.ndarray, block: slice,
+             window: tuple[np.ndarray, np.ndarray] | None) -> list[Pairs]:
         rows = np.arange(block.start, block.stop)
         drawn = draw[block]
         local = drawn.nonzero()[0]
@@ -269,17 +374,12 @@ def _job(strategy: Strategy, seed: int, n: int):
             if len(local) == len(rows):
                 return picks
             vals, rows = vals[~drawn], rows[~drawn]
-        if hidden is not None:  # deletion is max only, so no row of the block drew
-            hide = hidden(block)  # drawn first: its N-wide keys are freed before work is filled
-            # N wide, so node ids are positions; vals is shared with the other
-            # jobs of the pass and stays as it is
-            work = np.zeros((len(rows), n))
-            work[:, cols] = vals
-            work[np.arange(len(rows))[:, None], hide] = -1.0  # below any real similarity
-            cols, vals = np.arange(n), work
-        picks.append(_max_picks(cols, vals, rows))
+        if steps is None:
+            picks.append(_max_picks(cols, vals, rows))
+        else:  # deletion is max only, so no row of the block drew
+            picks.append(_walk_picks(cols, vals, window, rows, steps[block], k, n, seed))
         return picks
-    return take
+    return take, steps
 
 
 def select_many(s: SimilarityMatrix,
@@ -291,12 +391,15 @@ def select_many(s: SimilarityMatrix,
     """
     if s.n_nodes < 2:
         raise ValueError("need at least 2 nodes")
-    takes = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
+    runs = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
+    walks = [steps for _, steps in runs if steps is not None]
     picks: list[list[Pairs]] = [[] for _ in jobs]
     for block, cols, vals in s.blocks(BLOCK_ROWS):
-        for take, out in zip(takes, picks):
-            out += take(cols, vals, block)
-        del cols, vals  # freed before the next block is filled
+        # one window for every walk of the pass, dropped with the block
+        window = _window(vals, [steps[block] for steps in walks]) if walks else None
+        for (take, _), out in zip(runs, picks):
+            out += take(cols, vals, block, window)
+        del cols, vals, window  # freed before the next block is filled
     return [_ranked(p) for p in picks]
 
 

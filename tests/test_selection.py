@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import sparse, stats
 
-from simpair import SimilarityMatrix, Strategy, select_pairs, selection
+from simpair import SimilarityMatrix, Strategy, select_many, select_pairs, selection
 from simpair.io import pairs_to_tsv
-from simpair.rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, stream
-from simpair.selection import BLOCK_ROWS, _deletion_keys, _proportional_pick
+from simpair.rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, TIE_STREAM, draws, stream
+from simpair.selection import (BLOCK_ROWS, _hypergeometric_weights, _proportional_pick,
+                               _walk_steps)
 
 from pairlists import rows
 
@@ -20,11 +21,6 @@ UNIFORM = Strategy("p")
 
 def mixed(p: float, kind: str) -> Strategy:
     return Strategy("mixed", mix_p=p, mix_kind=kind)
-
-
-def hidden_columns(seed: int, n: int, k: int) -> np.ndarray:
-    """The (n, k) columns a max run with deletion hides, all rows in one block."""
-    return _deletion_keys(seed, n, k)(slice(0, n))
 
 
 def sim_from(values) -> SimilarityMatrix:
@@ -107,27 +103,53 @@ class TestSelectMax:
 
 class TestRandomDeletion:
     def test_zero_fraction_is_empty(self):
-        assert (rows(select_pairs(FIVE, Strategy("max", deletion=0.0), 9))
-                == rows(select_pairs(FIVE, MAX)))
+        assert (pairs_to_tsv(rows(select_pairs(FIVE, Strategy("max", deletion=0.0), 9)))
+                == pairs_to_tsv(rows(select_pairs(FIVE, MAX))))
 
     def test_full_deletion_silences_everyone(self):
-        assert hidden_columns(9, 5, 4).shape == (5, 4)
         assert rows(select_pairs(FIVE, Strategy("max", deletion=1.0), 9)) == []
 
     def test_floor_arithmetic(self):
-        # floor(0.5 * 10) = 5 of each row's 10 other columns are hidden
-        rng = np.random.default_rng(2)
-        s = random_similarity(rng, 11)
-        hidden = hidden_columns(1, 11, 5)
-        assert all(len(set(row)) == 5 and i not in row for i, row in enumerate(hidden.tolist()))
-        selector, selected, _ = select_pairs(s, Strategy("max", deletion=0.5), 1)
-        assert sorted(selector.tolist()) == list(range(11))
-        for i, j_best in zip(selector.tolist(), selected.tolist()):
-            visible = [j for j in range(11) if j != i and j not in hidden[i]]
-            assert j_best == max(visible, key=lambda j: s.values[i, j])
+        # floor(0.7 * 3) = 2 of each row's 3 other columns are hidden, so the
+        # partner is one of the row's top 3, and each of them occurs
+        s = sim_from([[0.0, 0.6, 0.3, 0.1], [0.6, 0.0, 0.2, 0.5],
+                      [0.3, 0.2, 0.0, 0.4], [0.1, 0.5, 0.4, 0.0]])
+        ranks = [sorted(range(4), key=lambda j: -s.values[i, j]) for i in range(4)]
+        seen = [set() for _ in range(4)]
+        for pairs in select_many(s, [(Strategy("max", deletion=0.7), seed)
+                                     for seed in range(200)]):
+            assert sorted(pairs[0].tolist()) == [0, 1, 2, 3]
+            for i, j in zip(*(col.tolist() for col in pairs[:2])):
+                seen[i].add(ranks[i].index(j))
+        assert seen == [{0, 1, 2}] * 4
 
     def test_mask_rows_are_independent(self):
-        assert not np.array_equal(hidden_columns(1, 5, 2), hidden_columns(2, 5, 2))
+        assert not np.array_equal(_walk_steps(1, 50, 25), _walk_steps(2, 50, 25))
+
+    def test_hidden_tie_count_is_hypergeometric(self):
+        # rows of m entries drawn from `left` columns, `hidden` of them hidden;
+        # one row is at each end of its support, one has a single outcome
+        m = np.array([1, 3, 5, 40, 7, 5, 400])
+        hidden = np.array([0, 2, 9, 700, 7, 5, 2000])
+        left = np.array([4, 3, 12, 1000, 7, 9, 5000])
+        w = _hypergeometric_weights(m, hidden, left)
+        h = np.arange(w.shape[1])
+        for row, want in zip(w, stats.hypergeom.pmf(h, left[:, None], hidden[:, None], m[:, None])):
+            np.testing.assert_allclose(row / row.sum(), want, rtol=1e-9, atol=1e-15)
+
+    def test_all_tied_visible_maxima_are_emitted(self):
+        # one of node 0's four other columns is hidden, so at least two of
+        # its three tied maxima stay visible, and every visible one is emitted
+        s = sim_from([[0.0, 0.5, 0.5, 0.5, 0.1], [0.5, 0.0, 0.0, 0.0, 0.0],
+                      [0.5, 0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0, 0.0],
+                      [0.1, 0.0, 0.0, 0.0, 0.0]])
+        sizes = set()
+        for pairs in select_many(s, [(Strategy("max", deletion=0.25), seed)
+                                     for seed in range(100)]):
+            partners = pairs[1][pairs[0] == 0].tolist()
+            assert set(partners) <= {1, 2, 3}
+            sizes.add(len(partners))
+        assert sizes == {2, 3}
 
 
 class TestSelectPsim:
@@ -287,15 +309,54 @@ class TestStreams:
         (mixed(0.5, "p"), {GATE_STREAM, PARTNER_STREAM}),
     ], ids=["max", "max-deletion", "psim", "psim-topn", "p", "mixed-psim", "mixed-p"])
     def test_each_run_draws_only_the_streams_it_reads(self, monkeypatch, strategy, purposes):
-        drawn = []
+        assert sorted(self.drawn(monkeypatch, FIVE, strategy)) == sorted(
+            (4, purpose) for purpose in purposes)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 7])
+    def test_draws_read_splitmix64_by_position(self, seed):
+        mask = 2**64 - 1
+
+        def splitmix64(state: int) -> int:  # the next output; the state steps first
+            z = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        assert splitmix64(0) == 0xE220A8397B1DCDAF  # the reference sequence at seed 0
+        node = [0, 1, 7, 1000, 2**31 + 5, 1]
+        index = [0, 5, 2**31, 3, 1, 0]
+        key = int(np.random.SeedSequence([seed, TIE_STREAM]).generate_state(1, np.uint64)[0])
+        # draw j of node i is output i * 2**32 + j + 1, from state key + (i * 2**32 + j) * gamma
+        want = [(splitmix64((key + ((i << 32) + j) * 0x9E3779B97F4A7C15) & mask) >> 11) * 2.0**-53
+                for i, j in zip(node, index)]
+        assert draws(seed, TIE_STREAM, node, index).tolist() == want
+
+    def test_deletion_ties_read_only_the_tied_nodes(self, monkeypatch):
+        # node 0's first visible entry always ties with a later one; no
+        # other row has a tie
+        s = sim_from([[0.0, 0.5, 0.5, 0.5], [0.5, 0.0, 0.2, 0.0],
+                      [0.5, 0.2, 0.0, 0.1], [0.5, 0.0, 0.1, 0.0]])
+        assert sorted(self.drawn(monkeypatch, s, Strategy("max", deletion=0.5))) == [
+            (4, MASK_STREAM), (4, TIE_STREAM, 0)]
+
+    @staticmethod
+    def drawn(monkeypatch, s, strategy) -> list[tuple]:
+        """The (seed, purpose) of every stream one run at seed 4 draws, and
+        the (seed, purpose, node) of every node it reads draws of by position."""
+        keys, nodes = [], set()
 
         def recording_stream(seed, purpose):
-            drawn.append((seed, purpose))
+            keys.append((seed, purpose))
             return stream(seed, purpose)
 
+        def recording_draws(seed, purpose, node, index):
+            nodes.update((seed, purpose, i) for i in np.asarray(node).tolist())
+            return draws(seed, purpose, node, index)
+
         monkeypatch.setattr(selection, "stream", recording_stream)
-        select_pairs(FIVE, strategy, seed=4)
-        assert sorted(drawn) == sorted((4, purpose) for purpose in purposes)
+        monkeypatch.setattr(selection, "draws", recording_draws)
+        select_pairs(s, strategy, seed=4)
+        return keys + sorted(nodes)
 
 
 class TestStrategyValidation:
@@ -322,9 +383,13 @@ class TestStrategyValidation:
             Strategy("p", mix_p=0.2, mix_kind="psim")
 
 
+def memory_id(strategy: Strategy) -> str:
+    return strategy.kind + (f"-del{strategy.deletion}" if strategy.deletion else "")
+
+
 class TestMemory:
-    # deletion is left out: it draws BLOCK_ROWS x N random keys per block by design
-    @pytest.mark.parametrize("strategy", [MAX, PSIM, UNIFORM], ids=lambda st: st.kind)
+    @pytest.mark.parametrize("strategy", [MAX, PSIM, UNIFORM, Strategy("max", deletion=0.3),
+                                          Strategy("max", deletion=0.9)], ids=memory_id)
     def test_sparse_rows_peak_far_below_one_dense_block(self, strategy):
         # 2,000 blocks of 10 nodes: each 128-row block stores about 140 columns
         n_blocks, size = 2000, 10
@@ -342,5 +407,6 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(np.unique(selector)) == n
+        if not strategy.deletion:  # a row whose every positive entry is hidden emits nothing
+            assert len(np.unique(selector)) == n
         assert peak < dense_block / 8, (peak, dense_block)

@@ -1,7 +1,9 @@
 """Selection laws checked by property tests over random similarity matrices."""
 
 import hashlib
+import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -9,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from simpair import SimilarityMatrix, Strategy, select_many, select_pairs
 from simpair import selection
-from simpair.selection import _deletion_keys
+from simpair.selection import _walk_steps
 from simpair.io import pairs_to_tsv
 
 from pairlists import rows
@@ -78,17 +81,108 @@ def test_uniform_never_picks_self(s, seed):
 @PROPERTY
 @given(similarities(), SEEDS, st.floats(0.0, 1.0))
 def test_deletion_hides_floor_fraction_never_diagonal(s, seed, d):
+    """Each row's partners are the visible entries of one positive value v;
+    every entry above v, and every entry at v left out, was hidden, and at
+    most floor(d * (N - 1)) are."""
     n = s.n_nodes
     k = math.floor(d * (n - 1))
-    deleted = _deletion_keys(seed, n, k)(slice(0, n))
-    for i, hidden in enumerate(deleted):
-        assert len(set(hidden.tolist())) == k
-        assert i not in hidden
-    visible = [[j for j in range(n) if j != i and j not in deleted[i]] for i in range(n)]
-    want = {(i, j) for i in range(n) for j in visible[i]
-            if s.values[i, j] > 0.0 and s.values[i, j] == max(s.values[i, c] for c in visible[i])}
-    selector, selected, _ = select_pairs(s, Strategy("max", deletion=d), seed)
-    assert set(zip(selector.tolist(), selected.tolist())) == want
+    dense = s.values.toarray()
+    selector, selected, sim = select_pairs(s, Strategy("max", deletion=d), seed)
+    for i in range(n):
+        row = np.delete(dense[i], i)
+        partners = selected[selector == i]
+        assert i not in partners
+        if not len(partners):
+            assert np.count_nonzero(row) <= k
+            continue
+        v = dense[i, partners[0]]
+        assert v > 0.0 and (sim[selector == i] == v).all()
+        assert (dense[i, partners] == v).all()
+        assert np.count_nonzero(row > v) + np.count_nonzero(row == v) - len(partners) <= k
+
+
+def deletion_law(values: np.ndarray, k: int) -> list[dict]:
+    """Per row, the exact probability of each emitted partner set when the
+    row hides each k-subset of its other columns with equal chance."""
+    n = len(values)
+    law = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        outcomes = Counter()
+        for hidden in itertools.combinations(others, k):
+            visible = [j for j in others if j not in hidden]
+            best = max((values[i, j] for j in visible), default=0.0)
+            outcomes[frozenset(j for j in visible if best > 0.0 and values[i, j] == best)] += 1
+        total = math.comb(n - 1, k)
+        law.append({out: count / total for out, count in outcomes.items()})
+    return law
+
+
+def chi_square(observed: list[Counter], law: list[dict], runs: int) -> tuple[float, int]:
+    """Pearson statistic and degrees of freedom over every row; outcomes
+    expected fewer than 5 times are pooled, per row."""
+    stat, dof = 0.0, 0
+    for counts, probs in zip(observed, law):
+        assert set(counts) <= set(probs)  # no impossible partner set
+        cells, pooled = [], [0.0, 0]
+        for out, prob in probs.items():
+            if prob * runs >= 5:
+                cells.append((prob * runs, counts[out]))
+            else:
+                pooled[0] += prob * runs
+                pooled[1] += counts[out]
+        if pooled[0]:
+            cells.append(tuple(pooled))
+        stat += sum((o - e) ** 2 / e for e, o in cells)
+        dof += len(cells) - 1
+    return stat, dof
+
+
+# 9 nodes: exact ties at the top of rows, inside rows and at zero, and a
+# zero row; rounded to steps of 0.25
+TIED = np.array([
+    [0.0, 0.5, 0.5, 0.25, 0.0, 0.25, 0.5, 0.0, 0.0],
+    [0.5, 0.0, 0.75, 0.75, 0.25, 0.0, 0.0, 0.0, 0.0],
+    [0.5, 0.75, 0.0, 0.25, 0.25, 0.0, 0.75, 0.0, 0.0],
+    [0.25, 0.75, 0.25, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.25, 0.25, 0.5, 0.0, 0.0, 0.0, 0.25, 0.0],
+    [0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.25, 0.25, 0.0],
+    [0.5, 0.0, 0.75, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+
+
+@pytest.mark.parametrize("d, block_rows", [(0.3, 4), (0.5, 9), (0.8, 2)])
+def test_deletion_partner_sets_follow_the_exact_law(monkeypatch, record_property, d, block_rows):
+    """Sampled partner sets at seeds 0-1999 against an enumeration of every hidden set."""
+    runs = 2000
+    k = math.floor(d * 8)
+    monkeypatch.setattr(selection, "BLOCK_ROWS", block_rows)
+    s = SimilarityMatrix(values=TIED)
+    observed = [Counter() for _ in range(9)]
+    for selector, selected, _ in select_many(s, [(Strategy("max", deletion=d), seed)
+                                                 for seed in range(runs)]):
+        for i in range(9):
+            observed[i][frozenset(selected[selector == i].tolist())] += 1
+    stat, dof = chi_square(observed, deletion_law(TIED, k), runs)
+    p_value = stats.chi2.sf(stat, dof)
+    record_property("chi2_p_value", p_value)
+    print(f"d={d}: chi2={stat:.1f} on {dof} dof, p={p_value:.3f}")
+    assert p_value > 1e-3, (stat, dof, p_value)
+
+
+@pytest.mark.parametrize("n, k", [(9, 4), (9, 8), (40, 30)])
+def test_walk_length_follows_the_closed_form(record_property, n, k):
+    """T, the hidden entries before the first visible one, has
+    P(T >= t) = C(n-1-t, k-t) / C(n-1, k)."""
+    steps = np.concatenate([_walk_steps(seed, n, k) for seed in range(20_000 // n)])
+    survival = [math.comb(n - 1 - t, k - t) / math.comb(n - 1, k) for t in range(k + 1)] + [0.0]
+    pmf = {t: survival[t] - survival[t + 1] for t in range(k + 1) if survival[t] > survival[t + 1]}
+    stat, dof = chi_square([Counter(steps.tolist())], [pmf], len(steps))
+    p_value = stats.chi2.sf(stat, dof) if dof else 1.0  # one outcome: T = k always
+    record_property("chi2_p_value", p_value)
+    assert p_value > 1e-3, (stat, dof, p_value)
 
 
 @PROPERTY
@@ -150,7 +244,8 @@ def golden_similarity() -> SimilarityMatrix:
 
 # sha256 of each strategy's three pair columns (int64, int64, float64 bytes)
 # on golden_similarity() with rows in chunks of 8, seed 11, as drawn from
-# dense rows; top-7 is one below the 8 columns that rows 32-47 store
+# dense rows (the deletion entries as drawn by the walk down each row's
+# largest entries); top-7 is one below the 8 columns that rows 32-47 store
 GOLDEN = {
     "{'kind': 'max'}": "6b71d1f035547d5b2840dd8f1cf4c79c4682f5b405e13e1ce9b8a083189389d5",
     "{'kind': 'psim'}": "d7d3beca6c5bbd57e649b183103a6bd79bd65dd08ce356d859746ff837a93cb7",
@@ -158,7 +253,7 @@ GOLDEN = {
         "e8e4dba6ec9cff33b6506ab9810032242718a1a2301425ee94a4c76a8e18b7a9",
     "{'kind': 'p'}": "12bc25dbb3f364f87c88f490d3975fe5988783bddd0edceed29d02ed70ef27cd",
     "{'kind': 'max', 'deletion': 0.5}":
-        "fd4991114037dafc0df2852d8d2877ad6ec2da944dc2e674991dc0e6b8493db2",
+        "843aa6f56cd5bd37d48048abd5be2f3145c8312a38ce99d2166dee7cddec5d71",
     "{'kind': 'mixed', 'mix_p': 0.5, 'mix_kind': 'psim'}":
         "b27d2cd016f05164977de8774a1608ffb1cc44e6efb4411c196a1592d99802b3",
     "{'kind': 'mixed', 'mix_p': 0.5, 'mix_kind': 'p'}":
@@ -167,7 +262,7 @@ GOLDEN = {
         "ad948e79b6ba87e49602b7f16d7e8244b12c77f2b117c347de3399c48ce25ae6",
     # 3 of 63 columns hidden per row, most of them absent from the row's block
     "{'kind': 'max', 'deletion': 0.05}":
-        "e6126a22f2fccd9a1f2491b93cf9159dbeb5b9909db7703daf31eef7822cc21d",
+        "3f12c20ca36407a0226be2f56a7afd46eddce9aabf0bd5df53a5537ca35481d6",
 }
 
 

@@ -177,7 +177,7 @@ def hub_citations(n: int, per_node: int = 50, alpha: float = 2.5, seed: int = 0)
     return CitationMatrix(counts)
 
 
-# every picker's temporaries, deletion's N-wide keys included
+# every picker's temporaries, deletion's shared window included
 HUB_STRATEGIES = [Strategy("max"), Strategy("psim"), Strategy("psim", topn=5), Strategy("p"),
                   Strategy("max", deletion=0.3), Strategy("mixed", mix_p=0.4, mix_kind="psim")]
 
