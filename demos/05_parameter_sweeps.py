@@ -26,7 +26,7 @@ from simpair import (
 )
 
 matrix, _truth = generate_planted_citation_matrix(SyntheticSpec())
-cfg = ExperimentConfig(repetitions=20, base_seed=0, jobs=2)
+cfg = ExperimentConfig(repetitions=20, base_seed=0)
 
 prob = run_probability_sweep(matrix, cfg, kinds=("psim", "p"))
 print("probability sweep (kind=p rows):")

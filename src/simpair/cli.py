@@ -26,14 +26,8 @@ from .io import (
     write_partition,
 )
 from .pipeline import Strategy, detect, detect_from_pairs
-from .sweeps import (
-    ExperimentConfig,
-    default_deletion_grid,
-    default_probability_grid,
-    run_deletion_sweep,
-    run_probability_sweep,
-    run_topn_sweep,
-)
+from .selection import RANDOM_KINDS
+from .sweeps import ExperimentConfig, run_deletion_sweep, run_probability_sweep, run_topn_sweep
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
 USAGE_ERROR = 1
@@ -83,6 +77,14 @@ def _list_of(parse_one):
     return parse
 
 
+def _random_kind(text: str) -> str:
+    """argparse type: one of the random selection kinds."""
+    kind = text.strip()
+    if kind not in RANDOM_KINDS:
+        raise argparse.ArgumentTypeError(f"unknown kind {kind!r}")
+    return kind
+
+
 _POSITIVE = _int_at_least(1)
 _NONNEGATIVE = _int_at_least(0)
 _FRACTION = _float_in(0.0, 1.0)
@@ -112,7 +114,6 @@ def _add_sweep_args(sub):
     _add_synth_args(sub)
     sub.add_argument("--reps", type=_POSITIVE, default=20, help="repetitions per grid point")
     sub.add_argument("--seed", type=_NONNEGATIVE, default=0, help="base seed")
-    sub.add_argument("--jobs", type=_POSITIVE, default=1, help="worker threads for repetitions")
     sub.add_argument("--truth-reference", action="store_true",
                      help="score against the planted truth instead of the max run "
                           "(synthetic input only)")
@@ -145,8 +146,8 @@ def build_parser() -> _Parser:
     _add_sweep_args(p_prob)
     p_prob.add_argument("--p-grid", type=_list_of(_FRACTION), default=None,
                         help="comma list of probabilities (default 0,0.1,...,1)")
-    p_prob.add_argument("--kinds", type=str, default="psim,p",
-                        help="random kinds to sweep (comma list from: psim,p)")
+    p_prob.add_argument("--kinds", type=_list_of(_random_kind), default=RANDOM_KINDS,
+                        help="random kinds to sweep (comma list from: psim,p; default both)")
 
     p_topn = subs.add_parser("sweep-topn", help="top-n candidate sweep of psim")
     _add_sweep_args(p_topn)
@@ -172,7 +173,7 @@ def _synthetic(args, parser):
     else:
         sizes = tuple([args.block_size] * args.blocks)
     try:
-        spec = SyntheticSpec(n_blocks=len(sizes), block_sizes=sizes,
+        spec = SyntheticSpec(block_sizes=sizes,
                              in_rate=args.in_rate, cross_rate=args.cross_rate,
                              volume=args.volume, seed=args.synth_seed)
         return (spec, *generate_planted_citation_matrix(spec))
@@ -261,7 +262,7 @@ def _sweep_setup(args, parser) -> tuple[CitationMatrix, ExperimentConfig]:
             parser.error("--truth-reference requires --synth")
         reference = truth
     return matrix, ExperimentConfig(repetitions=args.reps, base_seed=args.seed,
-                                    reference=reference, jobs=args.jobs)
+                                    reference=reference)
 
 
 def _write_sweep(args, result) -> int:
@@ -274,15 +275,8 @@ def _write_sweep(args, result) -> int:
 
 
 def _cmd_sweep_prob(args, parser) -> int:
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    if not kinds:
-        parser.error(f"--kinds: empty list: {args.kinds!r}")
-    for kind in kinds:
-        if kind not in ("psim", "p"):
-            parser.error(f"unknown kind {kind!r}")
     matrix, cfg = _sweep_setup(args, parser)
-    grid = args.p_grid if args.p_grid is not None else default_probability_grid()
-    return _write_sweep(args, run_probability_sweep(matrix, cfg, grid, kinds))
+    return _write_sweep(args, run_probability_sweep(matrix, cfg, args.p_grid, tuple(args.kinds)))
 
 
 def _cmd_sweep_topn(args, parser) -> int:
@@ -292,8 +286,7 @@ def _cmd_sweep_topn(args, parser) -> int:
 
 def _cmd_sweep_del(args, parser) -> int:
     matrix, cfg = _sweep_setup(args, parser)
-    grid = args.del_grid if args.del_grid is not None else default_deletion_grid()
-    return _write_sweep(args, run_deletion_sweep(matrix, cfg, grid))
+    return _write_sweep(args, run_deletion_sweep(matrix, cfg, args.del_grid))
 
 
 def _cmd_gen_synth(args, parser) -> int:

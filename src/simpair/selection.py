@@ -56,7 +56,7 @@ emit nothing and surface downstream as singleton communities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -119,15 +119,8 @@ class Strategy:
                 raise ValueError("mixed strategy needs mix_p in [0, 1]")
 
     def describe(self) -> dict:
-        out = {"kind": self.kind}
-        if self.topn is not None:
-            out["topn"] = self.topn
-        if self.deletion is not None:
-            out["deletion"] = self.deletion
-        if self.kind == "mixed":
-            out["mix_p"] = self.mix_p
-            out["mix_kind"] = self.mix_kind
-        return out
+        """The fields that are set, in declaration order."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _ranked(picks: list[Pairs]) -> Pairs:
@@ -311,19 +304,14 @@ def _psim_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: np.
 
     Absent columns are zeros, and a zero adds exactly, so the row cumsum
     and its ``u * total`` threshold are those of the full row. A row's own
-    column reads 0, so it is never drawn.
+    column reads 0, so it is never drawn; it can enter the top-n only
+    among zeros, which are never drawn either.
     """
     if not vals.shape[1]:
         return NO_PAIRS
     w = vals[local]
-    if topn is not None:
-        pos = _positions(cols, rows)
-        at = np.flatnonzero(pos >= 0)
-        # the most candidates a row has: the stored columns, less its own
-        # when every row's own column is among them
-        if topn < len(cols) - (len(at) == len(rows)):
-            w[at, pos[at]] = -np.inf  # a node is never its own candidate
-            w[~_top_candidates(w, topn)] = 0.0
+    if topn is not None and topn < len(cols):
+        w[~_top_candidates(w, topn)] = 0.0
     j = _proportional_pick(w, u)
     hit = j >= 0
     return rows[hit], cols[j[hit]], vals[local[hit], j[hit]]

@@ -74,7 +74,8 @@ class SimilarityMatrix:
     column reads 0 in every block. ``values`` is the whole similarity as
     CSR, with no diagonal entry and no stored zero; from ``unit`` it is
     built on first access and kept. It costs O(nnz(S)), which selection
-    never needs.
+    never needs, and blocks are read the same way whether it is kept or
+    not: a matrix built from ``unit`` computes every block as a product.
     """
 
     def __init__(self, values=None, *, unit: sparse.csr_array | None = None):
@@ -87,7 +88,7 @@ class SimilarityMatrix:
 
     @property
     def n_nodes(self) -> int:
-        return (self.unit if self._values is None else self._values).shape[0]
+        return (self._values if self.unit is None else self.unit).shape[0]
 
     @property
     def values(self) -> SparseValues:
@@ -97,9 +98,9 @@ class SimilarityMatrix:
 
     def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``lo:hi`` of S, diagonal 0, over the columns they store, as
-        ``(cols, vals)``. A stored S is read in place; otherwise the rows are
-        one product, dropped on return."""
-        if self._values is not None:
+        ``(cols, vals)``. An S given as ``values`` is read in place; from
+        ``unit`` the rows are one product, dropped on return."""
+        if self.unit is None:
             return _columns(self._values, lo, hi)
         u = self.unit
         ip = u.indptr[lo:hi + 1]

@@ -10,20 +10,21 @@ normalized mutual information at both community levels.
 Repetition r at grid point g runs with ``derive_seed(base_seed, g, r)``;
 the two random kinds share that seed, so psim-vs-p comparisons are paired.
 Results are pure functions of (input matrix, config): rerunning a sweep
-reproduces its CSV byte for byte, regardless of worker count.
+reproduces its CSV byte for byte.
 
 A sweep selects the pairs of the max reference and of every (grid point,
 repetition) run in one :func:`~simpair.selection.select_many` call, which
 computes each block of similarity rows once for all of them; no whole
 similarity is stored. The reference and every run then go through the
-same single-level pass as ``detect`` (``pipeline._level``).
+same single-level pass as ``detect`` (``pipeline._level``), one after
+another in one thread: that scoring is short numpy calls and ``math.fsum``
+over lists, which hold the GIL, so worker threads did not speed it up.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .citations import CitationMatrix
@@ -31,7 +32,7 @@ from .communities import Partition
 from .metrics import nmi
 from .pipeline import FIXPOINT, Strategy, _level, detect
 from .rng import derive_seed
-from .selection import Pairs, select_many
+from .selection import RANDOM_KINDS, Pairs, select_many
 from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
@@ -44,8 +45,9 @@ class ExperimentConfig:
 
     ``reference`` is either "max" (score against the deterministic max run
     on the input) or a Partition such as a planted truth, used at both
-    levels. ``jobs`` > 1 runs repetitions in worker threads; aggregation
-    order is fixed, so results do not depend on it.
+    levels. ``jobs`` must be 1, since sweeps run in one thread. It stays
+    only because perfbench's ``sweep_1k`` workload passes ``jobs=1``, and
+    it is deleted together with that argument (ROADMAP item 1).
     """
 
     repetitions: int = 20
@@ -56,8 +58,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if not (isinstance(self.reference, Partition) or self.reference == "max"):
+            raise ValueError("reference must be 'max' or a Partition")
+        if self.jobs != 1:
+            raise ValueError("jobs must be 1: sweeps run in one thread")
 
 
 @dataclass(frozen=True)
@@ -95,15 +99,12 @@ def _reference_partitions(n_nodes: int, cfg: ExperimentConfig,
     single-pass max run over ``n_nodes`` nodes, whose pairs are ``max_pairs``."""
     if isinstance(cfg.reference, Partition):
         return cfg.reference, cfg.reference
-    if cfg.reference != "max":
-        raise ValueError("reference must be 'max' or a Partition")
     _, core, real, _ = _level(max_pairs, n_nodes)
     return core, real
 
 
 def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
-               matrix: CitationMatrix, cfg: ExperimentConfig,
-               metadata: dict | None = None) -> SweepResult:
+               matrix: CitationMatrix, cfg: ExperimentConfig) -> SweepResult:
     """Run reps for every task and reduce to per-task mean/std rows.
 
     A task is (grid_index, grid_value, kind, strategy); the repetition seed
@@ -113,42 +114,38 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     if not tasks:
         raise ValueError("nothing to sweep: the grid or the kinds are empty")
     sim = build_similarity_matrix(matrix)
-    jobs = [(strategy, derive_seed(cfg.base_seed, g, r))
-            for g, _, _, strategy in tasks for r in range(cfg.repetitions)]
+    seeds = [tuple(derive_seed(cfg.base_seed, g, r) for r in range(cfg.repetitions))
+             for g, _, _, _ in tasks]
+    jobs = [(strategy, seed) for (_, _, _, strategy), run_seeds in zip(tasks, seeds)
+            for seed in run_seeds]
     # the max reference rides in the runs' pass: each block of S is computed once
     max_pairs, *selections = select_many(sim, [(Strategy("max"), 0)] + jobs)
     ref_core, ref_real = _reference_partitions(matrix.n_nodes, cfg, max_pairs)
 
-    def run(pairs):
+    outcomes = []
+    for pairs in selections:
         _, core, real, stats = _level(pairs, matrix.n_nodes)
-        return {"cores": float(stats["cores"]), "reals": float(stats["reals"]),
-                "tides": float(stats["tides"]),
-                "nmi_core": nmi(core, ref_core), "nmi_real": nmi(real, ref_real)}
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(run, selections))
-    else:
-        outcomes = list(map(run, selections))
+        outcomes.append({"cores": float(stats["cores"]), "reals": float(stats["reals"]),
+                         "tides": float(stats["tides"]),
+                         "nmi_core": nmi(core, ref_core), "nmi_real": nmi(real, ref_real)})
 
     rows = []
-    for t, (g, grid_value, kind, _strategy) in enumerate(tasks):
+    for t, ((_, grid_value, kind, _), run_seeds) in enumerate(zip(tasks, seeds)):
         runs = outcomes[t * cfg.repetitions:(t + 1) * cfg.repetitions]
-        seeds = tuple(derive_seed(cfg.base_seed, g, r) for r in range(cfg.repetitions))
         mean = {q: math.fsum(run[q] for run in runs) / len(runs) for q in QUANTITIES}
         std = {
             q: math.sqrt(math.fsum((run[q] - mean[q]) ** 2 for run in runs) / len(runs))
             for q in QUANTITIES
         }
         rows.append(SweepRow(grid_value=grid_value, kind=kind,
-                             repetitions=cfg.repetitions, seeds=seeds,
+                             repetitions=cfg.repetitions, seeds=run_seeds,
                              mean=mean, std=std))
-    return SweepResult(sweep=sweep, rows=rows, metadata=dict(metadata or {}))
+    return SweepResult(sweep=sweep, rows=rows)
 
 
 def run_probability_sweep(matrix: CitationMatrix, cfg: ExperimentConfig,
                           p_grid: list[float] | None = None,
-                          kinds: tuple[str, ...] = ("psim", "p")) -> SweepResult:
+                          kinds: tuple[str, ...] = RANDOM_KINDS) -> SweepResult:
     """Mix random selection into max at each probability on the grid."""
     if p_grid is None:
         p_grid = default_probability_grid()
@@ -180,8 +177,7 @@ def run_topn_sweep(matrix: CitationMatrix, cfg: ExperimentConfig,
     result = _aggregate("topn", tasks, matrix, cfg)
     crossing = next((row.grid_value for row in result.rows
                      if row.mean["nmi_real"] < 0.5), None)
-    return replace(result, metadata={**result.metadata,
-                                     "nmi_real_below_half_at": crossing})
+    return replace(result, metadata={"nmi_real_below_half_at": crossing})
 
 
 def run_deletion_sweep(matrix: CitationMatrix, cfg: ExperimentConfig,

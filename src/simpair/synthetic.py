@@ -30,7 +30,6 @@ class SyntheticSpec:
     iteration's fixed point is the planted partition itself.
     """
 
-    n_blocks: int = 4
     block_sizes: tuple[int, ...] = (25, 25, 25, 25)
     in_rate: float = 10.0
     cross_rate: float = 0.0
@@ -38,8 +37,8 @@ class SyntheticSpec:
     seed: int = 1
 
     def __post_init__(self):
-        if self.n_blocks < 1 or len(self.block_sizes) != self.n_blocks:
-            raise ValueError("block_sizes must list one size per block")
+        if not self.block_sizes:
+            raise ValueError("block_sizes must list at least one block")
         if any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
         if self.in_rate < 0 or self.cross_rate < 0:
@@ -51,6 +50,10 @@ class SyntheticSpec:
             raise ValueError("volume must be positive")
         if self.volume > np.iinfo(np.int64).max:  # the most multinomial can draw
             raise ValueError(f"volume must be at most {np.iinfo(np.int64).max}")
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.block_sizes)
 
     @property
     def n_nodes(self) -> int:

@@ -294,8 +294,8 @@ class TestSweepCommands:
         args = ["sweep-prob", "--synth", "--block-size", "6", "--volume", "2000",
                 "--reps", "4", "--p-grid", "0,0.5,1", "--seed", "5"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run(args + ["--jobs", "1", "--out", str(out_a)])
-        run(args + ["--jobs", "3", "--out", str(out_b)])
+        run(args + ["--out", str(out_a)])
+        run(args + ["--out", str(out_b)])
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
     def test_sweep_topn(self, tmp_path):

@@ -130,12 +130,13 @@ def test_index_arrays_are_int32_when_they_fit():
     columns = similarity._columns
 
     def recorded(rows, lo, hi):
-        products.append(rows.indices.dtype)
+        products.append((rows.indices.dtype, rows.shape[0], hi - lo))
         return columns(rows, lo, hi)
 
     with mock.patch.object(similarity, "_columns", recorded):
         assert len(list(s.blocks(7))) == 5
-    assert products == [np.int32] * 5  # every block's product
+    # every block's product, not the kept values
+    assert products == [(np.int32, 7, 7)] * 4 + [(np.int32, 2, 2)]
 
 
 SEEDS = st.integers(0, 2**63)

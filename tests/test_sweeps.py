@@ -22,7 +22,7 @@ from simpair import selection
 
 @pytest.fixture(scope="module")
 def small_matrix():
-    spec = SyntheticSpec(n_blocks=3, block_sizes=(8, 8, 8),
+    spec = SyntheticSpec(block_sizes=(8, 8, 8),
                          in_rate=10.0, cross_rate=0.0, volume=6_000, seed=9)
     matrix, _truth = generate_planted_citation_matrix(spec)
     return matrix
@@ -60,11 +60,10 @@ class TestProbabilitySweep:
 
     def test_csv_is_deterministic_and_parallel_safe(self, small_matrix):
         grid = [0.0, 0.5, 1.0]
-        serial = run_probability_sweep(
-            small_matrix, ExperimentConfig(repetitions=6, base_seed=7, jobs=1), grid)
-        threaded = run_probability_sweep(
-            small_matrix, ExperimentConfig(repetitions=6, base_seed=7, jobs=4), grid)
-        assert serial.to_csv() == threaded.to_csv()
+        cfg = ExperimentConfig(repetitions=6, base_seed=7)
+        first = run_probability_sweep(small_matrix, cfg, grid)
+        again = run_probability_sweep(small_matrix, cfg, grid)
+        assert first.to_csv() == again.to_csv()
 
     def test_different_base_seed_changes_runs(self, small_matrix):
         a = run_probability_sweep(small_matrix, ExperimentConfig(repetitions=4, base_seed=0), [1.0])
@@ -139,7 +138,7 @@ class TestReference:
         assert np.array_equal(ref_real.labels, standalone.real.labels)
 
     def test_planted_truth_as_reference(self):
-        spec = SyntheticSpec(n_blocks=3, block_sizes=(8, 8, 8),
+        spec = SyntheticSpec(block_sizes=(8, 8, 8),
                              in_rate=10.0, cross_rate=0.0, volume=6_000, seed=9)
         matrix, truth = generate_planted_citation_matrix(spec)
         cfg = ExperimentConfig(repetitions=3, base_seed=0, reference=truth)
@@ -164,12 +163,21 @@ class TestReference:
         assert blocks[-1][1] == small_matrix.n_nodes
 
     def test_rejects_unknown_reference(self, small_matrix):
-        cfg = ExperimentConfig(reference="truth")
         with pytest.raises(ValueError):
-            run_probability_sweep(small_matrix, cfg, [0.0])
+            run_probability_sweep(small_matrix, ExperimentConfig(reference="truth"), [0.0])
 
 
 class TestConfigValidation:
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
+
+    @pytest.mark.parametrize("reference", ["min", "truth", None])
+    def test_rejects_bad_reference_when_built(self, reference):
+        with pytest.raises(ValueError, match="reference"):
+            ExperimentConfig(reference=reference)
+
+    def test_jobs_must_be_one(self):
+        assert ExperimentConfig(jobs=1).jobs == 1
+        with pytest.raises(ValueError, match="one thread"):
+            ExperimentConfig(jobs=2)

@@ -25,7 +25,7 @@ class TestGenerator:
         assert matrix.to_dense().diagonal().sum() == 0
 
     def test_truth_matches_block_sizes(self):
-        spec = SyntheticSpec(n_blocks=3, block_sizes=(5, 7, 9),
+        spec = SyntheticSpec(block_sizes=(5, 7, 9),
                              in_rate=8.0, cross_rate=1.0, volume=5_000, seed=0)
         matrix, truth = generate_planted_citation_matrix(spec)
         assert matrix.n_nodes == 21
@@ -53,13 +53,13 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SyntheticSpec(in_rate=1.0, cross_rate=2.0)
         with pytest.raises(ValueError):
-            SyntheticSpec(n_blocks=2, block_sizes=(5,))
+            SyntheticSpec(block_sizes=())
         with pytest.raises(ValueError):
             SyntheticSpec(volume=2**63)  # more than multinomial can draw
         # an infinite total weight would put every citation on one diagonal cell
         with pytest.raises(ValueError, match="finite"):
             generate_planted_citation_matrix(
-                SyntheticSpec(n_blocks=2, block_sizes=(2, 2), in_rate=1e308))
+                SyntheticSpec(block_sizes=(2, 2), in_rate=1e308))
 
 
 class TestRecovery:
@@ -85,7 +85,7 @@ class TestRecovery:
     def test_null_model_carries_no_signal(self):
         vals = []
         for seed in range(5):
-            spec = SyntheticSpec(n_blocks=4, block_sizes=(100,) * 4,
+            spec = SyntheticSpec(block_sizes=(100,) * 4,
                                  in_rate=10.0, cross_rate=10.0,
                                  volume=200_000, seed=seed)
             matrix, truth = generate_planted_citation_matrix(spec)
