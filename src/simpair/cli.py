@@ -275,6 +275,8 @@ def _write_sweep(args, result) -> int:
 
 
 def _cmd_sweep_prob(args, parser) -> int:
+    if len(set(args.kinds)) < len(args.kinds):
+        parser.error(f"--kinds repeats a kind: {','.join(args.kinds)}")
     matrix, cfg = _sweep_setup(args, parser)
     return _write_sweep(args, run_probability_sweep(matrix, cfg, args.p_grid, tuple(args.kinds)))
 

@@ -25,7 +25,7 @@ nodes were both placed earlier, in different cores, is a tide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -62,7 +62,6 @@ class DetectionResult:
     real: np.ndarray
     members: np.ndarray
     tides: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     @property
     def unassigned(self) -> np.ndarray:
@@ -96,8 +95,7 @@ def grouped(labels: np.ndarray, nodes: np.ndarray) -> list[list[int]]:
     return [g.tolist() for g in np.split(nodes[np.argsort(labels, kind="stable")], bounds)]
 
 
-def build_communities(pairs: Pairs, n_nodes: int,
-                      provenance: dict | None = None) -> DetectionResult:
+def build_communities(pairs: Pairs, n_nodes: int) -> DetectionResult:
     """Scan a ranked pair list and grow core and real communities.
 
     Each pair of the ``pairs`` columns must join two different nodes in
@@ -145,7 +143,6 @@ def build_communities(pairs: Pairs, n_nodes: int,
         real=_components(np.count_nonzero(founds), core_a[tide], core_b[tide]),
         members=members,
         tides=np.column_stack([ends[tide], core_a[tide], core_b[tide]]),
-        provenance=dict(provenance or {}),
     )
 
 

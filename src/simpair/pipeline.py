@@ -57,11 +57,10 @@ def _rows(pairs: Pairs) -> list[RankedPair]:
     return list(map(RankedPair, *(col.tolist() for col in pairs)))
 
 
-def _level(pairs: Pairs, n_nodes: int, provenance: dict | None = None
-           ) -> tuple[DetectionResult, Partition, Partition, dict]:
+def _level(pairs: Pairs, n_nodes: int) -> tuple[DetectionResult, Partition, Partition, dict]:
     """One pass on a ranked pair list: the result, its core and real
     partitions, and its stats (level 1 over ``n_nodes`` coarse nodes)."""
-    result = build_communities(pairs, n_nodes, provenance)
+    result = build_communities(pairs, n_nodes)
     stats = partition_stats(result)
     stats["level"] = 1
     stats["coarse_nodes"] = n_nodes
@@ -121,7 +120,7 @@ def detect_from_pairs(pairs: Pairs, n_nodes: int,
     """
     order = (-pairs[2]).argsort(kind="stable")
     pairs = tuple(col[order] for col in pairs)
-    result, core, real, stats = _level(pairs, n_nodes, provenance)
+    result, core, real, stats = _level(pairs, n_nodes)
     return Detection(
         core=core,
         real=real,

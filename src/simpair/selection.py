@@ -22,9 +22,9 @@ columns (:data:`Pairs`) sorted by decreasing similarity, ties by
                  strategy.
 
 Every run is one picker: a node draws its partner (always under ``psim``
-and ``p``, where its coin comes up under ``mixed``) or else takes its
-maximum, so mix_p=0 runs max's code and mix_p=1 the random strategy's,
-byte for byte. Random draws come from one stream per (seed, purpose);
+and ``p``, where its coin comes up under ``mixed``) or else walks to its
+first visible entry, so mix_p=0 runs max's code and mix_p=1 the random
+strategy's, byte for byte. Random draws come from one stream per (seed, purpose);
 node i reads element i, or for deletion's tie draws reads draw j of
 its own by position (see :mod:`simpair.rng`). A run draws only the streams it reads, and
 the coin and the partner use separate ones.
@@ -37,18 +37,18 @@ the block, so each draw is the one the full rows would give. Each
 block's rows are computed as one product as the block is read, and no
 whole similarity is stored. The largest temporaries are one
 ``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N, the
-product it comes from (dropped before the block is used), and, with
-deletion, one ``argpartition`` of the block and a copy of its tied rows.
+product it comes from (dropped before the block is used), one
+``argpartition`` of the block (for wide walks) and a copy of its tied rows.
 
-Deletion never draws the hidden columns. Taken in decreasing similarity,
-ties by column id, only a row's first visible entry can be its maximum,
-so each run draws T, the number of hidden entries in front of it, one
-uniform per node, and reads the row's top T+1 entries. A block's walks
-share one window of each row's largest entries, as wide as the longest
-walk that ends on a positive entry plus 2, built once per block for
-every deletion run of the pass. Rows whose entry at T ties with later
-ones are read over the whole block row, all tied rows of a block at
-once.
+Max is a walk. Deletion never draws the hidden columns: taken in
+decreasing similarity, ties by column id, only a row's first visible
+entry can be its maximum, so each run draws T, the number of hidden
+entries in front of it, one uniform per node, and reads the row's top
+T+1 entries; without deletion T = 0. A block's walks share one window of
+each row's largest entries, as wide as the longest walk that ends on a
+positive entry plus 2 (narrow ones built by argmax rounds), built once
+per block for every max row of the pass. Rows whose entry at T ties with
+later ones are read over the whole block row, all tied rows at once.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -69,6 +69,8 @@ Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
 NO_PAIRS: Pairs = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 BLOCK_ROWS = 128
+# a walk window at most this wide is built by argmax rounds, a wider one by argpartition
+ROUNDS = 8
 
 
 class RankedPair(NamedTuple):  # a row of ``Detection.pairs``
@@ -150,13 +152,28 @@ def _window(vals: np.ndarray, steps: list[np.ndarray]) -> tuple[np.ndarray, np.n
     one entry past it. So the window is as wide as the longest walk that
     ends on a positive entry, plus 2, and at most the whole row. ``pos``
     holds positions in the block's columns and ``top`` their values,
-    largest first, ties by position (that is, by column id).
+    largest first, ties by position (that is, by column id). Up to
+    ``ROUNDS`` wide, one ``argmax`` per window column takes the next entry
+    and marks it -1 until ``vals`` is restored; a wider window sorts an
+    ``argpartition``, which may end on any entry tied with its last one, a
+    value that walks read only as a tie.
     """
     positive = np.count_nonzero(vals, axis=1)  # entries are >= 0
     longest = max(t[t < positive].max(initial=-2) for t in steps)
     width = min(longest + 2, vals.shape[1])
     if width <= 0:
         return np.empty((len(vals), 0), np.int64), np.empty((len(vals), 0))
+    if width <= ROUNDS:
+        at = np.arange(len(vals))
+        pos, top = [], []
+        for _ in range(width):
+            p = vals.argmax(axis=1)
+            pos.append(p)
+            top.append(vals[at, p])
+            vals[at, p] = -1.0
+        pos, top = np.column_stack(pos), np.column_stack(top)
+        vals[at[:, None], pos] = top
+        return pos, top
     # selecting the smallest of -vals stays fast when most entries are equal zeros
     part = np.argpartition(-vals, width - 1, axis=1)[:, :width]
     top = np.take_along_axis(vals, part, axis=1)
@@ -165,8 +182,9 @@ def _window(vals: np.ndarray, steps: list[np.ndarray]) -> tuple[np.ndarray, np.n
 
 
 def _walk_picks(cols: np.ndarray, vals: np.ndarray, window: tuple[np.ndarray, np.ndarray],
-                rows: np.ndarray, t: np.ndarray, k: int, n: int, seed: int) -> Pairs:
-    """The visible maxima of rows ``rows`` whose first T = ``t`` entries are hidden.
+                local: np.ndarray, rows: np.ndarray, t: np.ndarray, k: int, n: int,
+                seed: int) -> Pairs:
+    """The visible maxima of block rows ``local``, nodes ``rows``, past T = ``t`` hidden entries.
 
     Entries are taken in decreasing similarity, ties by column id. The
     entry at position T is visible and, if positive, the row's maximum.
@@ -176,16 +194,16 @@ def _walk_picks(cols: np.ndarray, vals: np.ndarray, window: tuple[np.ndarray, np
     width = top.shape[1]
     if not width:
         return NO_PAIRS
-    at = np.arange(len(rows))
     end = np.minimum(t, width - 1)
-    v = np.where(t < width, top[at, end], 0.0)
+    v = np.where(t < width, top[local, end], 0.0)
     # a row with v > 0 has t + 1 < width unless the window is the whole row
-    after = np.where(t + 1 < width, top[at, np.minimum(t + 1, width - 1)], 0.0)
+    after = np.where(t + 1 < width, top[local, np.minimum(t + 1, width - 1)], 0.0)
     single = (v > 0.0) & (after < v)
-    picks = [(rows[single], cols[pos[at[single], end[single]]], v[single])]
+    picks = [(rows[single], cols[pos[local[single], end[single]]], v[single])]
     tied = np.flatnonzero((v > 0.0) & (after == v))
     if len(tied):
-        picks.append(_tied_picks(cols, vals[tied], rows[tied], t[tied], v[tied], k, n, seed))
+        picks.append(_tied_picks(cols, vals[local[tied]], rows[tied], t[tied], v[tied], k, n,
+                                 seed))
     return tuple(np.concatenate(col) for col in zip(*picks))
 
 
@@ -217,9 +235,11 @@ def _tied_picks(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, t: np.ndar
     subset of its n - 2 - T later ones. So of the m later entries equal to
     v, a hypergeometric count h is hidden, drawn by inverse CDF on draw 0
     of (seed, TIE_STREAM, node), and they are the h whose keys, draw
-    1 + column, are smallest.
+    1 + column, are smallest; with k = 0 none is, and nothing is drawn.
     """
     r, c = np.nonzero(vals == v[:, None])  # by row, then column
+    if not k:
+        return rows[r], cols[c], v[r]
     rank = np.arange(len(r)) - np.searchsorted(r, r)
     first = t - np.count_nonzero(vals > v[:, None], axis=1)  # rank of the entry at T
     off = rank - first[r]  # 0 at T, > 0 after it, < 0 hidden before it
@@ -242,30 +262,6 @@ def _positions(cols: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     found = pos < len(cols)
     found[found] = cols[pos[found]] == nodes[found]
     return np.where(found, pos, -1)
-
-
-def _max_picks(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> Pairs:
-    """Every maximum of each row in ``vals`` (the rows ``rows``), ties included.
-
-    Rows whose maximum is not positive emit nothing; a positive maximum is
-    always in a stored column. Exact ties are rare, so they are found by a
-    tie count and only tied rows are scanned again.
-    """
-    if not vals.shape[1]:
-        return NO_PAIRS
-    at = np.arange(len(rows))
-    best = vals.argmax(axis=1)
-    m = vals[at, best]
-    ties = np.count_nonzero(vals == m[:, None], axis=1)
-    live = m > 0.0
-    single = live & (ties == 1)
-    tied = np.flatnonzero(live & (ties > 1))
-    if not len(tied):
-        return rows[single], cols[best[single]], m[single]
-    r, c = np.nonzero(vals[tied] == m[tied, None])
-    return (np.concatenate((rows[single], rows[tied[r]])),
-            np.concatenate((cols[best[single]], cols[c])),
-            np.concatenate((m[single], m[tied[r]])))
 
 
 def _proportional_pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -331,11 +327,11 @@ def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: 
 
 def _job(strategy: Strategy, seed: int, n: int):
     """Per-block picker for one (strategy, seed) run over ``n`` nodes, and
-    its walk lengths T under deletion (else None).
+    its walk lengths T (None when every node draws).
 
     A node draws its partner under psim and p, never under max, and under
-    mixed where its gate draw is below mix_p; the rest take their maximum,
-    or under deletion their first visible one.
+    mixed where its gate draw is below mix_p; the rest walk to their first
+    visible entry, which with nothing deleted (T = 0) is their maximum.
     """
     kind, topn = strategy.kind, strategy.topn
     if kind == "mixed":
@@ -345,7 +341,7 @@ def _job(strategy: Strategy, seed: int, n: int):
         draw = np.full(n, kind != "max")
     u = stream(seed, PARTNER_STREAM).random(n) if np.count_nonzero(draw) else None
     k = int(np.floor((strategy.deletion or 0.0) * (n - 1)))
-    steps = _walk_steps(seed, n, k) if k else None
+    steps = None if draw.all() else _walk_steps(seed, n, k) if k else np.zeros(n, np.int64)
 
     def take(cols: np.ndarray, vals: np.ndarray, block: slice,
              window: tuple[np.ndarray, np.ndarray] | None) -> list[Pairs]:
@@ -359,13 +355,10 @@ def _job(strategy: Strategy, seed: int, n: int):
                 picks.append(_psim_picks(cols, vals, local, at, u[at], topn))
             else:
                 picks.append(_uniform_picks(cols, vals, local, at, u[at], n))
-            if len(local) == len(rows):
-                return picks
-            vals, rows = vals[~drawn], rows[~drawn]
-        if steps is None:
-            picks.append(_max_picks(cols, vals, rows))
-        else:  # deletion is max only, so no row of the block drew
-            picks.append(_walk_picks(cols, vals, window, rows, steps[block], k, n, seed))
+        if len(local) < len(rows):
+            kept = np.flatnonzero(~drawn)
+            picks.append(_walk_picks(cols, vals, window, kept, rows[kept], steps[block][kept],
+                                     k, n, seed))
         return picks
     return take, steps
 

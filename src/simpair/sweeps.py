@@ -113,6 +113,8 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     """
     if not tasks:
         raise ValueError("nothing to sweep: the grid or the kinds are empty")
+    if isinstance(cfg.reference, Partition) and cfg.reference.n_nodes != matrix.n_nodes:
+        raise ValueError(f"reference has {cfg.reference.n_nodes} nodes, matrix {matrix.n_nodes}")
     sim = build_similarity_matrix(matrix)
     seeds = [tuple(derive_seed(cfg.base_seed, g, r) for r in range(cfg.repetitions))
              for g, _, _, _ in tasks]
@@ -147,6 +149,8 @@ def run_probability_sweep(matrix: CitationMatrix, cfg: ExperimentConfig,
                           p_grid: list[float] | None = None,
                           kinds: tuple[str, ...] = RANDOM_KINDS) -> SweepResult:
     """Mix random selection into max at each probability on the grid."""
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"kinds repeat: {', '.join(kinds)}")
     if p_grid is None:
         p_grid = default_probability_grid()
     if any(not 0.0 <= p <= 1.0 for p in p_grid):

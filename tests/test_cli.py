@@ -338,6 +338,8 @@ class TestParameterErrors:
         ["gen-synth", "--blocks", "2", "--block-size", "2",
          "--in-rate", "1e308", "--cross-rate", "1e308"],
         ["sweep-prob", "--synth", "--kinds", ","],
+        ["sweep-prob", "--synth", "--kinds", "psim,psim"],
+        ["sweep-prob", "--synth", "--kinds", "p,psim,p"],
         ["sweep-prob", "--synth", "--p-grid", ","],
         ["sweep-topn", "--synth", "--topn-grid", ","],
         ["sweep-del", "--synth", "--del-grid", ","],

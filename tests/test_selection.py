@@ -339,6 +339,13 @@ class TestStreams:
         assert sorted(self.drawn(monkeypatch, s, Strategy("max", deletion=0.5))) == [
             (4, MASK_STREAM), (4, TIE_STREAM, 0)]
 
+    def test_max_ties_read_no_stream(self, monkeypatch):
+        # rows 0, 2 and 3 tie at their maximum; with nothing hidden no tie is drawn
+        s = sim_from([[0.0, 0.5, 0.5, 0.5], [0.5, 0.0, 0.2, 0.0],
+                      [0.5, 0.2, 0.0, 0.2], [0.5, 0.0, 0.2, 0.0]])
+        assert self.drawn(monkeypatch, s, MAX) == []
+        assert edges(select_pairs(s, MAX)) == [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]
+
     @staticmethod
     def drawn(monkeypatch, s, strategy) -> list[tuple]:
         """The (seed, purpose) of every stream one run at seed 4 draws, and

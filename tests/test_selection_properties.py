@@ -226,6 +226,59 @@ def test_row_blocks_do_not_change_the_draw(monkeypatch, strategy):
     assert rows(select_pairs(s, strategy, seed=3)) == whole
 
 
+def pair_bytes(pairs) -> list[bytes]:
+    return [col.tobytes() for col in pairs]
+
+
+@PROPERTY
+@given(similarities(), SEEDS, st.sampled_from(STRATEGIES))
+def test_window_constructions_give_identical_pairs(s, seed, strategy):
+    """Every window built by argpartition (ROUNDS = 0) or by argmax rounds."""
+    def pairs(rounds):
+        with mock.patch.object(selection, "ROUNDS", rounds):
+            return pair_bytes(select_pairs(s, strategy, seed))
+
+    assert pairs(0) == pairs(10**9)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES + [Strategy("max", deletion=d)
+                                                   for d in (0.3, 0.8, 1.0)],
+                         ids=lambda st_: str(st_.describe()))
+def test_window_constructions_give_identical_pairs_on_ties(monkeypatch, strategy):
+    s = SimilarityMatrix(values=TIED)
+    monkeypatch.setattr(selection, "BLOCK_ROWS", 4)
+    for seed in range(50):
+        monkeypatch.setattr(selection, "ROUNDS", 0)
+        wide = pair_bytes(select_pairs(s, strategy, seed))
+        monkeypatch.setattr(selection, "ROUNDS", 10**9)
+        assert pair_bytes(select_pairs(s, strategy, seed)) == wide
+
+
+@PROPERTY
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 12)), elements=LEVELS),
+       st.data())
+def test_window_is_each_rows_largest_entries_in_order(vals, data):
+    """Argmax rounds against a full sort, largest first, ties by position, with
+    the block left as it was; argpartition holds the same values, and may
+    end on any of the entries tied with its last one."""
+    steps = [np.array(data.draw(st.lists(st.integers(0, vals.shape[1]), min_size=len(vals),
+                                         max_size=len(vals))))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    block = vals.copy()
+    order = np.lexsort((np.broadcast_to(np.arange(vals.shape[1]), vals.shape), -vals), axis=1)
+    with mock.patch.object(selection, "ROUNDS", 10**9):
+        pos, top = selection._window(block, steps)
+    assert np.array_equal(pos, order[:, :pos.shape[1]])
+    assert np.array_equal(top, np.take_along_axis(vals, pos, axis=1))
+    assert np.array_equal(block, vals)
+    with mock.patch.object(selection, "ROUNDS", 0):
+        wide_pos, wide_top = selection._window(block, steps)
+    assert np.array_equal(wide_top, top)
+    assert np.array_equal(wide_top, np.take_along_axis(vals, wide_pos, axis=1))
+    settled = top > top[:, -1:]  # the entries before the last tie group
+    assert np.array_equal(wide_pos[settled], pos[settled])
+
+
 def golden_similarity() -> SimilarityMatrix:
     """64 nodes in chunks of 8 rows: diagonal blocks, isolated nodes, and two
     chunks that store none of their own columns.

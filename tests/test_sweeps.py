@@ -5,6 +5,7 @@ import pytest
 
 from simpair import (
     ExperimentConfig,
+    Partition,
     SimilarityMatrix,
     Strategy,
     SyntheticSpec,
@@ -17,7 +18,7 @@ from simpair import (
     run_topn_sweep,
     select_pairs,
 )
-from simpair import selection
+from simpair import selection, sweeps
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,12 @@ def small_matrix():
 def test_an_empty_sweep_is_rejected(small_matrix, sweep):
     with pytest.raises(ValueError):
         sweep(small_matrix, ExperimentConfig(repetitions=2))
+
+
+@pytest.mark.parametrize("kinds", [("psim", "psim"), ("p", "psim", "p")])
+def test_a_repeated_kind_is_rejected(small_matrix, kinds):
+    with pytest.raises(ValueError, match="repeat"):
+        run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.5], kinds=kinds)
 
 
 class TestProbabilitySweep:
@@ -161,6 +168,18 @@ class TestReference:
         assert len(blocks) > 1
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == small_matrix.n_nodes
+
+    def test_reference_of_another_size_is_rejected_before_selection(self, small_matrix,
+                                                                    monkeypatch):
+        def no_selection(*args):
+            raise AssertionError("selected before the reference was checked")
+
+        monkeypatch.setattr(sweeps, "select_many", no_selection)
+        truth = Partition(labels=np.zeros(small_matrix.n_nodes + 1, np.int64), level="real")
+        cfg = ExperimentConfig(repetitions=2, reference=truth)
+        with pytest.raises(ValueError, match=f"{small_matrix.n_nodes + 1} nodes.*"
+                                             f"{small_matrix.n_nodes}"):
+            run_probability_sweep(small_matrix, cfg, [0.5])
 
     def test_rejects_unknown_reference(self, small_matrix):
         with pytest.raises(ValueError):
