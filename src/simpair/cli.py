@@ -32,6 +32,8 @@ from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
+# detect flags that --pairs skips, which it therefore refuses at other than their defaults
+_SELECTION_FLAGS = ("format", "strategy", "topn", "delete", "levels", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,6 +221,10 @@ def _cmd_detect(args, parser) -> int:
     if args.pairs is not None:
         if args.input is not None:
             parser.error("--pairs and --input are mutually exclusive")
+        defaults = parser.parse_args(["detect", f"--out={out}"])
+        given = [f"--{f}" for f in _SELECTION_FLAGS if getattr(args, f) != getattr(defaults, f)]
+        if given:
+            parser.error(f"--pairs skips selection, so {', '.join(given)} cannot apply")
         try:
             pairs, n_nodes, node_labels = read_pairs(args.pairs, args.n_nodes)
         except OSError as exc:

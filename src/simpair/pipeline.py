@@ -110,8 +110,7 @@ def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
     )
 
 
-def detect_from_pairs(pairs: Pairs, n_nodes: int,
-                      provenance: dict | None = None) -> Detection:
+def detect_from_pairs(pairs: Pairs, n_nodes: int) -> Detection:
     """Run only the community-growth stage on an externally supplied pair list.
 
     The pair columns are ranked by decreasing similarity first, ties kept
@@ -127,5 +126,5 @@ def detect_from_pairs(pairs: Pairs, n_nodes: int,
         result=result,
         pairs=_rows(pairs),
         level_stats=[stats],
-        provenance=dict(provenance or {"strategy": {"kind": "pairs"}, "seed": None}),
+        provenance={"strategy": {"kind": "pairs"}, "seed": None},
     )

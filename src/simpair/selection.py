@@ -38,17 +38,17 @@ block's rows are computed as one product as the block is read, and no
 whole similarity is stored. The largest temporaries are one
 ``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N, the
 product it comes from (dropped before the block is used), one
-``argpartition`` of the block (for wide walks) and a copy of its tied rows.
+``argpartition`` of the block (for wide windows) and a copy of its tied rows.
 
 Max is a walk. Deletion never draws the hidden columns: taken in
 decreasing similarity, ties by column id, only a row's first visible
 entry can be its maximum, so each run draws T, the number of hidden
 entries in front of it, one uniform per node, and reads the row's top
-T+1 entries; without deletion T = 0. A block's walks share one window of
-each row's largest entries, as wide as the longest walk that ends on a
-positive entry plus 2 (narrow ones built by argmax rounds), built once
-per block for every max row of the pass. Rows whose entry at T ties with
-later ones are read over the whole block row, all tied rows at once.
+T+1 entries; without deletion T = 0. Each block builds one window of its
+rows' largest entries (narrow ones by argmax rounds) for every max row
+of the pass and every psim top-n cut, which reads the row's n-th largest
+value at position n - 1. Rows whose entry at T ties with later ones are
+read over the whole block row, all tied rows at once.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -144,22 +144,23 @@ def _walk_steps(seed: int, n: int, k: int) -> np.ndarray:
     return np.searchsorted(-survival, -stream(seed, MASK_STREAM).random(n))
 
 
-def _window(vals: np.ndarray, steps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's largest entries, shared by a block's walks, as ``(pos, top)``.
+def _window(vals: np.ndarray, depths: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest entries, shared by a block's walks and top-n cuts, as ``(pos, top)``.
 
-    ``steps`` holds each walk's T for the block's rows. A walk ends on its
-    row's position T; it emits only if that entry is positive, and reads
-    one entry past it. So the window is as wide as the longest walk that
-    ends on a positive entry, plus 2, and at most the whole row. ``pos``
+    ``depths`` holds each run's deepest position for the block's rows: a
+    walk's T, whose entry it emits if positive and reads one past, or a
+    top-n cut's n - 1, whose value it reads. So the window is as wide as
+    the deepest position holding a positive entry, plus 2, and at most
+    the whole row. ``pos``
     holds positions in the block's columns and ``top`` their values,
     largest first, ties by position (that is, by column id). Up to
     ``ROUNDS`` wide, one ``argmax`` per window column takes the next entry
     and marks it -1 until ``vals`` is restored; a wider window sorts an
-    ``argpartition``, which may end on any entry tied with its last one, a
-    value that walks read only as a tie.
+    ``argpartition``, which may end on any entry tied with its last one:
+    walks read that entry only as a tie, and cuts only its value.
     """
     positive = np.count_nonzero(vals, axis=1)  # entries are >= 0
-    longest = max(t[t < positive].max(initial=-2) for t in steps)
+    longest = max(t[t < positive].max(initial=-2) for t in depths)
     width = min(longest + 2, vals.shape[1])
     if width <= 0:
         return np.empty((len(vals), 0), np.int64), np.empty((len(vals), 0))
@@ -281,10 +282,8 @@ def _proportional_pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return j
 
 
-def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
-    """Mask of each row's ``topn`` largest entries; boundary ties go to lower ids."""
-    n = w.shape[1]
-    threshold = np.partition(w, n - topn, axis=1)[:, n - topn, None]
+def _top_candidates(w: np.ndarray, threshold: np.ndarray, topn: int) -> np.ndarray:
+    """Mask of each row's ``topn`` largest entries, the least ``threshold``; ties to lower ids."""
     above = w > threshold
     at = w == threshold
     room = topn - np.count_nonzero(above, axis=1)
@@ -294,20 +293,21 @@ def _top_candidates(w: np.ndarray, topn: int) -> np.ndarray:
     return above | at
 
 
-def _psim_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: np.ndarray,
-                u: np.ndarray, topn: int | None) -> Pairs:
+def _psim_picks(cols: np.ndarray, vals: np.ndarray, window: tuple[np.ndarray, np.ndarray] | None,
+                local: np.ndarray, rows: np.ndarray, u: np.ndarray, topn: int | None) -> Pairs:
     """Proportional draws for block rows ``local`` (nodes ``rows``, uniforms ``u``).
 
     Absent columns are zeros, and a zero adds exactly, so the row cumsum
     and its ``u * total`` threshold are those of the full row. A row's own
     column reads 0, so it is never drawn; it can enter the top-n only
-    among zeros, which are never drawn either.
+    among zeros, which are never drawn either. A top-n cut reads its threshold from
+    the window; where that is narrower than n, it would drop only zeros and is skipped.
     """
     if not vals.shape[1]:
         return NO_PAIRS
     w = vals[local]
-    if topn is not None and topn < len(cols):
-        w[~_top_candidates(w, topn)] = 0.0
+    if topn is not None and topn <= window[1].shape[1]:
+        w[~_top_candidates(w, window[1][local, topn - 1, None], topn)] = 0.0
     j = _proportional_pick(w, u)
     hit = j >= 0
     return rows[hit], cols[j[hit]], vals[local[hit], j[hit]]
@@ -326,8 +326,8 @@ def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: 
 
 
 def _job(strategy: Strategy, seed: int, n: int):
-    """Per-block picker for one (strategy, seed) run over ``n`` nodes, and
-    its walk lengths T (None when every node draws).
+    """Per-block picker for one (strategy, seed) run over ``n`` nodes, and the depth
+    each row needs the block's window to reach: its walk's T, a top-n's n - 1, or None.
 
     A node draws its partner under psim and p, never under max, and under
     mixed where its gate draw is below mix_p; the rest walk to their first
@@ -352,7 +352,7 @@ def _job(strategy: Strategy, seed: int, n: int):
         if len(local):
             at = rows[local]
             if kind == "psim":
-                picks.append(_psim_picks(cols, vals, local, at, u[at], topn))
+                picks.append(_psim_picks(cols, vals, window, local, at, u[at], topn))
             else:
                 picks.append(_uniform_picks(cols, vals, local, at, u[at], n))
         if len(local) < len(rows):
@@ -360,7 +360,7 @@ def _job(strategy: Strategy, seed: int, n: int):
             picks.append(_walk_picks(cols, vals, window, kept, rows[kept], steps[block][kept],
                                      k, n, seed))
         return picks
-    return take, steps
+    return take, steps if topn is None else np.full(n, topn - 1)
 
 
 def select_many(s: SimilarityMatrix,
@@ -373,11 +373,11 @@ def select_many(s: SimilarityMatrix,
     if s.n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     runs = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
-    walks = [steps for _, steps in runs if steps is not None]
+    depths = [depth for _, depth in runs if depth is not None]
     picks: list[list[Pairs]] = [[] for _ in jobs]
     for block, cols, vals in s.blocks(BLOCK_ROWS):
-        # one window for every walk of the pass, dropped with the block
-        window = _window(vals, [steps[block] for steps in walks]) if walks else None
+        # one window for every walk and top-n cut of the pass, dropped with the block
+        window = _window(vals, [depth[block] for depth in depths]) if depths else None
         for (take, _), out in zip(runs, picks):
             out += take(cols, vals, block, window)
         del cols, vals, window  # freed before the next block is filled

@@ -12,8 +12,8 @@ the two random kinds share that seed, so psim-vs-p comparisons are paired.
 Results are pure functions of (input matrix, config): rerunning a sweep
 reproduces its CSV byte for byte.
 
-A sweep selects the pairs of the max reference and of every (grid point,
-repetition) run in one :func:`~simpair.selection.select_many` call, which
+A sweep selects the pairs of every (grid point, repetition) run, and of a
+max reference, in one :func:`~simpair.selection.select_many` call, which
 computes each block of similarity rows once for all of them; no whole
 similarity is stored. The reference and every run then go through the
 same single-level pass as ``detect`` (``pipeline._level``), one after
@@ -32,7 +32,7 @@ from .communities import Partition
 from .metrics import nmi
 from .pipeline import FIXPOINT, Strategy, _level, detect
 from .rng import derive_seed
-from .selection import RANDOM_KINDS, Pairs, select_many
+from .selection import RANDOM_KINDS, select_many
 from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
@@ -93,16 +93,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _reference_partitions(n_nodes: int, cfg: ExperimentConfig,
-                          max_pairs: Pairs) -> tuple[Partition, Partition]:
-    """Core and real reference partitions: the configured Partition, or the
-    single-pass max run over ``n_nodes`` nodes, whose pairs are ``max_pairs``."""
-    if isinstance(cfg.reference, Partition):
-        return cfg.reference, cfg.reference
-    _, core, real, _ = _level(max_pairs, n_nodes)
-    return core, real
-
-
 def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
                matrix: CitationMatrix, cfg: ExperimentConfig) -> SweepResult:
     """Run reps for every task and reduce to per-task mean/std rows.
@@ -113,16 +103,20 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
     """
     if not tasks:
         raise ValueError("nothing to sweep: the grid or the kinds are empty")
-    if isinstance(cfg.reference, Partition) and cfg.reference.n_nodes != matrix.n_nodes:
+    truth = isinstance(cfg.reference, Partition)
+    if truth and cfg.reference.n_nodes != matrix.n_nodes:
         raise ValueError(f"reference has {cfg.reference.n_nodes} nodes, matrix {matrix.n_nodes}")
     sim = build_similarity_matrix(matrix)
     seeds = [tuple(derive_seed(cfg.base_seed, g, r) for r in range(cfg.repetitions))
              for g, _, _, _ in tasks]
     jobs = [(strategy, seed) for (_, _, _, strategy), run_seeds in zip(tasks, seeds)
             for seed in run_seeds]
-    # the max reference rides in the runs' pass: each block of S is computed once
-    max_pairs, *selections = select_many(sim, [(Strategy("max"), 0)] + jobs)
-    ref_core, ref_real = _reference_partitions(matrix.n_nodes, cfg, max_pairs)
+    # a max reference rides in the runs' pass: each block of S is computed once
+    selections = select_many(sim, jobs if truth else [(Strategy("max"), 0)] + jobs)
+    if truth:
+        ref_core = ref_real = cfg.reference
+    else:
+        _, ref_core, ref_real, _ = _level(selections.pop(0), matrix.n_nodes)
 
     outcomes = []
     for pairs in selections:

@@ -398,3 +398,32 @@ class TestGenSynth:
         with pytest.raises(SystemExit) as err:
             run(["cluster"])
         assert err.value.code == 1
+
+
+class TestPairsSkipSelection:
+    @pytest.fixture()
+    def pair_file(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("0\t1\t0.9\n1\t0\t0.9\n2\t3\t0.5\n")
+        return path
+
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "psim"], ["--topn", "3"], ["--delete", "0.5"], ["--seed", "4"],
+        ["--levels", "0"], ["--format", "dense"],
+        ["--levels", "0", "--strategy", "psim", "--topn", "3", "--delete", "0.5", "--seed", "4"],
+    ], ids=" ".join)
+    def test_selection_flags_are_usage_errors(self, tmp_path, capsys, pair_file, flags):
+        with pytest.raises(SystemExit) as err:
+            run(["detect", "--pairs", str(pair_file), *flags, "--out", str(tmp_path / "x")])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+        assert all(flag in lines[-1] for flag in flags if flag.startswith("--"))
+        assert not any("Traceback" in line for line in lines)
+
+    def test_selection_flags_at_their_defaults_are_accepted(self, tmp_path, pair_file):
+        out = tmp_path / "out"
+        assert run(["detect", "--pairs", str(pair_file), "--n-nodes", "4", "--levels", "1",
+                    "--seed", "0", "--strategy", "max", "--format", "edges",
+                    "--out", str(out)]) == 0
+        assert (out / "partition_real.tsv").read_text() == "0\t0\n1\t0\n2\t1\n3\t1\n"

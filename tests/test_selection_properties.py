@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from simpair import SimilarityMatrix, Strategy, select_many, select_pairs
+from simpair import (CitationMatrix, SimilarityMatrix, Strategy, build_similarity_matrix,
+                     select_many, select_pairs)
 from simpair import selection
 from simpair.selection import _walk_steps
 from simpair.io import pairs_to_tsv
@@ -319,12 +320,16 @@ GOLDEN = {
 }
 
 
-def golden_digest(strategy: Strategy) -> str:
-    pairs = select_pairs(golden_similarity(), strategy, seed=11)
+def column_digest(pairs) -> str:
+    """sha256 of the three pair columns as int64, int64 and float64 bytes."""
     digest = hashlib.sha256()
     for col, dtype in zip(pairs, (np.int64, np.int64, np.float64)):
         digest.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
     return digest.hexdigest()
+
+
+def golden_digest(strategy: Strategy) -> str:
+    return column_digest(select_pairs(golden_similarity(), strategy, seed=11))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES + [Strategy("psim", topn=7),
@@ -342,3 +347,43 @@ def test_golden_mixture_boundaries(monkeypatch, mix_p, kind, same_as):
     monkeypatch.setattr(selection, "BLOCK_ROWS", 8)
     got = golden_digest(Strategy("mixed", mix_p=mix_p, mix_kind=kind))
     assert got == GOLDEN[str(Strategy(same_as).describe())]
+
+
+def tie_group_similarity() -> SimilarityMatrix:
+    """300 nodes, each citing one of nodes 0-5 once: nodes citing the same
+    node have similarity 1.0, so each row ties about 49 entries at 1.0."""
+    dst = np.random.default_rng(19).integers(6, size=300)
+    return build_similarity_matrix(CitationMatrix.from_entries(300, np.arange(300), dst,
+                                                               np.ones(300)))
+
+
+# sha256 of the pair columns on tie_group_similarity() at seed 5: each cut
+# falls inside a row's tie group, top-3 inside an argmax-rounds window and
+# top-10 and top-30 inside an argpartition one
+TIE_GROUP = {
+    3: "6cde90ca81c9abb18dfc343978a93dd43d30acaa02fdb09a5290cf3ff54fae69",
+    10: "915a1ae5d8dd21415207e7923bbdf47f43a87fee195b64e979ee313c0b99efdb",
+    30: "f320708c808cb3e481062c95789c55fbbf689c619143fd6e6f663afed8e9a8ef",
+}
+
+
+@pytest.mark.parametrize("topn", sorted(TIE_GROUP))
+@pytest.mark.parametrize("rounds, block_rows", [(0, 128), (10**9, 128), (0, 7), (10**9, 7)])
+def test_topn_cut_inside_a_tie_group(monkeypatch, topn, rounds, block_rows):
+    monkeypatch.setattr(selection, "ROUNDS", rounds)
+    monkeypatch.setattr(selection, "BLOCK_ROWS", block_rows)
+    pairs = select_pairs(tie_group_similarity(), Strategy("psim", topn=topn), seed=5)
+    assert column_digest(pairs) == TIE_GROUP[topn]
+
+
+@pytest.mark.parametrize("block_rows", [128, 7])
+def test_topn_cuts_share_a_pass_with_walks(monkeypatch, block_rows):
+    """Top-n runs alone read windows just wide enough for their cut; in a pass
+    with deletion the shared window is far wider."""
+    monkeypatch.setattr(selection, "BLOCK_ROWS", block_rows)
+    s = tie_group_similarity()
+    jobs = [(Strategy("psim", topn=t), 5) for t in sorted(TIE_GROUP)] + [
+        (Strategy("max"), 5), (Strategy("max", deletion=0.9), 5),
+        (Strategy("mixed", mix_p=0.5, mix_kind="psim"), 5)]
+    assert ([pair_bytes(pairs) for pairs in select_many(s, jobs)]
+            == [pair_bytes(select_pairs(s, strategy, seed)) for strategy, seed in jobs])

@@ -9,14 +9,13 @@ from simpair import (
     SimilarityMatrix,
     Strategy,
     SyntheticSpec,
-    build_similarity_matrix,
     detect,
     generate_planted_citation_matrix,
     nmi,
     run_deletion_sweep,
     run_probability_sweep,
     run_topn_sweep,
-    select_pairs,
+    select_many,
 )
 from simpair import selection, sweeps
 
@@ -134,15 +133,34 @@ class TestDeletionSweep:
 
 
 class TestReference:
-    def test_reference_matches_standalone_max_run(self, small_matrix):
-        from simpair.sweeps import _reference_partitions
+    def test_reference_matches_standalone_max_run(self, small_matrix, monkeypatch):
+        references = []
 
-        sim = build_similarity_matrix(small_matrix)
-        ref_core, ref_real = _reference_partitions(sim.n_nodes, ExperimentConfig(),
-                                                   select_pairs(sim, Strategy("max")))
+        def scored(run, reference):
+            references.append((run.level, reference.labels))
+            return nmi(run, reference)
+
+        monkeypatch.setattr(sweeps, "nmi", scored)
+        run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.5])
         standalone = detect(small_matrix, Strategy("max"), seed=0, levels=1)
-        assert np.array_equal(ref_core.labels, standalone.core.labels)
-        assert np.array_equal(ref_real.labels, standalone.real.labels)
+        assert len(references) == 2 * 2 * 2  # kinds x reps x (core, real)
+        for level, labels in references:
+            assert np.array_equal(labels, getattr(standalone, level).labels)
+
+    @pytest.mark.parametrize("truth", [False, True], ids=["max reference", "truth reference"])
+    def test_the_max_reference_is_selected_only_when_scored_against(self, small_matrix,
+                                                                   monkeypatch, truth):
+        counts = []
+
+        def counted(sim, jobs):
+            counts.append(len(jobs))
+            return select_many(sim, jobs)
+
+        monkeypatch.setattr(sweeps, "select_many", counted)
+        reference = Partition(labels=np.zeros(small_matrix.n_nodes, np.int64), level="real")
+        cfg = ExperimentConfig(repetitions=3, reference=reference if truth else "max")
+        run_probability_sweep(small_matrix, cfg, [0.0, 0.5])
+        assert counts == [2 * 2 * 3 + (not truth)]  # grid x kinds x reps, plus max
 
     def test_planted_truth_as_reference(self):
         spec = SyntheticSpec(block_sizes=(8, 8, 8),
