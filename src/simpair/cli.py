@@ -216,8 +216,6 @@ def _check_node_count(n_nodes: int, parser) -> None:
 
 def _cmd_detect(args, parser) -> int:
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.pairs is not None:
         if args.input is not None:
             parser.error("--pairs and --input are mutually exclusive")
@@ -248,6 +246,7 @@ def _cmd_detect(args, parser) -> int:
 
     stats = {k: v for k, v in detection.level_stats[0].items()
              if k not in ("level", "coarse_nodes")}
+    out.mkdir(parents=True, exist_ok=True)
     write_detection_json(out / "result.json", detection, node_labels, stats)
     write_partition(out / "partition_core.tsv", detection.core, node_labels)
     write_partition(out / "partition_real.tsv", detection.real, node_labels)
@@ -320,8 +319,14 @@ _COMMANDS = {
 }
 
 
+_parser: _Parser | None = None  # built on the first call, then reused
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -231,11 +231,11 @@ def format_similarity(value: float) -> str:
     return f"{value:.6f}"
 
 
-def pairs_to_tsv(pairs: list[RankedPair]) -> str:
+def pairs_to_tsv(pairs: Iterable[RankedPair]) -> str:
     return "".join(f"{a}\t{b}\t{format_similarity(sim)}\n" for a, b, sim in pairs)
 
 
-def write_pairs(path, pairs: list[RankedPair]) -> None:
+def write_pairs(path, pairs: Iterable[RankedPair]) -> None:
     Path(path).write_text(pairs_to_tsv(pairs), encoding="utf-8")
 
 

@@ -15,6 +15,7 @@ between the remaining components has dropped to zero.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .citations import CitationMatrix
@@ -34,6 +35,40 @@ from .similarity import build_similarity_matrix
 FIXPOINT = 0
 
 
+class PairRows(Sequence):
+    """A ranked pair list as a read-only sequence of ``RankedPair`` rows.
+
+    It holds the three :data:`Pairs` columns and builds a row only when
+    one is read, so a kept list costs 24 bytes a pair. Slices are views
+    of the same kind, and it equals a list of the same rows.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, pairs: Pairs):
+        self._columns = pairs
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return PairRows(tuple(col[k] for col in self._columns))
+        selector, selected, sim = self._columns
+        return RankedPair(int(selector[k]), int(selected[k]), float(sim[k]))
+
+    def __iter__(self):
+        return map(RankedPair, *(col.tolist() for col in self._columns))
+
+    def __eq__(self, other):
+        if isinstance(other, (PairRows, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PairRows({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Detection:
     """Outcome of (possibly iterated) detection on one citation matrix.
@@ -47,14 +82,9 @@ class Detection:
     core: Partition
     real: Partition
     result: DetectionResult
-    pairs: list[RankedPair]
+    pairs: PairRows
     level_stats: list[dict]
     provenance: dict
-
-
-def _rows(pairs: Pairs) -> list[RankedPair]:
-    """The ranked pair list as ``Detection.pairs`` rows."""
-    return list(map(RankedPair, *(col.tolist() for col in pairs)))
 
 
 def _level(pairs: Pairs, n_nodes: int) -> tuple[DetectionResult, Partition, Partition, dict]:
@@ -104,7 +134,7 @@ def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
         core=Partition(labels=core_map, level=CORE),
         real=Partition(labels=real_map, level=REAL),
         result=first_result,
-        pairs=_rows(first_pairs),
+        pairs=PairRows(first_pairs),
         level_stats=level_stats,
         provenance=provenance,
     )
@@ -124,7 +154,7 @@ def detect_from_pairs(pairs: Pairs, n_nodes: int) -> Detection:
         core=core,
         real=real,
         result=result,
-        pairs=_rows(pairs),
+        pairs=PairRows(pairs),
         level_stats=[stats],
         provenance={"strategy": {"kind": "pairs"}, "seed": None},
     )

@@ -10,9 +10,29 @@ citations are sparse, so it is never stored whole: a
 :class:`SimilarityMatrix` holds ``unit`` and its transpose, and its one
 reader, :meth:`SimilarityMatrix.blocks`, walks S forward a block of rows
 at a time, computing each block as the product of its rows of ``unit``
-with ``unit.T``. scipy's CSR product is Gustavson's row-wise algorithm,
-so row i of a block product depends only on row i of ``unit`` and is bit
-for bit row i of the full product. A block's product holds at most
+with ``unit.T`` by one of two exact kernels:
+
+* sparse: scipy's CSR product, Gustavson's row-wise algorithm. Row i of
+  a block product depends only on row i of ``unit``, so it is bit for
+  bit row i of the full product. It counts the result's entries, computes
+  them, and the block is scattered from that CSR result.
+* dense: the ``unit.T`` rows of the block's cited targets, in increasing
+  target order, as one CSC matrix over the block's columns, times the
+  block's rows as a dense (targets x rows) array. scipy's CSC product
+  adds each entry's terms in increasing target order from 0.0, as the
+  CSR product does; its extra terms, for targets a row does not cite,
+  are exact ``+0.0`` because every entry is >= 0. It makes one pass and
+  builds no CSR result.
+
+The dense kernel costs rows x (entries of its CSC matrix) multiplies and
+the sparse one the CSR product's multiplies. A block takes the dense
+kernel where its cost is at most :data:`DENSE_RATIO` times the sparse
+one's, as when its rows cite the same targets (ids sorted by
+community), and the sparse one where its rows scatter over targets
+(shuffled ids, cross-talk). The dense kernel needs every product of two
+stored entries to be positive (no stored zero, no underflow), so that it
+stores a column exactly where the CSR product does; a ``unit`` without
+that uses the sparse kernel throughout. A block's product holds at most
 (rows in the block) x N entries, and it is dropped before the block is
 handed out.
 """
@@ -23,6 +43,11 @@ import numpy as np
 from scipy import sparse
 
 from .citations import CitationMatrix
+
+# a block takes the dense kernel where rows x (its CSC matrix's entries) is
+# at most this many times the CSR product's multiplies; the per-block times
+# this rests on are in CHANGES.md
+DENSE_RATIO = 5
 
 
 class SparseValues(sparse.csr_array):
@@ -85,6 +110,11 @@ class SimilarityMatrix:
         self._values = None if values is None else _stored(values)
         if unit is not None:
             self._unit_t = sparse.csr_array(unit.T)
+            self._citers = np.diff(self._unit_t.indptr)  # nodes citing each target
+            # every product of two stored entries is positive, so the dense
+            # kernel stores exactly the columns the CSR product stores
+            low = unit.data.min(initial=1.0)
+            self._dense_exact = low * low > 0.0
 
     @property
     def n_nodes(self) -> int:
@@ -107,10 +137,13 @@ class SimilarityMatrix:
         start, end = ip[0], ip[-1]
         rows = sparse.csr_array((u.data[start:end], u.indices[start:end], ip - start),
                                 shape=(hi - lo, u.shape[1]))
-        p = rows @ self._unit_t
-        own = np.repeat(np.arange(lo, hi, dtype=p.indices.dtype), np.diff(p.indptr))
-        p.data[p.indices == own] = 0.0
-        return _columns(p, 0, hi - lo)
+        cited = _present(rows.indices, u.shape[1]) if self._dense_exact else None
+        # rows x (entries of the dense kernel's CSC matrix) against the CSR
+        # product's multiplies, as Python ints
+        if cited is not None and ((hi - lo) * int(self._citers @ cited)
+                                  <= DENSE_RATIO * int(self._citers[rows.indices].sum())):
+            return _dense_product(rows, cited, self._unit_t, lo)
+        return _sparse_product(rows, self._unit_t, lo)
 
     def blocks(self, step: int):
         """Consecutive ``step``-row blocks of S, in order, as ``(rows, cols, vals)``.
@@ -129,19 +162,59 @@ class SimilarityMatrix:
             del cols, vals  # freed before the next block is filled
 
 
+def _present(idx: np.ndarray, n: int) -> np.ndarray:
+    """A length-``n`` mask of the values in ``idx``."""
+    present = np.zeros(n, dtype=bool)
+    present[idx] = True
+    return present
+
+
+def _positions(present: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices set in ``present``, sorted, and the position among them
+    of each entry of ``idx`` (whose values are all set)."""
+    if np.count_nonzero(present) == len(present):
+        return np.arange(len(present)), idx
+    # positions as a running count; sorting idx (np.unique) is slower on
+    # near-dense blocks
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[idx]
+
+
+def _sparse_product(rows: sparse.csr_array, unit_t: sparse.csr_array,
+                    lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rows @ unit_t`` by scipy's CSR product, diagonal 0, as ``(cols, vals)``;
+    ``rows`` are S's from node ``lo`` on."""
+    p = rows @ unit_t
+    own = np.repeat(np.arange(lo, lo + p.shape[0], dtype=p.indices.dtype), np.diff(p.indptr))
+    p.data[p.indices == own] = 0.0
+    return _columns(p, 0, p.shape[0])
+
+
+def _dense_product(rows: sparse.csr_array, cited: np.ndarray, unit_t: sparse.csr_array,
+                   lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rows @ unit_t`` by the dense kernel, diagonal 0, as ``(cols, vals)``;
+    ``rows`` are S's from node ``lo`` on and ``cited`` masks the targets they cite."""
+    targets, at = _positions(cited, rows.indices)
+    citers = unit_t[targets]  # one row per cited target, in target order
+    cols, col_at = _positions(_present(citers.indices, unit_t.shape[1]), citers.indices)
+    a = sparse.csc_array((citers.data, col_at, citers.indptr), shape=(len(cols), len(targets)))
+    del citers, col_at
+    n_rows = rows.shape[0]
+    x = np.zeros((len(targets), n_rows))
+    x[at, np.repeat(np.arange(n_rows), np.diff(rows.indptr))] = rows.data
+    product = a @ x
+    del a, x  # freed first: only the product and its transposed copy are held at once
+    vals = np.ascontiguousarray(product.T)
+    del product
+    own_lo, own_hi = np.searchsorted(cols, (lo, lo + n_rows))
+    vals[cols[own_lo:own_hi] - lo, np.arange(own_lo, own_hi)] = 0.0
+    return cols, vals
+
+
 def _columns(rows: sparse.csr_array, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``lo:hi`` of ``rows`` over the columns they store, as ``(cols, vals)``."""
     ip = rows.indptr[lo:hi + 1]
     data, idx = rows.data[ip[0]:ip[-1]], rows.indices[ip[0]:ip[-1]]
-    present = np.zeros(rows.shape[1], dtype=bool)
-    present[idx] = True
-    if np.count_nonzero(present) == len(present):
-        cols = np.arange(len(present))
-    else:
-        cols = np.flatnonzero(present)
-        # positions as a running count; sorting idx (np.unique) is
-        # slower on near-dense blocks
-        idx = (np.cumsum(present) - 1)[idx]
+    cols, idx = _positions(_present(idx, rows.shape[1]), idx)
     out = np.zeros((hi - lo, len(cols)))
     # flat offsets, added in place: one 1-d scatter is faster than a
     # (rows, cols) one

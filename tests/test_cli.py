@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -421,9 +425,65 @@ class TestPairsSkipSelection:
         assert all(flag in lines[-1] for flag in flags if flag.startswith("--"))
         assert not any("Traceback" in line for line in lines)
 
+    @pytest.mark.parametrize("flags", [["--strategy", "psim"], ["--input", "blocks.tsv"]],
+                             ids=" ".join)
+    def test_usage_errors_leave_no_output_directory(self, tmp_path, pair_file, block_edges,
+                                                    flags):
+        out = tmp_path / "o"
+        flags = [str(block_edges) if flag == "blocks.tsv" else flag for flag in flags]
+        with pytest.raises(SystemExit) as err:
+            run(["detect", "--pairs", str(pair_file), *flags, "--out", str(out)])
+        assert err.value.code == 1
+        assert not out.exists()
+
     def test_selection_flags_at_their_defaults_are_accepted(self, tmp_path, pair_file):
         out = tmp_path / "out"
         assert run(["detect", "--pairs", str(pair_file), "--n-nodes", "4", "--levels", "1",
                     "--seed", "0", "--strategy", "max", "--format", "edges",
                     "--out", str(out)]) == 0
         assert (out / "partition_real.tsv").read_text() == "0\t0\n1\t0\n2\t1\n3\t1\n"
+
+
+class TestOneParserPerProcess:
+    def argvs(self, block_edges, out: Path) -> list[list[str]]:
+        return [
+            ["detect", "--input", str(block_edges), "--strategy", "leiden",
+             "--out", str(out / "bad")],
+            ["detect", "--input", str(block_edges), "--strategy", "psim", "--seed", "3",
+             "--out", str(out / "detect")],
+            ["sweep-prob", "--synth", "--block-size", "6", "--volume", "2000", "--reps", "2",
+             "--p-grid", "0,1", "--seed", "5", "--out", str(out / "sweep")],
+        ]
+
+    def test_calls_in_one_process_build_one_parser(self, tmp_path, block_edges, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for argv in self.argvs(block_edges, tmp_path):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        assert built == [1]
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, block_edges, capsys):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, fresh_argv in zip(self.argvs(block_edges, tmp_path / "here"),
+                                    self.argvs(block_edges, tmp_path / "fresh")):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            here = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "simpair.cli", *fresh_argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout,
+                                                  fresh.stderr), argv[0]
+            out, fresh_out = Path(argv[-1]), Path(fresh_argv[-1])
+            names = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            assert names == (sorted(p.name for p in fresh_out.iterdir())
+                             if fresh_out.exists() else [])
+            for name in names:
+                assert (out / name).read_bytes() == (fresh_out / name).read_bytes(), name

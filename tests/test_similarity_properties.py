@@ -1,10 +1,12 @@
 """Sparse similarity laws: bitwise symmetry, no stored diagonal or zero, bounded memory."""
 
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
@@ -29,6 +31,8 @@ from pairlists import rows
 COUNTS = st.sampled_from([0, 0, 0, 1, 2, 5]) | st.integers(0, 1000)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# DENSE_RATIO that forces each kernel on every block that stores anything
+KERNELS = {"_sparse_product": 0, "_dense_product": math.inf}
 
 
 @st.composite
@@ -126,17 +130,19 @@ def test_index_arrays_are_int32_when_they_fit():
     s = build_similarity_matrix(CitationMatrix.from_dense(rng.integers(0, 3, (30, 30))))
     assert s.unit.indices.dtype == s.unit.indptr.dtype == np.int32
     assert s.values.indices.dtype == np.int32
-    products = []
-    columns = similarity._columns
+    for name, ratio in KERNELS.items():
+        products = []
+        kernel = getattr(similarity, name)
 
-    def recorded(rows, lo, hi):
-        products.append((rows.indices.dtype, rows.shape[0], hi - lo))
-        return columns(rows, lo, hi)
+        def recorded(rows, *args):
+            products.append((rows.indices.dtype, rows.indptr.dtype, rows.shape[0]))
+            return kernel(rows, *args)
 
-    with mock.patch.object(similarity, "_columns", recorded):
-        assert len(list(s.blocks(7))) == 5
-    # every block's product, not the kept values
-    assert products == [(np.int32, 7, 7)] * 4 + [(np.int32, 2, 2)]
+        with mock.patch.object(similarity, "DENSE_RATIO", ratio), \
+                mock.patch.object(similarity, name, recorded):
+            assert len(list(s.blocks(7))) == 5
+        # every block is a product of its own rows, not read from the kept values
+        assert products == [(np.int32, np.int32, 7)] * 4 + [(np.int32, np.int32, 2)], name
 
 
 SEEDS = st.integers(0, 2**63)
@@ -198,6 +204,61 @@ def test_hub_heavy_detect_stays_far_below_the_whole_similarity():
             tracemalloc.stop()
         assert len(detection.pairs) >= n, strategy
         assert peak < values.nbytes / 4, (strategy, peak, values.nbytes)
+
+
+def assert_blocks_are_the_product(s: SimilarityMatrix, step: int) -> None:
+    """``s.blocks(step)`` are byte for byte the rows of ``unit @ unit.T``,
+    diagonal 0, over the columns that product stores."""
+    product = s.unit @ s.unit.T
+    ip = product.indptr
+    blocks = list(s.blocks(step))
+    assert [rows.start for rows, _, _ in blocks] == list(range(0, s.n_nodes, step))
+    for rows, cols, vals in blocks:
+        want = product[rows].toarray()
+        want[np.arange(len(want)), np.arange(rows.start, rows.stop)] = 0.0
+        assert cols.dtype == np.intp
+        assert np.array_equal(cols, np.unique(product.indices[ip[rows.start]:ip[rows.stop]]))
+        assert vals.tobytes() == want[:, cols].tobytes()
+
+
+@pytest.mark.parametrize("ratio", KERNELS.values(), ids=KERNELS)
+@PROPERTY
+@given(m=citation_matrices(max_n=24), step=st.integers(1, 5))
+@example(m=CitationMatrix.from_dense([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 3, 0], [0, 2, 0, 1]]),
+         step=2)  # an all-empty block
+def test_each_kernel_gives_the_product_rows(ratio, m, step):
+    with mock.patch.object(similarity, "DENSE_RATIO", ratio):
+        assert_blocks_are_the_product(build_similarity_matrix(m), step)
+
+
+def planted(n: int, size: int = 100, per_node: int = 50, shuffle: bool = False) -> CitationMatrix:
+    """``per_node`` citations per node, each to a node of its own block of ``size``."""
+    rng = np.random.default_rng(n)
+    src = np.repeat(np.arange(n), per_node)
+    dst = (src // size) * size + rng.integers(size, size=len(src))
+    if shuffle:
+        perm = rng.permutation(n)
+        src, dst = perm[src], perm[dst]
+    return CitationMatrix.from_entries(n, src, dst, np.ones(len(src), dtype=np.int64))
+
+
+@pytest.mark.parametrize("ratio", KERNELS.values(), ids=KERNELS)
+@pytest.mark.parametrize("make", [lambda: planted(1500), lambda: planted(1500, shuffle=True),
+                                  lambda: hub_citations(2000)],
+                         ids=["sorted blocks", "shuffled blocks", "hub"])
+def test_each_kernel_gives_the_product_rows_in_full_blocks(ratio, make):
+    """At 128 rows, where the dense product runs its wide vector loop."""
+    with mock.patch.object(similarity, "DENSE_RATIO", ratio):
+        assert_blocks_are_the_product(build_similarity_matrix(make()), selection.BLOCK_ROWS)
+
+
+def test_a_stored_zero_keeps_the_sparse_kernel():
+    """A zero pattern entry gives zero products, which the CSR product does not store."""
+    m = CitationMatrix.from_entries(3, [0, 2, 1], [1, 1, 2], [0, 3, 1])
+    s = build_similarity_matrix(m)
+    assert (s.unit.data == 0.0).any()
+    with mock.patch.object(similarity, "DENSE_RATIO", math.inf):
+        assert_blocks_are_the_product(s, 3)
 
 
 @PROPERTY
