@@ -11,12 +11,12 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .citations import CitationMatrix
-from .communities import Partition
 from .io import (
     InputFormatError,
     read_citations,
@@ -32,8 +32,13 @@ from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
-# detect flags that --pairs skips, which it therefore refuses at other than their defaults
-_SELECTION_FLAGS = ("format", "strategy", "topn", "delete", "levels", "seed")
+# per command, the flags each input source ignores, which it refuses at other than their defaults
+_SWEEP_IGNORES = {"synth": ("format",),
+                  "input": ("blocks", "block_size", "block_sizes", "in_rate", "cross_rate",
+                            "volume", "synth_seed", "truth_reference")}
+_IGNORED = {"detect": {"pairs": ("format", "strategy", "topn", "delete", "levels", "seed"),
+                       "input": ("n_nodes",)},
+            **dict.fromkeys(("sweep-prob", "sweep-topn", "sweep-del"), _SWEEP_IGNORES)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,15 +97,16 @@ _NONNEGATIVE = _int_at_least(0)
 _FRACTION = _float_in(0.0, 1.0)
 
 
-def _add_input_args(sub, required=True):
-    sub.add_argument("--input", type=Path, required=required, help="input citation file")
+def _add_input_args(sub):
+    """``--input`` in a required group with the command's other source, and ``--format``."""
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", type=Path, help="input citation file")
     sub.add_argument("--format", choices=("edges", "dense"), default="edges",
                      help="input format (default: edges)")
+    return source
 
 
 def _add_synth_args(sub):
-    sub.add_argument("--synth", action="store_true",
-                     help="use a synthetic planted-partition matrix instead of --input")
     sub.add_argument("--blocks", type=_POSITIVE, default=4)
     sub.add_argument("--block-size", type=_POSITIVE, default=25)
     sub.add_argument("--block-sizes", type=_list_of(_POSITIVE), default=None,
@@ -112,7 +118,9 @@ def _add_synth_args(sub):
 
 
 def _add_sweep_args(sub):
-    _add_input_args(sub, required=False)
+    _add_input_args(sub).add_argument(
+        "--synth", action="store_true",
+        help="use a synthetic planted-partition matrix instead of --input")
     _add_synth_args(sub)
     sub.add_argument("--reps", type=_POSITIVE, default=20, help="repetitions per grid point")
     sub.add_argument("--seed", type=_NONNEGATIVE, default=0, help="base seed")
@@ -128,9 +136,8 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_detect = subs.add_parser("detect", help="detect communities on one input")
-    _add_input_args(p_detect, required=False)
-    p_detect.add_argument("--pairs", type=Path, default=None,
-                          help="skip selection and build communities from this pair list")
+    _add_input_args(p_detect).add_argument(
+        "--pairs", type=Path, help="skip selection and build communities from this pair list")
     p_detect.add_argument("--n-nodes", type=_POSITIVE, default=None,
                           help="node count for --pairs with integer ids (default: max id + 1)")
     p_detect.add_argument("--strategy", choices=("max", "psim", "p"), default="max")
@@ -165,15 +172,15 @@ def build_parser() -> _Parser:
     _add_synth_args(p_gen)
     p_gen.add_argument("--out", type=Path, required=True, help="output directory")
 
+    for name, sub in subs.choices.items():  # the defaults of the ignored flags, read once
+        sub.set_defaults(ignored={source: {dest: sub.get_default(dest) for dest in dests}
+                                  for source, dests in _IGNORED.get(name, {}).items()})
     return parser
 
 
 def _synthetic(args, parser):
     """Returns (spec, matrix, truth) for the --synth / gen-synth flags."""
-    if args.block_sizes is not None:
-        sizes = tuple(args.block_sizes)
-    else:
-        sizes = tuple([args.block_size] * args.blocks)
+    sizes = tuple(args.block_sizes or [args.block_size] * args.blocks)
     try:
         spec = SyntheticSpec(block_sizes=sizes,
                              in_rate=args.in_rate, cross_rate=args.cross_rate,
@@ -185,20 +192,22 @@ def _synthetic(args, parser):
         parser.error(f"synthetic spec: {sum(sizes)} nodes do not fit in memory")
 
 
-def _load_matrix(args, parser):
-    """Returns (matrix, truth_partition_or_None)."""
-    use_synth = getattr(args, "synth", False)
-    if use_synth and args.input is not None:
-        parser.error("--input and --synth are mutually exclusive")
-    if use_synth:
-        _, matrix, truth = _synthetic(args, parser)
-        return matrix, truth
-    if args.input is None:
-        parser.error("one of --input or --synth is required")
+def _read(read, path: Path, *rest):
+    """``read(path, *rest)``, with an unreadable file reported as bad input."""
     try:
-        return read_citations(args.input, args.format), None
+        return read(path, *rest)
     except OSError as exc:
-        raise InputFormatError(f"{args.input}: {exc.strerror or exc}") from exc
+        raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _refuse_ignored(args, parser) -> None:
+    """Usage error if the input source given ignores a flag set off its default."""
+    for source, defaults in args.ignored.items():
+        if getattr(args, source):
+            given = [f"--{dest.replace('_', '-')}" for dest, default in defaults.items()
+                     if getattr(args, dest) != default]
+            if given:
+                parser.error(f"--{source} ignores {', '.join(given)}")
 
 
 def _check_node_count(n_nodes: int, parser) -> None:
@@ -216,31 +225,19 @@ def _check_node_count(n_nodes: int, parser) -> None:
 
 def _cmd_detect(args, parser) -> int:
     out: Path = args.out
+    try:
+        strategy = Strategy(args.strategy, topn=args.topn, deletion=args.delete)
+    except ValueError as exc:
+        parser.error(f"strategy: {exc}")
     if args.pairs is not None:
-        if args.input is not None:
-            parser.error("--pairs and --input are mutually exclusive")
-        defaults = parser.parse_args(["detect", f"--out={out}"])
-        given = [f"--{f}" for f in _SELECTION_FLAGS if getattr(args, f) != getattr(defaults, f)]
-        if given:
-            parser.error(f"--pairs skips selection, so {', '.join(given)} cannot apply")
-        try:
-            pairs, n_nodes, node_labels = read_pairs(args.pairs, args.n_nodes)
-        except OSError as exc:
-            raise InputFormatError(f"{args.pairs}: {exc.strerror or exc}") from exc
+        pairs, n_nodes, node_labels = _read(read_pairs, args.pairs, args.n_nodes)
         if node_labels is not None and args.n_nodes is not None:
             parser.error(f"--n-nodes applies only to integer ids; {args.pairs} holds labels")
         if args.n_nodes is not None:
             _check_node_count(args.n_nodes, parser)
         detection = detect_from_pairs(pairs, n_nodes)
     else:
-        if args.n_nodes is not None:
-            parser.error("--n-nodes only applies to --pairs")
-        matrix, _ = _load_matrix(args, parser)
-        if args.strategy != "psim" and args.topn is not None:
-            parser.error("--topn requires --strategy psim")
-        if args.strategy != "max" and args.delete is not None:
-            parser.error("--delete requires --strategy max")
-        strategy = Strategy(args.strategy, topn=args.topn, deletion=args.delete)
+        matrix = _read(read_citations, args.input, args.format)
         detection = detect(matrix, strategy, seed=args.seed, levels=args.levels)
         node_labels = matrix.node_labels
 
@@ -257,17 +254,15 @@ def _cmd_detect(args, parser) -> int:
 
 def _sweep_setup(args, parser) -> tuple[CitationMatrix, ExperimentConfig]:
     """The sweep's input matrix and its config."""
-    matrix, truth = _load_matrix(args, parser)
+    if args.synth:
+        _, matrix, truth = _synthetic(args, parser)
+    else:
+        matrix, truth = _read(read_citations, args.input, args.format), None
     if matrix.n_nodes < 2:
         raise InputFormatError(
             f"{args.input}: a sweep needs at least 2 nodes, got {matrix.n_nodes}")
-    reference: str | Partition = "max"
-    if args.truth_reference:
-        if truth is None:
-            parser.error("--truth-reference requires --synth")
-        reference = truth
     return matrix, ExperimentConfig(repetitions=args.reps, base_seed=args.seed,
-                                    reference=reference)
+                                    reference=truth if args.truth_reference else "max")
 
 
 def _write_sweep(args, result) -> int:
@@ -298,8 +293,8 @@ def _cmd_sweep_del(args, parser) -> int:
 
 def _cmd_gen_synth(args, parser) -> int:
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     spec, matrix, truth = _synthetic(args, parser)
+    out.mkdir(parents=True, exist_ok=True)
     coo = matrix.counts.tocoo()
     lines = [f"{i}\t{j}\t{v}\n" for i, j, v in zip(coo.row, coo.col, coo.data)]
     (out / "citations.tsv").write_text("".join(lines), encoding="utf-8")
@@ -328,8 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     parser = _parser
     args = parser.parse_args(argv)
+    _refuse_ignored(args, parser)
     try:
-        return _COMMANDS[args.command](args, parser)
+        with warnings.catch_warnings():  # a warning shows as one line, without its source
+            warnings.showwarning = lambda msg, *_: print(f"simpair: warning: {msg}",
+                                                         file=sys.stderr)
+            return _COMMANDS[args.command](args, parser)
     except InputFormatError as exc:
         print(f"simpair: input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -191,5 +191,4 @@ def renormalize(m: CitationMatrix, p: Partition) -> CitationMatrix:
         (np.ones(n, dtype=np.int64), (np.arange(n), p.labels)),
         shape=(n, n_labels),
     )
-    coarse = (indicator.T @ m.counts @ indicator).tocsr()
-    return CitationMatrix(counts=sparse.csr_array(coarse))
+    return CitationMatrix(counts=(indicator.T @ m.counts @ indicator).tocsr())

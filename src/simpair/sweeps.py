@@ -47,7 +47,7 @@ class ExperimentConfig:
     on the input) or a Partition such as a planted truth, used at both
     levels. ``jobs`` must be 1, since sweeps run in one thread. It stays
     only because perfbench's ``sweep_1k`` workload passes ``jobs=1``, and
-    it is deleted together with that argument (ROADMAP item 1).
+    it is deleted together with that argument (ROADMAP item 5).
     """
 
     repetitions: int = 20

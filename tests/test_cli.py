@@ -308,6 +308,13 @@ class TestSweepCommands:
                     "--reps", "2", "--topn-grid", "1,5", "--out", str(out)]) == 0
         assert (out / "sweep.csv").exists()
 
+    def test_sweep_topn_clamp_is_one_warning_line(self, tmp_path, capsys):
+        assert run(["sweep-topn", "--synth", "--blocks", "2", "--block-size", "3",
+                    "--volume", "200", "--reps", "1", "--topn-grid", "2,9",
+                    "--out", str(tmp_path / "sweep")]) == 0
+        assert capsys.readouterr().err == (
+            "simpair: warning: topn=9 exceeds the 5 available candidates; clamped\n")
+
     def test_sweep_del(self, tmp_path):
         out = tmp_path / "sweep"
         assert run(["sweep-del", "--synth", "--block-size", "6", "--volume", "2000",
@@ -357,6 +364,36 @@ class TestParameterErrors:
         lines = capsys.readouterr().err.strip().splitlines()
         assert "error:" in lines[-1]
         assert not any("Traceback" in line for line in lines)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["detect"],
+        ["detect", "--input", "F", "--pairs", "F"],
+        ["detect", "--input", "MISSING", "--strategy", "p", "--topn", "3"],
+        ["detect", "--input", "F", "--strategy", "psim", "--delete", "0.5"],
+        ["detect", "--input", "F", "--n-nodes", "3"],
+        ["sweep-prob", "--input", "F", "--truth-reference"],
+        ["sweep-prob", "--input", "F", "--blocks", "9"],
+        ["sweep-del", "--synth", "--format", "dense"],
+        ["sweep-topn", "--input", "F", "--synth", "--topn-grid", "1"],
+        ["gen-synth", "--in-rate", "0"],
+        ["gen-synth", "--synth"],
+    ], ids=" ".join)
+    def test_refused_before_any_input_is_read(self, tmp_path, block_edges, capsys,
+                                              monkeypatch, argv):
+        def read(*args):
+            raise AssertionError("a bad parameter must be refused before input is read")
+
+        monkeypatch.setattr(cli, "read_citations", read)
+        monkeypatch.setattr(cli, "read_pairs", read)
+        paths = {"F": str(block_edges), "MISSING": str(tmp_path / "missing.tsv")}
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            run([paths.get(arg, arg) for arg in argv] + ["--out", str(out)])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-synth", "sweep-prob"])
     def test_synthetic_size_out_of_memory(self, tmp_path, capsys, monkeypatch, command):
@@ -397,6 +434,13 @@ class TestGenSynth:
         out2 = tmp_path / "detect"
         assert run(["detect", "--input", str(out / "citations.tsv"),
                     "--out", str(out2)]) == 0
+
+    def test_block_sizes(self, tmp_path):
+        out = tmp_path / "synth"
+        assert run(["gen-synth", "--block-sizes", "3,5", "--volume", "500",
+                    "--out", str(out)]) == 0
+        assert json.loads((out / "spec.json").read_text())["block_sizes"] == [3, 5]
+        assert len((out / "truth.tsv").read_text().splitlines()) == 8
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as err:
