@@ -38,7 +38,9 @@ block's rows are computed as one product as the block is read, and no
 whole similarity is stored. The largest temporaries are one
 ``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N, the
 product it comes from (dropped before the block is used), one
-``argpartition`` of the block (for wide windows) and a copy of its tied rows.
+``argpartition`` of the block (for wide windows), the block's row cumsum
+(one for every psim run of the pass, built on first use) and a copy of
+its tied rows.
 
 Max is a walk. Deletion never draws the hidden columns: taken in
 decreasing similarity, ties by column id, only a row's first visible
@@ -46,9 +48,16 @@ entry can be its maximum, so each run draws T, the number of hidden
 entries in front of it, one uniform per node, and reads the row's top
 T+1 entries; without deletion T = 0. Each block builds one window of its
 rows' largest entries (narrow ones by argmax rounds) for every max row
-of the pass and every psim top-n cut, which reads the row's n-th largest
-value at position n - 1. Rows whose entry at T ties with later ones are
-read over the whole block row, all tied rows at once.
+of the pass and every psim top-n cut. Rows whose entry at T ties with
+later ones are read over the whole block row, all tied rows at once.
+
+Psim reads each drawn row without copying it. A draw over the whole row
+binary-searches the block's row cumsum for ``u * total``. A top-n draw
+takes the row's first n window entries as its candidates and cumsums
+them in column order; the masked row would add only exact zeros between
+them. Only a row whose positive n-th value ties with the end of an
+``argpartition`` window narrower than the row, which may hold any of
+those ties, is masked over its whole block row.
 
 Nodes with no positive candidate mass (all-zero or fully deleted rows)
 emit nothing and surface downstream as singleton communities.
@@ -56,6 +65,8 @@ emit nothing and surface downstream as singleton communities.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -257,14 +268,6 @@ def _tied_picks(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, t: np.ndar
     return rows[r[keep]], cols[c[keep]], v[r[keep]]
 
 
-def _positions(cols: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Position of each of ``nodes`` in the sorted ``cols``; -1 where absent."""
-    pos = np.searchsorted(cols, nodes)
-    found = pos < len(cols)
-    found[found] = cols[pos[found]] == nodes[found]
-    return np.where(found, pos, -1)
-
-
 def _proportional_pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column drawn from each row of ``weights`` in proportion to its weight.
 
@@ -273,11 +276,44 @@ def _proportional_pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     cdf = np.cumsum(weights, axis=1, out=weights)
     total = cdf[:, -1]
-    j = np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
-    # only u >= 1 can put every column at or below u * total; clamp such a
-    # row to its last column with positive weight, never a trailing zero one
-    over = np.flatnonzero(j == cdf.shape[1])
-    j[over] = np.count_nonzero(cdf[over] < total[over, None], axis=1)
+    j = np.count_nonzero(cdf <= _threshold(u, total)[:, None], axis=1)
+    j[~(total > 0.0)] = -1
+    return j
+
+
+def _threshold(u: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``u * total``, held below ``total``.
+
+    At u = 1, or one ulp below it where ``total`` is subnormal, ``u * total``
+    rounds to ``total``, which every column of the row's cdf reaches. One
+    float below ``total``, the count of columns at or below the threshold
+    ends on the row's last column with positive weight, never on a
+    trailing zero one.
+    """
+    return np.minimum(u * total, np.nextafter(total, 0.0))
+
+
+def _cdf_pick(cdf: np.ndarray, local: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_proportional_pick` of block rows ``local``, read from the block's row cumsum.
+
+    A cumsum of entries >= 0 never decreases, so the count of its entries
+    at or below the threshold is where a binary search for it ends. The
+    threshold is below the row total, so the count is below the row
+    width; each round halves the span it can lie in, with one gather and
+    one compare over the drawn rows only, and a last compare settles it.
+    """
+    width = cdf.shape[1]
+    flat = cdf.reshape(-1)
+    start = local * width
+    total = flat[start + (width - 1)]
+    threshold = _threshold(u, total)
+    # each row's count lies in [at - start, at - start + span]
+    at, span = start.copy(), width - 1
+    while span > 1:
+        half = span // 2
+        np.add(at, half, out=at, where=flat[at + (half - 1)] <= threshold)
+        span -= half
+    j = at - start + (flat[at] <= threshold)
     j[~(total > 0.0)] = -1
     return j
 
@@ -294,23 +330,52 @@ def _top_candidates(w: np.ndarray, threshold: np.ndarray, topn: int) -> np.ndarr
 
 
 def _psim_picks(cols: np.ndarray, vals: np.ndarray, window: tuple[np.ndarray, np.ndarray] | None,
-                local: np.ndarray, rows: np.ndarray, u: np.ndarray, topn: int | None) -> Pairs:
+                cdf: Callable[[], np.ndarray], local: np.ndarray, rows: np.ndarray, u: np.ndarray,
+                topn: int | None) -> Pairs:
     """Proportional draws for block rows ``local`` (nodes ``rows``, uniforms ``u``).
 
-    Absent columns are zeros, and a zero adds exactly, so the row cumsum
+    Absent columns are zeros, and a zero adds exactly, so a row's cumsum
     and its ``u * total`` threshold are those of the full row. A row's own
     column reads 0, so it is never drawn; it can enter the top-n only
-    among zeros, which are never drawn either. A top-n cut reads its threshold from
-    the window; where that is narrower than n, it would drop only zeros and is skipped.
+    among zeros, which are never drawn either. Draws over whole rows read
+    ``cdf()``, the block's row cumsum, built once for every run of the pass
+    (:func:`_cdf_pick`). A top-n cut reads its candidates from the window
+    (:func:`_cut_picks`); where that is narrower than n, the cut would drop
+    only zeros, and the row is drawn whole.
     """
     if not vals.shape[1]:
         return NO_PAIRS
-    w = vals[local]
-    if topn is not None and topn <= window[1].shape[1]:
-        w[~_top_candidates(w, window[1][local, topn - 1, None], topn)] = 0.0
-    j = _proportional_pick(w, u)
+    if topn is None or topn > window[1].shape[1]:
+        j = _cdf_pick(cdf(), local, u)
+    else:
+        j = _cut_picks(vals, window, local, u, topn)
     hit = j >= 0
     return rows[hit], cols[j[hit]], vals[local[hit], j[hit]]
+
+
+def _cut_picks(vals: np.ndarray, window: tuple[np.ndarray, np.ndarray], local: np.ndarray,
+               u: np.ndarray, topn: int) -> np.ndarray:
+    """Top-``topn`` draws for block rows ``local``: their column positions, -1 for none.
+
+    A row's candidates are its first ``topn`` window positions, put back in
+    column order. The masked full row adds only exact zeros between them,
+    so their cumsum is that row's, bit for bit. An ``argpartition`` window
+    narrower than the row may hold any of the entries tied with its last
+    value, so there a row whose positive n-th value ties with it masks its
+    whole row by :func:`_top_candidates` instead.
+    """
+    pos, top = window
+    cand = np.sort(pos[local, :topn], axis=1)
+    k = _proportional_pick(vals[local[:, None], cand], u)
+    j = np.where(k >= 0, np.take_along_axis(cand, k[:, None], axis=1)[:, 0], -1)
+    nth = top[local, topn - 1]
+    loose = ROUNDS < top.shape[1] < vals.shape[1]  # an argpartition window, not the whole row
+    whole = np.flatnonzero((nth > 0.0) & (nth == top[local, -1]) & loose)
+    if len(whole):
+        w = vals[local[whole]]
+        w[~_top_candidates(w, nth[whole, None], topn)] = 0.0
+        j[whole] = _proportional_pick(w, u[whole])
+    return j
 
 
 def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: np.ndarray,
@@ -318,11 +383,11 @@ def _uniform_picks(cols: np.ndarray, vals: np.ndarray, local: np.ndarray, rows: 
     """Uniform draws over the other n-1 nodes for block rows ``local`` (nodes ``rows``)."""
     j = (u * (n - 1)).astype(np.int64)  # floor, at most n - 2 for u < 1
     j += j >= rows
-    pos = _positions(cols, j)
-    sim = np.zeros(len(rows))  # an absent column holds 0.0
-    hit = pos >= 0
-    sim[hit] = vals[local[hit], pos[hit]]
-    return rows, j, sim
+    if not len(cols):
+        return rows, j, np.zeros(len(rows))
+    pos = np.minimum(np.searchsorted(cols, j), len(cols) - 1)
+    # an absent column holds 0.0
+    return rows, j, np.where(cols[pos] == j, vals[local, pos], 0.0)
 
 
 def _job(strategy: Strategy, seed: int, n: int):
@@ -344,7 +409,8 @@ def _job(strategy: Strategy, seed: int, n: int):
     steps = None if draw.all() else _walk_steps(seed, n, k) if k else np.zeros(n, np.int64)
 
     def take(cols: np.ndarray, vals: np.ndarray, block: slice,
-             window: tuple[np.ndarray, np.ndarray] | None) -> list[Pairs]:
+             window: tuple[np.ndarray, np.ndarray] | None,
+             cdf: Callable[[], np.ndarray]) -> list[Pairs]:
         rows = np.arange(block.start, block.stop)
         drawn = draw[block]
         local = drawn.nonzero()[0]
@@ -352,7 +418,7 @@ def _job(strategy: Strategy, seed: int, n: int):
         if len(local):
             at = rows[local]
             if kind == "psim":
-                picks.append(_psim_picks(cols, vals, window, local, at, u[at], topn))
+                picks.append(_psim_picks(cols, vals, window, cdf, local, at, u[at], topn))
             else:
                 picks.append(_uniform_picks(cols, vals, local, at, u[at], n))
         if len(local) < len(rows):
@@ -376,11 +442,13 @@ def select_many(s: SimilarityMatrix,
     depths = [depth for _, depth in runs if depth is not None]
     picks: list[list[Pairs]] = [[] for _ in jobs]
     for block, cols, vals in s.blocks(BLOCK_ROWS):
-        # one window for every walk and top-n cut of the pass, dropped with the block
+        # one window for every walk and top-n cut of the pass, and one row cumsum,
+        # built on first use, for every psim draw over whole rows; both dropped with the block
         window = _window(vals, [depth[block] for depth in depths]) if depths else None
+        cdf = functools.cache(functools.partial(np.cumsum, vals, axis=1))
         for (take, _), out in zip(runs, picks):
-            out += take(cols, vals, block, window)
-        del cols, vals, window  # freed before the next block is filled
+            out += take(cols, vals, block, window, cdf)
+        del cols, vals, window, cdf  # freed before the next block is filled
     return [_ranked(p) for p in picks]
 
 

@@ -9,8 +9,8 @@ from scipy import sparse, stats
 from simpair import SimilarityMatrix, Strategy, select_many, select_pairs, selection
 from simpair.io import pairs_to_tsv
 from simpair.rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, TIE_STREAM, draws, stream
-from simpair.selection import (BLOCK_ROWS, _hypergeometric_weights, _proportional_pick,
-                               _walk_steps)
+from simpair.selection import (BLOCK_ROWS, _cdf_pick, _hypergeometric_weights,
+                               _proportional_pick, _walk_steps)
 
 from pairlists import rows
 
@@ -211,6 +211,36 @@ class TestSelectPsim:
         pairs = select_pairs(s, PSIM, 0)
         assert sorted(pairs[0].tolist()) == list(range(15))
         assert_sorted(pairs)
+
+
+class TestSharedCdf:
+    """``_cdf_pick`` searches a block's row cumsum; ``_proportional_pick`` counts copied rows."""
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 1025])
+    def test_search_equals_count_on_copied_rows(self, width):
+        rng = np.random.default_rng(width)
+        vals = np.round(rng.random((40, width)), 1)
+        vals[rng.random(vals.shape) < 0.6] = 0.0  # plateaus of zeros between positive entries
+        vals[::3, -1] = 0.0  # a trailing zero column
+        vals[::7] = 0.0  # rows of total 0
+        local = rng.permutation(40)[:30]
+        u = rng.random(30)
+        u[::3] = np.nextafter(1.0, 0.0)
+        u[1::3] = 0.0
+        assert np.array_equal(_cdf_pick(np.cumsum(vals, axis=1), local, u),
+                              _proportional_pick(vals[local], u))
+
+    def test_draw_one_ulp_below_one_stops_on_the_last_positive_column(self):
+        # one ulp below 1, u * total rounds up to total only where total is subnormal
+        tiny = np.nextafter(0.0, 1.0)
+        vals = np.array([[tiny, 0.0, 2 * tiny, 0.0, 0.0],
+                         [0.1, 0.0, 0.3, 0.2, 0.0],
+                         [0.0, 0.0, 0.0, 0.0, 0.0]])
+        for u in (np.nextafter(1.0, 0.0), 1.0):
+            assert u * vals[0].sum() == vals[0].sum()
+            uniforms = np.full(3, u)
+            assert _cdf_pick(np.cumsum(vals, axis=1), np.arange(3), uniforms).tolist() == [2, 3, -1]
+            assert _proportional_pick(vals.copy(), uniforms).tolist() == [2, 3, -1]
 
 
 class TestSelectRandom:
@@ -417,3 +447,18 @@ class TestMemory:
         if not strategy.deletion:  # a row whose every positive entry is hidden emits nothing
             assert len(np.unique(selector)) == n
         assert peak < dense_block / 8, (peak, dense_block)
+
+    def test_psim_runs_of_a_pass_share_one_cdf_per_block(self):
+        n = 1000
+        s = random_similarity(np.random.default_rng(8), n)  # every column stored
+
+        def peak(jobs):
+            tracemalloc.start()
+            try:
+                select_many(s, jobs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak([(PSIM, 0)]), peak([(PSIM, seed) for seed in range(8)])
+        assert eight - one < BLOCK_ROWS * n * 8, (one, eight)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -278,6 +278,54 @@ def test_window_is_each_rows_largest_entries_in_order(vals, data):
     assert np.array_equal(wide_top, np.take_along_axis(vals, wide_pos, axis=1))
     settled = top > top[:, -1:]  # the entries before the last tie group
     assert np.array_equal(wide_pos[settled], pos[settled])
+
+
+@st.composite
+def rounded_similarities(draw, max_n=80):
+    """Up to ``max_n`` nodes at a drawn density, rounded to one decimal, so
+    rows tie at and around any top-n cut."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.random((n, n)) < draw(st.floats(0.05, 1.0))
+    upper = np.triu(np.round(rng.random((n, n)), 1) * dense, 1)
+    return SimilarityMatrix(values=upper + upper.T)
+
+
+# psim draws over whole rows and over top-n windows, next to a deletion walk
+# deep enough that the pass shares one wide argpartition window
+PASS_JOBS = ([Strategy("psim")] + [Strategy("psim", topn=t) for t in (1, 2, 9, 30)]
+             + [Strategy("mixed", mix_p=p, mix_kind="psim") for p in (0.1, 0.5, 0.9)]
+             + [Strategy("max", deletion=0.9)])
+
+
+@PROPERTY
+@given(rounded_similarities(), SEEDS, st.sampled_from([7, 128]))
+def test_one_pass_equals_each_job_alone(s, seed, block_rows):
+    jobs = [(strategy, seed) for strategy in PASS_JOBS]
+    with mock.patch.object(selection, "BLOCK_ROWS", block_rows):
+        assert ([pair_bytes(pairs) for pairs in select_many(s, jobs)]
+                == [pair_bytes(select_pairs(s, strategy, seed)) for strategy, seed in jobs])
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from([0, 10**9]), st.data())
+def test_cut_picks_equal_the_masked_row(rows, cols, seed, rounds, data):
+    """Top-n draws read from any window, narrow or wide, by either construction,
+    against the whole row masked to its top n, ties to the lower position."""
+    rng = np.random.default_rng(seed)
+    vals = np.round(rng.random((rows, cols)) * 0.3, 1)  # 0.0 to 0.3: long tie groups
+    depth = data.draw(st.integers(0, cols - 1))
+    with mock.patch.object(selection, "ROUNDS", rounds):
+        window = selection._window(vals, [np.full(rows, depth)])
+        assume(window[1].shape[1])
+        topn = data.draw(st.integers(1, window[1].shape[1]))
+        u = rng.random(rows)
+        got = selection._cut_picks(vals, window, np.arange(rows), u, topn)
+    nth = -np.sort(-vals, axis=1)[:, topn - 1]
+    w = vals.copy()
+    w[~selection._top_candidates(w, nth[:, None], topn)] = 0.0
+    assert np.array_equal(got, selection._proportional_pick(w, u))
 
 
 def golden_similarity() -> SimilarityMatrix:
