@@ -42,6 +42,9 @@ _IGNORED = {"detect": {"pairs": ("format", "strategy", "topn", "delete", "levels
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # subparsers are _Parser too
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # flags in full, no prefixes
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")

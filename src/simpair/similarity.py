@@ -29,12 +29,12 @@ the sparse one the CSR product's multiplies. A block takes the dense
 kernel where its cost is at most :data:`DENSE_RATIO` times the sparse
 one's, as when its rows cite the same targets (ids sorted by
 community), and the sparse one where its rows scatter over targets
-(shuffled ids, cross-talk). The dense kernel needs every product of two
-stored entries to be positive (no stored zero, no underflow), so that it
-stores a column exactly where the CSR product does; a ``unit`` without
-that uses the sparse kernel throughout. A block's product holds at most
-(rows in the block) x N entries, and it is dropped before the block is
-handed out.
+(shuffled ids, cross-talk). Every stored ``unit`` entry is positive, as
+:func:`build_similarity_matrix` makes them, and no product of two of them
+underflows, so the dense kernel stores a column exactly where the CSR
+product does. Each row's own column is zeroed after either kernel. A
+block's product holds at most (rows in the block) x N entries, and it is
+dropped before the block is handed out.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class SimilarityMatrix:
 
     Give exactly one of:
 
-    * ``unit``: the unit-length patterns (CSR, sorted rows), as
-      :func:`build_similarity_matrix` does. The similarity is their
+    * ``unit``: the unit-length patterns (CSR, sorted rows, positive entries),
+      as :func:`build_similarity_matrix` makes them. The similarity is their
       product with their transpose, computed a block of rows at a time.
     * ``values``: the similarity itself, dense or sparse, square, finite
       and non-negative; it is stored.
@@ -111,10 +111,6 @@ class SimilarityMatrix:
         if unit is not None:
             self._unit_t = sparse.csr_array(unit.T)
             self._citers = np.diff(self._unit_t.indptr)  # nodes citing each target
-            # every product of two stored entries is positive, so the dense
-            # kernel stores exactly the columns the CSR product stores
-            low = unit.data.min(initial=1.0)
-            self._dense_exact = low * low > 0.0
 
     @property
     def n_nodes(self) -> int:
@@ -137,13 +133,17 @@ class SimilarityMatrix:
         start, end = ip[0], ip[-1]
         rows = sparse.csr_array((u.data[start:end], u.indices[start:end], ip - start),
                                 shape=(hi - lo, u.shape[1]))
-        cited = _present(rows.indices, u.shape[1]) if self._dense_exact else None
+        cited = _present(rows.indices, u.shape[1])
         # rows x (entries of the dense kernel's CSC matrix) against the CSR
         # product's multiplies, as Python ints
-        if cited is not None and ((hi - lo) * int(self._citers @ cited)
-                                  <= DENSE_RATIO * int(self._citers[rows.indices].sum())):
-            return _dense_product(rows, cited, self._unit_t, lo)
-        return _sparse_product(rows, self._unit_t, lo)
+        if ((hi - lo) * int(self._citers @ cited)
+                <= DENSE_RATIO * int(self._citers[rows.indices].sum())):
+            cols, vals = _dense_product(rows, cited, self._unit_t)
+        else:
+            cols, vals = _sparse_product(rows, self._unit_t)
+        own_lo, own_hi = np.searchsorted(cols, (lo, hi))
+        vals[cols[own_lo:own_hi] - lo, np.arange(own_lo, own_hi)] = 0.0
+        return cols, vals
 
     def blocks(self, step: int):
         """Consecutive ``step``-row blocks of S, in order, as ``(rows, cols, vals)``.
@@ -179,20 +179,16 @@ def _positions(present: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.flatnonzero(present), (np.cumsum(present) - 1)[idx]
 
 
-def _sparse_product(rows: sparse.csr_array, unit_t: sparse.csr_array,
-                    lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rows @ unit_t`` by scipy's CSR product, diagonal 0, as ``(cols, vals)``;
-    ``rows`` are S's from node ``lo`` on."""
+def _sparse_product(rows: sparse.csr_array,
+                    unit_t: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """``rows @ unit_t`` by scipy's CSR product, as ``(cols, vals)``."""
     p = rows @ unit_t
-    own = np.repeat(np.arange(lo, lo + p.shape[0], dtype=p.indices.dtype), np.diff(p.indptr))
-    p.data[p.indices == own] = 0.0
     return _columns(p, 0, p.shape[0])
 
 
-def _dense_product(rows: sparse.csr_array, cited: np.ndarray, unit_t: sparse.csr_array,
-                   lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rows @ unit_t`` by the dense kernel, diagonal 0, as ``(cols, vals)``;
-    ``rows`` are S's from node ``lo`` on and ``cited`` masks the targets they cite."""
+def _dense_product(rows: sparse.csr_array, cited: np.ndarray,
+                   unit_t: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """``rows @ unit_t`` by the dense kernel, as ``(cols, vals)``; ``cited`` masks their targets."""
     targets, at = _positions(cited, rows.indices)
     citers = unit_t[targets]  # one row per cited target, in target order
     cols, col_at = _positions(_present(citers.indices, unit_t.shape[1]), citers.indices)
@@ -205,8 +201,6 @@ def _dense_product(rows: sparse.csr_array, cited: np.ndarray, unit_t: sparse.csr
     del a, x  # freed first: only the product and its transposed copy are held at once
     vals = np.ascontiguousarray(product.T)
     del product
-    own_lo, own_hi = np.searchsorted(cols, (lo, lo + n_rows))
-    vals[cols[own_lo:own_hi] - lo, np.arange(own_lo, own_hi)] = 0.0
     return cols, vals
 
 
@@ -248,6 +242,8 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     """
     counts = m.counts.astype(np.float64)  # a copy, so it is scaled in place
     counts.sum_duplicates()  # sorted rows, one entry per column
+    # each entry left is at least 1 / (row sum), so no product of two is 0
+    counts.eliminate_zeros()
     ip = counts.indptr
     per_row = np.diff(ip)
     frac = counts.data

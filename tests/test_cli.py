@@ -378,6 +378,10 @@ class TestParameterErrors:
         ["sweep-topn", "--input", "F", "--synth", "--topn-grid", "1"],
         ["gen-synth", "--in-rate", "0"],
         ["gen-synth", "--synth"],
+        # a prefix is not read as the flag it starts
+        ["gen-synth", "--synth", "5"],
+        ["gen-synth", "--vol", "100"],
+        ["detect", "--inp", "F"],
     ], ids=" ".join)
     def test_refused_before_any_input_is_read(self, tmp_path, block_edges, capsys,
                                               monkeypatch, argv):

@@ -21,6 +21,7 @@ from simpair import (
     select_many,
 )
 from simpair import selection, similarity
+from simpair.io import pairs_to_tsv
 from simpair.selection import Strategy, select_pairs
 from simpair.similarity import _row_sums
 from test_similarity import similarity_matrix_naive
@@ -38,7 +39,14 @@ KERNELS = {"_sparse_product": 0, "_dense_product": math.inf}
 @st.composite
 def citation_matrices(draw, max_n=12):
     n = draw(st.integers(1, max_n))
-    m = CitationMatrix.from_dense(draw(arrays(np.int64, (n, n), elements=COUNTS)))
+    dense = draw(arrays(np.int64, (n, n), elements=COUNTS))
+    if draw(st.booleans()):
+        m = CitationMatrix.from_dense(dense)
+    else:
+        # an edge list that also lists some cells with a count of 0, which
+        # the matrix stores
+        src, dst = np.nonzero((dense != 0) | draw(arrays(bool, (n, n), fill=st.nothing())))
+        m = CitationMatrix.from_entries(n, src, dst, dense[src, dst])
     if draw(st.booleans()):
         # a coarse matrix, as the iterated pipeline builds it
         labels = np.asarray(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
@@ -102,9 +110,11 @@ def test_block_sparse_12k_stays_far_below_dense_size():
 
 
 def unit_patterns_by_row_index(m: CitationMatrix):
-    """Unit patterns normalised with one int64 row index per stored entry."""
+    """Unit patterns normalised with one int64 row index per stored entry,
+    after dropping counts of 0."""
     counts = m.counts.astype(np.float64)
     counts.sum_duplicates()
+    counts.eliminate_zeros()
     ip = counts.indptr
     row = np.repeat(np.arange(counts.shape[0]), np.diff(ip))
     row_sums = _row_sums(counts.data, ip)
@@ -252,13 +262,74 @@ def test_each_kernel_gives_the_product_rows_in_full_blocks(ratio, make):
         assert_blocks_are_the_product(build_similarity_matrix(make()), selection.BLOCK_ROWS)
 
 
-def test_a_stored_zero_keeps_the_sparse_kernel():
-    """A zero pattern entry gives zero products, which the CSR product does not store."""
+@pytest.mark.parametrize("ratio", KERNELS.values(), ids=KERNELS)
+def test_a_count_of_0_stores_no_pattern_entry(ratio):
     m = CitationMatrix.from_entries(3, [0, 2, 1], [1, 1, 2], [0, 3, 1])
+    assert (m.counts.data == 0).any()
     s = build_similarity_matrix(m)
-    assert (s.unit.data == 0.0).any()
-    with mock.patch.object(similarity, "DENSE_RATIO", math.inf):
-        assert_blocks_are_the_product(s, 3)
+    assert (s.unit.data > 0.0).all()
+    with mock.patch.object(similarity, "DENSE_RATIO", ratio):
+        for step in (1, 2, 3):
+            assert_blocks_are_the_product(s, step)
+
+
+def test_a_count_of_0_keeps_the_dense_kernel():
+    """One edge with a count of 0 changes neither the kernels nor any output."""
+    plain = planted(1500)
+    counts = plain.counts.tocoo()
+    with_zero = CitationMatrix.from_entries(1500, np.append(counts.row, 0),
+                                            np.append(counts.col, 1499),
+                                            np.append(counts.data, 0))
+    assert with_zero.counts.nnz == plain.counts.nnz + 1
+    kernel = similarity._dense_product
+    outputs = []
+    for m in (plain, with_zero):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        with mock.patch.object(similarity, "_dense_product", counted):
+            d = detect(m, Strategy("max"), levels=0)
+        outputs.append((len(calls), pairs_to_tsv(d.pairs), d.core.labels.tobytes(),
+                        d.real.labels.tobytes()))
+    assert outputs[0][0] > 0
+    assert outputs[1] == outputs[0]
+
+
+@st.composite
+def units_with_zeros(draw, max_n=12):
+    """Unit patterns of a citation matrix, CSR with sorted rows, that also
+    store zeros at drawn cells."""
+    unit = build_similarity_matrix(draw(citation_matrices(max_n))).unit.toarray()
+    n = len(unit)
+    r, c = np.nonzero((unit != 0.0) | draw(arrays(bool, (n, n), fill=st.nothing())))
+    return sparse.csr_array((unit[r, c], (r, c)), shape=(n, n))
+
+
+@pytest.mark.parametrize("ratio", KERNELS.values(), ids=KERNELS)
+@PROPERTY
+@given(units_with_zeros(max_n=24), SEEDS)
+def test_stored_zeros_in_a_given_unit_never_change_the_pairs(ratio, unit, seed):
+    """Outside the contract, zeros only add all-zero columns to a block."""
+    if unit.shape[0] < 2:
+        return
+    assert unit.has_sorted_indices
+    product = unit @ unit.T
+    ip = product.indptr
+    jobs = [(strategy, seed) for strategy in DIGEST_STRATEGIES]
+    want = [rows(pairs) for pairs in select_many(SimilarityMatrix(values=product), jobs)]
+    for block_rows in (3, 128):
+        with mock.patch.object(similarity, "DENSE_RATIO", ratio), \
+                mock.patch.object(selection, "BLOCK_ROWS", block_rows):
+            s = SimilarityMatrix(unit=unit)
+            assert [rows(pairs) for pairs in select_many(s, jobs)] == want
+            for block, cols, vals in s.blocks(block_rows):
+                full = product[block].toarray()
+                full[np.arange(len(full)), np.arange(block.start, block.stop)] = 0.0
+                assert np.isin(product.indices[ip[block.start]:ip[block.stop]], cols).all()
+                assert vals.tobytes() == full[:, cols].tobytes()
 
 
 @PROPERTY
