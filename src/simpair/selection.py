@@ -29,18 +29,22 @@ node i reads element i, or for deletion's tie draws reads draw j of
 its own by position (see :mod:`simpair.rng`). A run draws only the streams it reads, and
 the coin and the partner use separate ones.
 
-One forward pass of :meth:`SimilarityMatrix.blocks` hands every strategy
-the similarity a block of ``BLOCK_ROWS`` rows at a time, over only the
-columns those rows store, and each maps positions back to node ids
-through the block's ``cols``. An absent column is zero in every row of
-the block, so each draw is the one the full rows would give. Each
-block's rows are computed as one product as the block is read, and no
-whole similarity is stored. The largest temporaries are one
-``BLOCK_ROWS`` x (columns stored) block, at most ``BLOCK_ROWS`` x N, the
-product it comes from (dropped before the block is used), one
-``argpartition`` of the block (for wide windows), the block's row cumsum
-(one for every psim run of the pass, built on first use) and a copy of
-its tied rows.
+One pass of :meth:`SimilarityMatrix.blocks` hands every strategy the
+similarity a block of at most ``BLOCK_ROWS`` rows at a time, over only
+the columns those rows store. A block's ``rows`` are sorted node ids,
+not always consecutive ones (rows of one connected component share a
+block), and every picker reads its per-node draws, walk lengths and
+depths at ``rows``; each maps column positions back to node ids through
+the block's ``cols``. Every draw is keyed by node id and the pairs are
+ranked by value, then ids, so no output depends on which rows share a
+block. An absent column is zero in every row of the block, so each draw
+is the one the full rows would give. Each block's rows are computed as
+one product as the block is read, and no whole similarity is stored.
+The largest temporaries are one ``BLOCK_ROWS`` x (columns stored) block,
+at most ``BLOCK_ROWS`` x N, the product it comes from (dropped before the
+block is used), one ``argpartition`` of the block (for wide windows),
+the block's row cumsum (one for every psim run of the pass, built on
+first use) and a copy of its tied rows.
 
 Max is a walk. Deletion never draws the hidden columns: taken in
 decreasing similarity, ties by column id, only a row's first visible
@@ -49,7 +53,9 @@ entries in front of it, one uniform per node, and reads the row's top
 T+1 entries; without deletion T = 0. Each block builds one window of its
 rows' largest entries (narrow ones by argmax rounds) for every max row
 of the pass and every psim top-n cut. Rows whose entry at T ties with
-later ones are read over the whole block row, all tied rows at once.
+later ones are read over the whole block row, all tied rows at once;
+with nothing hidden (T = 0) the tied maxima do not depend on the seed,
+so they are found once per block, on first use, for every such walk.
 
 Psim reads each drawn row without copying it. A draw over the whole row
 binary-searches the block's row cumsum for ``u * total``. A top-n draw
@@ -194,13 +200,15 @@ def _window(vals: np.ndarray, depths: list[np.ndarray]) -> tuple[np.ndarray, np.
 
 
 def _walk_picks(cols: np.ndarray, vals: np.ndarray, window: tuple[np.ndarray, np.ndarray],
-                local: np.ndarray, rows: np.ndarray, t: np.ndarray, k: int, n: int,
-                seed: int) -> Pairs:
+                ties: Callable[[], tuple[np.ndarray, np.ndarray]], local: np.ndarray,
+                rows: np.ndarray, t: np.ndarray, k: int, n: int, seed: int) -> Pairs:
     """The visible maxima of block rows ``local``, nodes ``rows``, past T = ``t`` hidden entries.
 
     Entries are taken in decreasing similarity, ties by column id. The
     entry at position T is visible and, if positive, the row's maximum.
-    A row where the next entry ties with it goes to :func:`_tied_picks`.
+    A row where the next entry ties with it emits every entry tied at its
+    maximum, read from ``ties()`` (:func:`_max_ties`), when nothing is
+    hidden (k = 0), and otherwise goes to :func:`_tied_picks`.
     """
     pos, top = window
     width = top.shape[1]
@@ -213,10 +221,33 @@ def _walk_picks(cols: np.ndarray, vals: np.ndarray, window: tuple[np.ndarray, np
     single = (v > 0.0) & (after < v)
     picks = [(rows[single], cols[pos[local[single], end[single]]], v[single])]
     tied = np.flatnonzero((v > 0.0) & (after == v))
-    if len(tied):
+    if len(tied) and k:
         picks.append(_tied_picks(cols, vals[local[tied]], rows[tied], t[tied], v[tied], k, n,
                                  seed))
+    elif len(tied):
+        r, c = ties()
+        wanted = np.zeros(len(vals), bool)
+        wanted[local[tied]] = True
+        keep = wanted[r]
+        j = np.searchsorted(local[tied], r[keep])  # local is sorted
+        picks.append((rows[tied][j], cols[c[keep]], v[tied][j]))
     return tuple(np.concatenate(col) for col in zip(*picks))
+
+
+def _max_ties(vals: np.ndarray, window: tuple[np.ndarray, np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry equal to its row's positive maximum, in the block rows where
+    more than one is, as (block row, column position) arrays by row, then column.
+
+    It does not depend on the seed, so a block builds it once for every walk
+    of the pass with nothing hidden.
+    """
+    top = window[1]
+    if top.shape[1] < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    tied = np.flatnonzero((top[:, 0] > 0.0) & (top[:, 1] == top[:, 0]))
+    r, c = np.nonzero(vals[tied] == top[tied, :1])
+    return tied[r], c
 
 
 def _hypergeometric_weights(m: np.ndarray, hidden: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -241,17 +272,15 @@ def _hypergeometric_weights(m: np.ndarray, hidden: np.ndarray, left: np.ndarray)
 def _tied_picks(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, t: np.ndarray,
                 v: np.ndarray, k: int, n: int, seed: int) -> Pairs:
     """Visible maxima of rows whose entry at position T = ``t``, of value ``v``,
-    ties with later ones; read over the rows' whole ``vals``.
+    ties with later ones; read over the rows' whole ``vals``. ``k`` > 0.
 
     After position T the row's other k - T hidden columns are a uniform
     subset of its n - 2 - T later ones. So of the m later entries equal to
     v, a hypergeometric count h is hidden, drawn by inverse CDF on draw 0
     of (seed, TIE_STREAM, node), and they are the h whose keys, draw
-    1 + column, are smallest; with k = 0 none is, and nothing is drawn.
+    1 + column, are smallest.
     """
     r, c = np.nonzero(vals == v[:, None])  # by row, then column
-    if not k:
-        return rows[r], cols[c], v[r]
     rank = np.arange(len(r)) - np.searchsorted(r, r)
     first = t - np.count_nonzero(vals > v[:, None], axis=1)  # rank of the entry at T
     off = rank - first[r]  # 0 at T, > 0 after it, < 0 hidden before it
@@ -408,11 +437,10 @@ def _job(strategy: Strategy, seed: int, n: int):
     k = int(np.floor((strategy.deletion or 0.0) * (n - 1)))
     steps = None if draw.all() else _walk_steps(seed, n, k) if k else np.zeros(n, np.int64)
 
-    def take(cols: np.ndarray, vals: np.ndarray, block: slice,
-             window: tuple[np.ndarray, np.ndarray] | None,
-             cdf: Callable[[], np.ndarray]) -> list[Pairs]:
-        rows = np.arange(block.start, block.stop)
-        drawn = draw[block]
+    def take(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+             window: tuple[np.ndarray, np.ndarray] | None, cdf: Callable[[], np.ndarray],
+             ties: Callable[[], tuple[np.ndarray, np.ndarray]]) -> list[Pairs]:
+        drawn = draw[rows]
         local = drawn.nonzero()[0]
         picks = []
         if len(local):
@@ -423,10 +451,22 @@ def _job(strategy: Strategy, seed: int, n: int):
                 picks.append(_uniform_picks(cols, vals, local, at, u[at], n))
         if len(local) < len(rows):
             kept = np.flatnonzero(~drawn)
-            picks.append(_walk_picks(cols, vals, window, kept, rows[kept], steps[block][kept],
-                                     k, n, seed))
+            picks.append(_walk_picks(cols, vals, window, ties, kept, rows[kept],
+                                     steps[rows[kept]], k, n, seed))
         return picks
     return take, steps if topn is None else np.full(n, topn - 1)
+
+
+def _once(make: Callable[[], object]) -> Callable[[], object]:
+    """``make()``, computed on the first call and kept (``functools.cache`` costs
+    more to build, and a block builds two)."""
+    kept = []
+
+    def get():
+        if not kept:
+            kept.append(make())
+        return kept[0]
+    return get
 
 
 def select_many(s: SimilarityMatrix,
@@ -441,14 +481,16 @@ def select_many(s: SimilarityMatrix,
     runs = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
     depths = [depth for _, depth in runs if depth is not None]
     picks: list[list[Pairs]] = [[] for _ in jobs]
-    for block, cols, vals in s.blocks(BLOCK_ROWS):
-        # one window for every walk and top-n cut of the pass, and one row cumsum,
-        # built on first use, for every psim draw over whole rows; both dropped with the block
-        window = _window(vals, [depth[block] for depth in depths]) if depths else None
-        cdf = functools.cache(functools.partial(np.cumsum, vals, axis=1))
+    for rows, cols, vals in s.blocks(BLOCK_ROWS):
+        # one window for every walk and top-n cut of the pass; built on first use, one
+        # row cumsum for every psim draw over whole rows and one set of tied maxima for
+        # every walk with nothing hidden; all dropped with the block
+        window = _window(vals, [depth[rows] for depth in depths]) if depths else None
+        cdf = _once(functools.partial(np.cumsum, vals, axis=1))
+        ties = _once(functools.partial(_max_ties, vals, window))
         for (take, _), out in zip(runs, picks):
-            out += take(cols, vals, block, window, cdf)
-        del cols, vals, window, cdf  # freed before the next block is filled
+            out += take(rows, cols, vals, window, cdf, ties)
+        del cols, vals, window, cdf, ties  # freed before the next block is filled
     return [_ranked(p) for p in picks]
 
 

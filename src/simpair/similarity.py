@@ -8,9 +8,9 @@ The similarity S is ``unit @ unit.T`` for the unit-length patterns
 ``unit``. On hub-heavy citation data S is nearly dense even when the
 citations are sparse, so it is never stored whole: a
 :class:`SimilarityMatrix` holds ``unit`` and its transpose, and its one
-reader, :meth:`SimilarityMatrix.blocks`, walks S forward a block of rows
-at a time, computing each block as the product of its rows of ``unit``
-with ``unit.T`` by one of two exact kernels:
+reader, :meth:`SimilarityMatrix.blocks`, walks S a block of rows at a
+time, computing each block as the product of its rows of ``unit`` with
+``unit.T`` by one of two exact kernels:
 
 * sparse: scipy's CSR product, Gustavson's row-wise algorithm. Row i of
   a block product depends only on row i of ``unit``, so it is bit for
@@ -24,12 +24,23 @@ with ``unit.T`` by one of two exact kernels:
   are exact ``+0.0`` because every entry is >= 0. It makes one pass and
   builds no CSR result.
 
-The dense kernel costs rows x (entries of its CSC matrix) multiplies and
-the sparse one the CSR product's multiplies. A block takes the dense
-kernel where its cost is at most :data:`DENSE_RATIO` times the sparse
-one's, as when its rows cite the same targets (ids sorted by
-community), and the sparse one where its rows scatter over targets
-(shuffled ids, cross-talk). Every stored ``unit`` entry is positive, as
+Either way a row's values do not depend on which rows share its block.
+Rows that share targets are put in one block: with more than one block,
+rows are taken by weak connected component of the citation pattern, and
+a block packs whole components (see :meth:`SimilarityMatrix._layout`),
+so on planted communities a block cites only its own community's
+targets, whatever the node ids.
+
+The dense kernel costs rows x (entries of its CSC matrix) multiplies.
+The sparse one costs the CSR product's multiplies, each dearer, and
+work per output entry, of which there are at most one per multiply and
+at most rows x min(N, those CSC entries). A block takes the dense kernel
+where its multiplies are at most :data:`DENSE_RATIO` times the sparse
+one's plus :data:`OUTPUT_RATIO` times that output bound: where its rows
+cite the same targets, and also where the CSR product would make many
+output entries per multiply (a small S with cross-talk); the sparse one
+where rows scatter over targets that many nodes cite (a large S with
+cross-talk). Every stored ``unit`` entry is positive, as
 :func:`build_similarity_matrix` makes them, and no product of two of them
 underflows, so the dense kernel stores a column exactly where the CSR
 product does. Each row's own column is zeroed after either kernel. A
@@ -44,10 +55,13 @@ from scipy import sparse
 
 from .citations import CitationMatrix
 
-# a block takes the dense kernel where rows x (its CSC matrix's entries) is
-# at most this many times the CSR product's multiplies; the per-block times
-# this rests on are in CHANGES.md
-DENSE_RATIO = 5
+# a block takes the dense kernel where its multiplies, rows x (its CSC
+# matrix's entries), are at most DENSE_RATIO times the CSR product's
+# multiplies plus OUTPUT_RATIO times a bound on the CSR product's output
+# entries: the cost of each in dense-kernel multiplies, fitted on the
+# per-block times of scripts/kernel_table.py (CHANGES.md has the fit)
+DENSE_RATIO = 10.5
+OUTPUT_RATIO = 20
 
 
 class SparseValues(sparse.csr_array):
@@ -111,6 +125,7 @@ class SimilarityMatrix:
         if unit is not None:
             self._unit_t = sparse.csr_array(unit.T)
             self._citers = np.diff(self._unit_t.indptr)  # nodes citing each target
+            self._labels = None  # weak components of the pattern, on first use
 
     @property
     def n_nodes(self) -> int:
@@ -122,44 +137,102 @@ class SimilarityMatrix:
             self._values = _stored(self.unit @ self._unit_t)
         return self._values
 
-    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``lo:hi`` of S, diagonal 0, over the columns they store, as
-        ``(cols, vals)``. An S given as ``values`` is read in place; from
-        ``unit`` the rows are one product, dropped on return."""
-        if self.unit is None:
-            return _columns(self._values, lo, hi)
-        u = self.unit
-        ip = u.indptr[lo:hi + 1]
-        start, end = ip[0], ip[-1]
-        rows = sparse.csr_array((u.data[start:end], u.indices[start:end], ip - start),
-                                shape=(hi - lo, u.shape[1]))
-        cited = _present(rows.indices, u.shape[1])
-        # rows x (entries of the dense kernel's CSC matrix) against the CSR
-        # product's multiplies, as Python ints
-        if ((hi - lo) * int(self._citers @ cited)
-                <= DENSE_RATIO * int(self._citers[rows.indices].sum())):
-            cols, vals = _dense_product(rows, cited, self._unit_t)
+    def _block(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``rows`` (sorted node ids) of S, own columns 0, over the
+        columns they store, as ``(cols, vals)``. An S given as ``values`` is
+        read in place; from ``unit`` the rows are one product, dropped on
+        return."""
+        if self.unit is None:  # consecutive rows, read in place, with no diagonal
+            return _columns(self._values, rows[0], rows[-1] + 1)
+        part = _csr_rows(self.unit, rows)
+        cited = _present(part.indices, self.n_nodes)
+        # Python ints: the dense kernel's multiplies, rows x the entries of its
+        # CSC matrix, against the CSR product's multiplies and its output
+        # entries, at most one per multiply and one per (row, column)
+        entries = int(self._citers @ cited)
+        mults = int(self._citers[part.indices].sum())
+        output = min(mults, len(rows) * min(self.n_nodes, entries))
+        if len(rows) * entries <= DENSE_RATIO * mults + OUTPUT_RATIO * output:
+            cols, vals = _dense_product(part, cited, self._unit_t)
         else:
-            cols, vals = _sparse_product(rows, self._unit_t)
-        own_lo, own_hi = np.searchsorted(cols, (lo, hi))
-        vals[cols[own_lo:own_hi] - lo, np.arange(own_lo, own_hi)] = 0.0
+            cols, vals = _sparse_product(part, self._unit_t)
+        at = np.minimum(np.searchsorted(cols, rows), len(cols) - 1)
+        own = np.flatnonzero(cols[at] == rows) if len(cols) else at[:0]
+        vals[own, at[own]] = 0.0
         return cols, vals
 
-    def blocks(self, step: int):
-        """Consecutive ``step``-row blocks of S, in order, as ``(rows, cols, vals)``.
+    def _layout(self, step: int) -> list[np.ndarray]:
+        """The rows of each block, sorted node ids, at most ``step`` per block.
 
-        ``rows`` is the block's slice of nodes, ``cols`` the sorted set of
-        columns stored by any of its rows and ``vals`` a new
-        (len(rows), len(cols)) array whose column k is column ``cols[k]`` of
-        the rows. Every column left out is zero in all of them; a stored one
-        may be too. When every column is stored, ``cols`` is ``arange(N)``.
+        From ``unit``, with more than ``step`` nodes, rows are taken in order
+        of their weak connected component of the citation pattern, node ids
+        increasing inside one; rows of two components share no target, so
+        their entry is 0. A block packs whole components and ends before one
+        that would not fit; a component of more than ``step`` rows is cut
+        into ``step``-row pieces, its last piece packed like a component.
+        Otherwise the blocks are consecutive ``step``-row slices.
         """
         n = self.n_nodes
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            cols, vals = self._block(lo, hi)
-            yield slice(lo, hi), cols, vals
+        if self.unit is None or n <= step:
+            return [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        if self._labels is None:
+            self._labels = _components(self.unit, self._unit_t)
+        order = np.argsort(self._labels, kind="stable")
+        sizes = np.bincount(self._labels)
+        sizes = sizes[sizes > 0]  # each component's, in order of its smallest node
+        pieces = sizes // step + (sizes % step > 0)
+        piece_rows = np.full(pieces.sum(), step)
+        cut = sizes % step > 0
+        piece_rows[(np.cumsum(pieces) - 1)[cut]] = (sizes % step)[cut]
+        ends = np.cumsum(piece_rows)
+        layout, lo = [], 0
+        while lo < n:
+            hi = ends[np.searchsorted(ends, lo + step, side="right") - 1]
+            layout.append(np.sort(order[lo:hi]))
+            lo = hi
+        return layout
+
+    def blocks(self, step: int):
+        """Blocks of at most ``step`` rows of S, every node in one, as ``(rows, cols, vals)``.
+
+        ``rows`` holds the block's node ids, sorted (see :meth:`_layout`
+        for which rows share a block), ``cols`` the sorted set of columns
+        stored by any of its rows and ``vals`` a new (len(rows), len(cols))
+        array whose row i, column k is entry (``rows[i]``, ``cols[k]``).
+        Every column left out is zero in all of the rows; a stored one may
+        be too. When every column is stored, ``cols`` is ``arange(N)``.
+        """
+        for rows in self._layout(step):
+            cols, vals = self._block(rows)
+            yield rows, cols, vals
             del cols, vals  # freed before the next block is filled
+
+
+def _components(unit: sparse.csr_array, unit_t: sparse.csr_array) -> np.ndarray:
+    """Each node's weak connected component in the pattern of ``unit`` (given
+    with its transpose), labelled by the component's smallest node id.
+
+    Min-label propagation: each round, a row takes the smallest label among
+    its targets and a target the smallest among its citers, and then every
+    label is replaced by its own label until none changes (a label is always
+    a node of the same component, with a label no larger). It stops when a
+    round changes nothing, or when every label is 0, one component. scipy's
+    ``connected_components`` would do the same in one pass, but importing
+    ``scipy.sparse.csgraph`` adds about 10 MB of resident memory.
+    """
+    label = np.arange(unit.shape[0], dtype=unit.indices.dtype)
+    sides = [(np.flatnonzero(np.diff(m.indptr)), m) for m in (unit, unit_t)]
+    while True:
+        new = label.copy()
+        for rows, m in sides:
+            least = np.minimum.reduceat(label.take(m.indices), m.indptr[rows])
+            new[rows] = np.minimum(new[rows], least)
+        up = new[new]
+        while not np.array_equal(up, new):
+            new, up = up, up[up]
+        if not new.any() or np.array_equal(new, label):
+            return new
+        label = new
 
 
 def _present(idx: np.ndarray, n: int) -> np.ndarray:
@@ -202,6 +275,16 @@ def _dense_product(rows: sparse.csr_array, cited: np.ndarray,
     vals = np.ascontiguousarray(product.T)
     del product
     return cols, vals
+
+
+def _csr_rows(m: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
+    """Rows ``rows`` (sorted) of ``m``, a view of its arrays when they are consecutive."""
+    if rows[-1] - rows[0] != len(rows) - 1:
+        return m[rows]
+    ip = m.indptr[rows[0]:rows[-1] + 2]
+    start, end = ip[0], ip[-1]
+    return sparse.csr_array((m.data[start:end], m.indices[start:end], ip - start),
+                            shape=(len(rows), m.shape[1]))
 
 
 def _columns(rows: sparse.csr_array, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

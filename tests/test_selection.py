@@ -376,6 +376,30 @@ class TestStreams:
         assert self.drawn(monkeypatch, s, MAX) == []
         assert edges(select_pairs(s, MAX)) == [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]
 
+    def test_walks_with_nothing_hidden_share_one_tie_scan_per_block(self, monkeypatch):
+        # every row's maximum ties: max, the max rows of mixed runs and a
+        # deletion of 0 all read the same tied sets
+        values = np.random.default_rng(3).integers(0, 3, (30, 30)) / 4
+        values[np.arange(30), (np.arange(30) + 1) % 30] = 1.0
+        values[np.arange(30), (np.arange(30) + 7) % 30] = 1.0
+        s = sim_from(values)
+        jobs = [(MAX, 0), (Strategy("max", deletion=0.0), 1)] + [
+            (mixed(0.3, kind), seed) for kind in ("psim", "p") for seed in range(3)]
+        want = [select_pairs(s, strategy, seed) for strategy, seed in jobs]
+        monkeypatch.setattr(selection, "BLOCK_ROWS", 8)
+        scans = []
+        max_ties = selection._max_ties
+
+        def counted(vals, window):
+            scans.append(len(vals))
+            return max_ties(vals, window)
+
+        monkeypatch.setattr(selection, "_max_ties", counted)
+        got = select_many(s, jobs)
+        assert scans == [8, 8, 8, 6]
+        assert [[col.tobytes() for col in pairs] for pairs in got] == [
+            [col.tobytes() for col in pairs] for pairs in want]
+
     @staticmethod
     def drawn(monkeypatch, s, strategy) -> list[tuple]:
         """The (seed, purpose) of every stream one run at seed 4 draws, and

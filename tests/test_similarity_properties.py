@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from simpair import (
     CitationMatrix,
@@ -32,8 +33,39 @@ from pairlists import rows
 COUNTS = st.sampled_from([0, 0, 0, 1, 2, 5]) | st.integers(0, 1000)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-# DENSE_RATIO that forces each kernel on every block that stores anything
-KERNELS = {"_sparse_product": 0, "_dense_product": math.inf}
+# (DENSE_RATIO, OUTPUT_RATIO) that force each kernel on every block that stores anything
+KERNELS = {"_sparse_product": (0, 0), "_dense_product": (math.inf, 0)}
+
+
+def forced(costs):
+    """The kernel rule's constants patched to ``costs``, one of ``KERNELS``."""
+    dense, output = costs
+    return mock.patch.multiple(similarity, DENSE_RATIO=dense, OUTPUT_RATIO=output)
+
+
+def components(s: SimilarityMatrix) -> list[np.ndarray]:
+    """The node ids of each weak component of ``s.unit``'s pattern."""
+    _, labels = csgraph.connected_components(s.unit, connection="weak")
+    return [np.flatnonzero(labels == c) for c in range(labels.max(initial=-1) + 1)]
+
+
+def assert_layout(s: SimilarityMatrix, blocks: list[np.ndarray], step: int) -> None:
+    """``blocks``, the rows of each block, hold every node once, sorted, at most ``step``
+    to a block: consecutive slices for a stored S or N <= ``step``, and otherwise every
+    component of at most ``step`` nodes inside one block."""
+    n = s.n_nodes
+    assert all(0 < len(rows) <= step and np.all(np.diff(rows) > 0) for rows in blocks)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+    if s.unit is None or n <= step:
+        assert [rows.tolist() for rows in blocks] == [list(range(lo, min(lo + step, n)))
+                                                      for lo in range(0, n, step)]
+        return
+    block_of = np.empty(n, np.int64)
+    for b, rows in enumerate(blocks):
+        block_of[rows] = b
+    for members in components(s):
+        if len(members) <= step:
+            assert len(np.unique(block_of[members])) == 1, members
 
 
 @st.composite
@@ -148,11 +180,11 @@ def test_index_arrays_are_int32_when_they_fit():
             products.append((rows.indices.dtype, rows.indptr.dtype, rows.shape[0]))
             return kernel(rows, *args)
 
-        with mock.patch.object(similarity, "DENSE_RATIO", ratio), \
-                mock.patch.object(similarity, name, recorded):
-            assert len(list(s.blocks(7))) == 5
+        with forced(ratio), mock.patch.object(similarity, name, recorded):
+            layout = [rows for rows, _, _ in s.blocks(7)]
+        assert_layout(s, layout, 7)
         # every block is a product of its own rows, not read from the kept values
-        assert products == [(np.int32, np.int32, 7)] * 4 + [(np.int32, np.int32, 2)], name
+        assert products == [(np.int32, np.int32, len(rows)) for rows in layout], name
 
 
 SEEDS = st.integers(0, 2**63)
@@ -220,14 +252,13 @@ def assert_blocks_are_the_product(s: SimilarityMatrix, step: int) -> None:
     """``s.blocks(step)`` are byte for byte the rows of ``unit @ unit.T``,
     diagonal 0, over the columns that product stores."""
     product = s.unit @ s.unit.T
-    ip = product.indptr
     blocks = list(s.blocks(step))
-    assert [rows.start for rows, _, _ in blocks] == list(range(0, s.n_nodes, step))
+    assert_layout(s, [rows for rows, _, _ in blocks], step)
     for rows, cols, vals in blocks:
         want = product[rows].toarray()
-        want[np.arange(len(want)), np.arange(rows.start, rows.stop)] = 0.0
+        want[np.arange(len(want)), rows] = 0.0
         assert cols.dtype == np.intp
-        assert np.array_equal(cols, np.unique(product.indices[ip[rows.start]:ip[rows.stop]]))
+        assert np.array_equal(cols, np.unique(product[rows].indices))
         assert vals.tobytes() == want[:, cols].tobytes()
 
 
@@ -237,7 +268,7 @@ def assert_blocks_are_the_product(s: SimilarityMatrix, step: int) -> None:
 @example(m=CitationMatrix.from_dense([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 3, 0], [0, 2, 0, 1]]),
          step=2)  # an all-empty block
 def test_each_kernel_gives_the_product_rows(ratio, m, step):
-    with mock.patch.object(similarity, "DENSE_RATIO", ratio):
+    with forced(ratio):
         assert_blocks_are_the_product(build_similarity_matrix(m), step)
 
 
@@ -258,7 +289,7 @@ def planted(n: int, size: int = 100, per_node: int = 50, shuffle: bool = False) 
                          ids=["sorted blocks", "shuffled blocks", "hub"])
 def test_each_kernel_gives_the_product_rows_in_full_blocks(ratio, make):
     """At 128 rows, where the dense product runs its wide vector loop."""
-    with mock.patch.object(similarity, "DENSE_RATIO", ratio):
+    with forced(ratio):
         assert_blocks_are_the_product(build_similarity_matrix(make()), selection.BLOCK_ROWS)
 
 
@@ -268,7 +299,7 @@ def test_a_count_of_0_stores_no_pattern_entry(ratio):
     assert (m.counts.data == 0).any()
     s = build_similarity_matrix(m)
     assert (s.unit.data > 0.0).all()
-    with mock.patch.object(similarity, "DENSE_RATIO", ratio):
+    with forced(ratio):
         for step in (1, 2, 3):
             assert_blocks_are_the_product(s, step)
 
@@ -317,39 +348,144 @@ def test_stored_zeros_in_a_given_unit_never_change_the_pairs(ratio, unit, seed):
         return
     assert unit.has_sorted_indices
     product = unit @ unit.T
-    ip = product.indptr
     jobs = [(strategy, seed) for strategy in DIGEST_STRATEGIES]
     want = [rows(pairs) for pairs in select_many(SimilarityMatrix(values=product), jobs)]
     for block_rows in (3, 128):
-        with mock.patch.object(similarity, "DENSE_RATIO", ratio), \
+        with forced(ratio), \
                 mock.patch.object(selection, "BLOCK_ROWS", block_rows):
             s = SimilarityMatrix(unit=unit)
             assert [rows(pairs) for pairs in select_many(s, jobs)] == want
             for block, cols, vals in s.blocks(block_rows):
                 full = product[block].toarray()
-                full[np.arange(len(full)), np.arange(block.start, block.stop)] = 0.0
-                assert np.isin(product.indices[ip[block.start]:ip[block.stop]], cols).all()
+                full[np.arange(len(full)), block] = 0.0
+                assert np.isin(product[block].indices, cols).all()
                 assert vals.tobytes() == full[:, cols].tobytes()
 
 
 @PROPERTY
 @given(citation_matrices(max_n=24), st.booleans(), st.integers(1, 5))
 def test_blocks_walk_the_rows_in_order_over_their_stored_columns(m, stored, step):
-    """``blocks`` covers [0, N) in ``step``-row blocks, each the stored columns of its rows."""
+    """``blocks`` covers [0, N) in blocks of at most ``step`` rows, each the stored
+    columns of its rows."""
     values = build_similarity_matrix(m).values
     dense = values.toarray()
     s = SimilarityMatrix(values=values) if stored else build_similarity_matrix(m)
     # the columns a row stores: those of S, or of the product it is computed from
     pattern = values if stored else s.unit @ s.unit.T
     blocks = list(s.blocks(step))
-    starts = [rows.start for rows, _, _ in blocks]
-    stops = [rows.stop for rows, _, _ in blocks]
-    assert starts == [0] + stops[:-1] and stops[-1] == m.n_nodes
-    assert all(b - a == step for a, b in zip(starts[:-1], stops[:-1]))
-    assert 0 < stops[-1] - starts[-1] <= step
+    assert_layout(s, [rows for rows, _, _ in blocks], step)
     for rows, cols, vals in blocks:
         assert np.all(np.diff(cols) > 0)
-        ip = pattern.indptr
-        assert np.array_equal(cols, np.unique(pattern.indices[ip[rows.start]:ip[rows.stop]]))
+        assert np.array_equal(cols, np.unique(pattern[rows].indices))
         assert vals.tobytes() == dense[rows][:, cols].tobytes()
         assert not np.delete(dense[rows], cols, axis=1).any()
+
+
+# the digest's strategies, top-n cuts around the window widths and deep deletion walks
+LAYOUT_STRATEGIES = DIGEST_STRATEGIES + [Strategy("psim", topn=n) for n in (1, 2, 9, 30)] + [
+    Strategy("max", deletion=0.9)]
+
+
+def one_component(unit, unit_t):
+    """``_components`` as if every node were in one component: consecutive blocks."""
+    return np.zeros(unit.shape[0], np.int32)
+
+
+@st.composite
+def components_shuffled(draw):
+    """Citations inside several disjoint groups of nodes, some rows empty, under
+    shuffled ids, and the block size to read them with. At 128 rows one group
+    has more nodes than a block."""
+    block_rows = draw(st.sampled_from([1, 2, 3, 4, 5, 128]))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    if block_rows == 128:
+        sizes.append(draw(st.integers(129, 140)))
+    n = sum(sizes)
+    src, dst, count = [], [], []
+    lo = 0
+    for size in sizes:
+        # a group's own citations; zeros leave rows empty and may split it further
+        if size <= 9:
+            dense = draw(arrays(np.int64, (size, size), elements=COUNTS))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            dense = rng.integers(0, 4, (size, size)) * (rng.random((size, size)) < 0.05)
+        r, c = np.nonzero(dense)
+        src.append(lo + r), dst.append(lo + c), count.append(dense[r, c])
+        lo += size
+    perm = np.asarray(draw(st.permutations(range(n))), np.int64)
+    m = CitationMatrix.from_entries(n, perm[np.concatenate(src)], perm[np.concatenate(dst)],
+                                    np.concatenate(count))
+    return m, block_rows
+
+
+@pytest.mark.parametrize("ratio", KERNELS.values(), ids=KERNELS)
+@PROPERTY
+@given(components_shuffled(), SEEDS)
+def test_component_layout_equals_consecutive_blocks(ratio, case, seed):
+    """``select_many`` gives the same pair bytes whichever rows share a block."""
+    m, block_rows = case
+    if m.n_nodes < 2:
+        return
+    jobs = [(strategy, seed) for strategy in LAYOUT_STRATEGIES]
+    outputs = []
+    for layout in (None, one_component):
+        with forced(ratio), mock.patch.object(selection, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(similarity, "_components", layout or similarity._components):
+            s = build_similarity_matrix(m)
+            if layout is None:
+                assert_layout(s, [rows for rows, _, _ in s.blocks(block_rows)], block_rows)
+            outputs.append([[col.tobytes() for col in pairs] for pairs in select_many(s, jobs)])
+    assert outputs[1] == outputs[0]
+
+
+def test_shuffled_communities_each_fill_one_dense_block():
+    """Shuffled ids no longer scatter a block over communities or keep it off the
+    dense kernel: each 100-node community is one block."""
+    s = build_similarity_matrix(planted(1500, shuffle=True))
+    calls = {"_dense_product": 0, "_sparse_product": 0}
+
+    def counting(name):
+        kernel = getattr(similarity, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    with mock.patch.multiple(similarity, **{name: counting(name) for name in calls}):
+        layout = [rows for rows, _, _ in s.blocks(selection.BLOCK_ROWS)]
+    assert sorted(rows.tolist() for rows in layout) == sorted(c.tolist() for c in components(s))
+    assert len(layout) == 15
+    assert calls == {"_dense_product": 15, "_sparse_product": 0}
+
+
+def test_components_are_labelled_only_past_one_block():
+    """At N <= BLOCK_ROWS there is one block, and no components call is made."""
+    def never(*args, **kwargs):
+        raise AssertionError("components labelled for a single block")
+
+    assert 125 <= selection.BLOCK_ROWS < 150
+    with mock.patch.object(similarity, "_components", never):
+        detect(planted(125, size=25), Strategy("max"), levels=0)
+        select_many(build_similarity_matrix(planted(125, size=25)),
+                    [(strategy, 3) for strategy in DIGEST_STRATEGIES])
+        with pytest.raises(AssertionError, match="single block"):
+            select_pairs(build_similarity_matrix(planted(150, size=25)), Strategy("max"))
+
+
+def shuffled_path(n: int, seed: int) -> CitationMatrix:
+    """Node perm[k] cites perm[k + 1]: one component as long as it can be."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return CitationMatrix.from_entries(n, perm[:-1], perm[1:], np.ones(n - 1, np.int64))
+
+
+@PROPERTY
+@given(citation_matrices(max_n=24) | components_shuffled().map(lambda case: case[0]))
+@example(shuffled_path(2000, 0))
+def test_components_are_scipys_labelled_by_their_smallest_node(m):
+    s = build_similarity_matrix(m)
+    k, want = csgraph.connected_components(s.unit, connection="weak")
+    smallest = np.full(k, m.n_nodes)
+    np.minimum.at(smallest, want, np.arange(m.n_nodes))
+    assert np.array_equal(similarity._components(s.unit, s._unit_t), smallest[want])

@@ -176,16 +176,15 @@ class TestReference:
         blocks = []
         block = SimilarityMatrix._block
 
-        def counted(self, lo, hi):
-            blocks.append((lo, hi))
-            return block(self, lo, hi)
+        def counted(self, rows):
+            blocks.append(rows)
+            return block(self, rows)
 
         monkeypatch.setattr(SimilarityMatrix, "_block", counted)
         run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.0, 0.5])
-        # consecutive row ranges, reference and runs together, each computed once
+        # every node in one block, reference and runs together, each computed once
         assert len(blocks) > 1
-        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-        assert blocks[-1][1] == small_matrix.n_nodes
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(small_matrix.n_nodes))
 
     def test_reference_of_another_size_is_rejected_before_selection(self, small_matrix,
                                                                     monkeypatch):
