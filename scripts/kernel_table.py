@@ -5,12 +5,15 @@ usage, from the repository root:
 
 For each input, under both block layouts (consecutive ``BLOCK_ROWS``-row
 slices, and whole weak components as ``SimilarityMatrix.blocks`` lays
-them out), prints the number of blocks, how many of them the kernel rule
-sends to the dense kernel, and the whole-S time, as the sum over blocks
-of the best of R timings of one ``_block`` call, with the CSR product
-forced on every block, the dense kernel forced, and the rule choosing.
-It asserts that both kernels give the same ``(cols, vals)`` bytes for
-every block, and exits 1 if they do not.
+them out), prints the number of blocks, how many of them are closed
+(computed from their own rows of ``unit``, see ``SimilarityMatrix._layout``;
+consecutive slices never are), how many of them the kernel rule sends to
+the dense kernel, and the whole-S time, as the sum over blocks of the best
+of R timings of one ``_block`` call, with the CSR product forced on every
+block, the dense kernel forced, and the rule choosing. It asserts that
+both kernels give the same ``(cols, vals)`` bytes for every block, and for
+a closed block the same bytes as both kernels from ``unit``'s transpose,
+and exits 1 if they do not.
 
 SCALE (default 1) multiplies every input's node count and citation
 volume; 0.1 runs in a few seconds, as a correctness smoke test. Block
@@ -23,6 +26,7 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from scipy import sparse
@@ -37,6 +41,8 @@ from simpair.selection import BLOCK_ROWS  # noqa: E402
 
 # (DENSE_RATIO, OUTPUT_RATIO) forcing one kernel on every block that stores anything
 FORCED = {"csr": (0, 0), "dense": (float("inf"), 0)}
+# the dense kernel, for a closed block and for one that cuts a component
+DENSE_KERNELS = ("_own_dense_product", "_dense_product")
 
 
 def planted(spec: BlockSpec, shuffle: bool = False) -> CitationMatrix:
@@ -75,6 +81,7 @@ def inputs(scale: float) -> dict:
         "hub 5k, alpha 2.1": lambda: hub(n_hub, 2.1),
         "sorted 20k": lambda: planted(spec(200, 1_000_000, 0.0)),
         "shuffled 20k": lambda: planted(spec(200, 1_000_000, 0.0), shuffle=True),
+        "planted 100k": lambda: planted(spec(1000, 5_000_000, 0.0)),
     }
 
 
@@ -89,30 +96,31 @@ def kernel_rule(costs):
         similarity.DENSE_RATIO, similarity.OUTPUT_RATIO = saved
 
 
-def timed(s, rows, reps: int) -> tuple[float, bytes, bool]:
-    """The best of ``reps`` timings of ``s._block(rows)``, its output bytes, and
-    whether the dense kernel computed it."""
-    kernel, dense = similarity._dense_product, []
+def timed(s, rows, closed: bool, reps: int) -> tuple[float, bytes, bool]:
+    """The best of ``reps`` timings of ``s._block(rows, closed)``, its output bytes,
+    and whether a dense kernel computed it."""
+    dense = []
 
-    def recorded(*args):
-        dense.append(True)
-        return kernel(*args)
+    def recording(kernel):
+        def recorded(*args):
+            dense.append(True)
+            return kernel(*args)
+        return recorded
 
-    similarity._dense_product = recorded
     best = np.inf
-    try:
+    with mock.patch.multiple(similarity, **{name: recording(getattr(similarity, name))
+                                            for name in DENSE_KERNELS}):
         for _ in range(reps):
             start = time.perf_counter()
-            cols, vals = s._block(rows)
+            cols, vals = s._block(rows, closed)
             best = min(best, time.perf_counter() - start)
-    finally:
-        similarity._dense_product = kernel
     return best, cols.tobytes() + vals.tobytes(), bool(dense)
 
 
 def layouts(s) -> dict:
+    """Layout name -> the rows of each block and whether it is closed."""
     n = s.n_nodes
-    return {"consecutive": [np.arange(lo, min(lo + BLOCK_ROWS, n))
+    return {"consecutive": [(np.arange(lo, min(lo + BLOCK_ROWS, n)), False)
                             for lo in range(0, n, BLOCK_ROWS)],
             "components": s._layout(BLOCK_ROWS)}
 
@@ -120,26 +128,29 @@ def layouts(s) -> dict:
 def table(scale: float, reps: int) -> bool:
     """Print one line per (input, layout); False if the kernels ever differ."""
     same = True
-    print(f"{'input':<24} {'layout':<12} {'blocks':>6} {'dense':>5} "
+    print(f"{'input':<24} {'layout':<12} {'blocks':>6} {'closed':>6} {'dense':>5} "
           f"{'csr ms':>9} {'dense ms':>9} {'rule ms':>9}")
     for name, make in inputs(scale).items():
         s = build_similarity_matrix(make())
         for layout, blocks in layouts(s).items():
             ms = dict.fromkeys(("csr", "dense", "rule"), 0.0)
             n_dense = 0
-            for rows in blocks:
+            for rows, closed in blocks:
                 out = {}
                 for kernel, costs in FORCED.items():
                     with kernel_rule(costs):
-                        best, out[kernel], _ = timed(s, rows, reps)
+                        best, out[kernel], _ = timed(s, rows, closed, reps)
+                        if closed:  # the same kernel from unit's transpose
+                            _, out[kernel + ", cut"], _ = timed(s, rows, False, 1)
                     ms[kernel] += 1e3 * best
-                if out["csr"] != out["dense"]:
+                if len(set(out.values())) > 1:
                     print(f"kernels differ: {name}, {layout}, rows {rows[:5]}...", flush=True)
                     same = False
-                best, _, dense = timed(s, rows, reps)
+                best, _, dense = timed(s, rows, closed, reps)
                 ms["rule"] += 1e3 * best
                 n_dense += dense
-            print(f"{name:<24} {layout:<12} {len(blocks):>6} {n_dense:>5} "
+            n_closed = sum(closed for _, closed in blocks)
+            print(f"{name:<24} {layout:<12} {len(blocks):>6} {n_closed:>6} {n_dense:>5} "
                   f"{ms['csr']:>9.1f} {ms['dense']:>9.1f} {ms['rule']:>9.1f}", flush=True)
     return same
 

@@ -478,6 +478,8 @@ def select_many(s: SimilarityMatrix,
     """
     if s.n_nodes < 2:
         raise ValueError("need at least 2 nodes")
+    if not jobs:
+        return []
     runs = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
     depths = [depth for _, depth in runs if depth is not None]
     picks: list[list[Pairs]] = [[] for _ in jobs]

@@ -7,29 +7,40 @@ their patterns, so values live in [0, 1] regardless of citation volume.
 The similarity S is ``unit @ unit.T`` for the unit-length patterns
 ``unit``. On hub-heavy citation data S is nearly dense even when the
 citations are sparse, so it is never stored whole: a
-:class:`SimilarityMatrix` holds ``unit`` and its transpose, and its one
-reader, :meth:`SimilarityMatrix.blocks`, walks S a block of rows at a
-time, computing each block as the product of its rows of ``unit`` with
+:class:`SimilarityMatrix` holds ``unit``, and its one reader,
+:meth:`SimilarityMatrix.blocks`, walks S a block of rows at a time,
+computing each block as the product of its rows of ``unit`` with
 ``unit.T`` by one of two exact kernels:
 
 * sparse: scipy's CSR product, Gustavson's row-wise algorithm. Row i of
   a block product depends only on row i of ``unit``, so it is bit for
   bit row i of the full product. It counts the result's entries, computes
   them, and the block is scattered from that CSR result.
-* dense: the ``unit.T`` rows of the block's cited targets, in increasing
-  target order, as one CSC matrix over the block's columns, times the
-  block's rows as a dense (targets x rows) array. scipy's CSC product
-  adds each entry's terms in increasing target order from 0.0, as the
-  CSR product does; its extra terms, for targets a row does not cite,
-  are exact ``+0.0`` because every entry is >= 0. It makes one pass and
-  builds no CSR result.
+* dense: one product of a sparse and a dense matrix. A closed block
+  (below) takes its R rows as CSR times their own transpose as a dense
+  (targets x rows) array; any other block takes the ``unit.T`` rows of
+  its cited targets as one CSC matrix over its columns times its rows as
+  a dense (targets x rows) array. Either way scipy adds each entry's
+  terms in increasing target order from 0.0, as the CSR product does;
+  its extra terms, for targets one side does not cite, are exact
+  ``+0.0`` because every entry is >= 0. It makes one pass and builds no
+  CSR result.
 
 Either way a row's values do not depend on which rows share its block.
 Rows that share targets are put in one block: with more than one block,
 rows are taken by weak connected component of the citation pattern, and
 a block packs whole components (see :meth:`SimilarityMatrix._layout`),
 so on planted communities a block cites only its own community's
-targets, whatever the node ids.
+targets, whatever the node ids. Such a block is closed: every target its
+rows cite, and every citer of those, is one of its rows. It is computed
+from its own rows of ``unit`` alone, with their targets re-indexed to
+positions among the rows, as the R x R product of those R rows with
+their transpose, in O(its entries and its output) whatever N. Its
+columns are the rows that store an entry, the dense kernel's product is
+row-major ``vals`` as it stands, and each row's own column is its
+diagonal. Only a block that holds a piece of a component larger than a
+block reads ``unit.T`` and N-wide masks; ``unit.T`` is built on first
+use, so a single-block S never transposes.
 
 The dense kernel costs rows x (entries of its CSC matrix) multiplies.
 The sparse one costs the CSR product's multiplies, each dearer, and
@@ -40,15 +51,19 @@ one's plus :data:`OUTPUT_RATIO` times that output bound: where its rows
 cite the same targets, and also where the CSR product would make many
 output entries per multiply (a small S with cross-talk); the sparse one
 where rows scatter over targets that many nodes cite (a large S with
-cross-talk). Every stored ``unit`` entry is positive, as
-:func:`build_similarity_matrix` makes them, and no product of two of them
-underflows, so the dense kernel stores a column exactly where the CSR
+cross-talk). A closed block counts its multiplies and entries from its
+own rows, and they equal those counted from ``unit.T``, so the rule
+picks the same kernel for it either way. Every stored ``unit`` entry is
+positive, as :func:`build_similarity_matrix` makes them, and no product
+of two of them underflows, so the dense kernel stores a column exactly where the CSR
 product does. Each row's own column is zeroed after either kernel. A
 block's product holds at most (rows in the block) x N entries, and it is
 dropped before the block is handed out.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import sparse
@@ -122,10 +137,17 @@ class SimilarityMatrix:
             raise TypeError("give exactly one of values and unit")
         self.unit = unit
         self._values = None if values is None else _stored(values)
-        if unit is not None:
-            self._unit_t = sparse.csr_array(unit.T)
-            self._citers = np.diff(self._unit_t.indptr)  # nodes citing each target
-            self._labels = None  # weak components of the pattern, on first use
+        self._labels = None  # weak components of the pattern, on first use
+
+    @functools.cached_property
+    def _unit_t(self) -> sparse.csr_array:
+        """``unit``'s transpose, built on first use: by the whole S, the
+        component labels and the blocks that cut a component."""
+        return sparse.csr_array(self.unit.T)
+
+    @functools.cached_property
+    def _citers(self) -> np.ndarray:
+        return np.diff(self._unit_t.indptr)  # nodes citing each target
 
     @property
     def n_nodes(self) -> int:
@@ -137,22 +159,28 @@ class SimilarityMatrix:
             self._values = _stored(self.unit @ self._unit_t)
         return self._values
 
-    def _block(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _block(self, rows: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``rows`` (sorted node ids) of S, own columns 0, over the
         columns they store, as ``(cols, vals)``. An S given as ``values`` is
         read in place; from ``unit`` the rows are one product, dropped on
-        return."""
+        return: of their own rows of ``unit`` alone when the block is
+        ``closed`` (holds whole weak components, see :meth:`_layout`), and
+        otherwise of their rows with ``unit``'s transpose."""
         if self.unit is None:  # consecutive rows, read in place, with no diagonal
             return _columns(self._values, rows[0], rows[-1] + 1)
+        if closed:
+            # every target the rows cite, and every citer of those, is a row
+            local = _own_rows(self.unit, rows)
+            citers = np.bincount(local.indices, minlength=len(rows))
+            dense = _takes_dense(len(rows), len(local.indices), int(citers @ citers),
+                                 self.n_nodes)
+            at, vals = (_own_dense_product if dense else _own_sparse_product)(local)
+            vals[at, np.arange(len(at))] = 0.0  # each row that stores an entry is a column
+            return rows[at], vals
         part = _csr_rows(self.unit, rows)
         cited = _present(part.indices, self.n_nodes)
-        # Python ints: the dense kernel's multiplies, rows x the entries of its
-        # CSC matrix, against the CSR product's multiplies and its output
-        # entries, at most one per multiply and one per (row, column)
-        entries = int(self._citers @ cited)
-        mults = int(self._citers[part.indices].sum())
-        output = min(mults, len(rows) * min(self.n_nodes, entries))
-        if len(rows) * entries <= DENSE_RATIO * mults + OUTPUT_RATIO * output:
+        if _takes_dense(len(rows), int(self._citers @ cited),
+                        int(self._citers[part.indices].sum()), self.n_nodes):
             cols, vals = _dense_product(part, cited, self._unit_t)
         else:
             cols, vals = _sparse_product(part, self._unit_t)
@@ -161,20 +189,24 @@ class SimilarityMatrix:
         vals[own, at[own]] = 0.0
         return cols, vals
 
-    def _layout(self, step: int) -> list[np.ndarray]:
-        """The rows of each block, sorted node ids, at most ``step`` per block.
+    def _layout(self, step: int) -> list[tuple[np.ndarray, bool]]:
+        """The rows of each block, sorted node ids, at most ``step`` per block,
+        and whether the block is closed: holds whole weak components.
 
         From ``unit``, with more than ``step`` nodes, rows are taken in order
         of their weak connected component of the citation pattern, node ids
         increasing inside one; rows of two components share no target, so
         their entry is 0. A block packs whole components and ends before one
-        that would not fit; a component of more than ``step`` rows is cut
-        into ``step``-row pieces, its last piece packed like a component.
-        Otherwise the blocks are consecutive ``step``-row slices.
+        that would not fit, and is closed; a component of more than ``step``
+        rows is cut into ``step``-row pieces, its last piece packed like a
+        component, and a block that holds a piece is not closed. Otherwise
+        the blocks are consecutive ``step``-row slices: from ``unit`` there
+        is one, of every node, and it is closed.
         """
         n = self.n_nodes
         if self.unit is None or n <= step:
-            return [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
+            return [(np.arange(lo, min(lo + step, n)), self.unit is not None)
+                    for lo in range(0, n, step)]
         if self._labels is None:
             self._labels = _components(self.unit, self._unit_t)
         order = np.argsort(self._labels, kind="stable")
@@ -184,12 +216,14 @@ class SimilarityMatrix:
         piece_rows = np.full(pieces.sum(), step)
         cut = sizes % step > 0
         piece_rows[(np.cumsum(pieces) - 1)[cut]] = (sizes % step)[cut]
+        whole = np.repeat(sizes <= step, pieces)  # the piece is a whole component
         ends = np.cumsum(piece_rows)
-        layout, lo = [], 0
+        layout, lo, first = [], 0, 0
         while lo < n:
-            hi = ends[np.searchsorted(ends, lo + step, side="right") - 1]
-            layout.append(np.sort(order[lo:hi]))
-            lo = hi
+            last = np.searchsorted(ends, lo + step, side="right")  # the pieces first:last
+            hi = ends[last - 1]
+            layout.append((np.sort(order[lo:hi]), bool(whole[first:last].all())))
+            lo, first = hi, last
         return layout
 
     def blocks(self, step: int):
@@ -200,10 +234,11 @@ class SimilarityMatrix:
         stored by any of its rows and ``vals`` a new (len(rows), len(cols))
         array whose row i, column k is entry (``rows[i]``, ``cols[k]``).
         Every column left out is zero in all of the rows; a stored one may
-        be too. When every column is stored, ``cols`` is ``arange(N)``.
+        be too. When every column is stored, ``cols`` is ``arange(N)``. A
+        closed block costs O(its rows' entries and its output), whatever N.
         """
-        for rows in self._layout(step):
-            cols, vals = self._block(rows)
+        for rows, closed in self._layout(step):
+            cols, vals = self._block(rows, closed)
             yield rows, cols, vals
             del cols, vals  # freed before the next block is filled
 
@@ -233,6 +268,16 @@ def _components(unit: sparse.csr_array, unit_t: sparse.csr_array) -> np.ndarray:
         if not new.any() or np.array_equal(new, label):
             return new
         label = new
+
+
+def _takes_dense(n_rows: int, entries: int, mults: int, n: int) -> bool:
+    """The kernel rule, on Python ints: whether a block of ``n_rows`` rows takes the
+    dense kernel, whose multiplies are ``n_rows`` x ``entries``, the entries of
+    the targets the rows cite, over the CSR product, which makes ``mults``
+    multiplies and at most one output entry per multiply and per (row, column)
+    of ``n`` columns."""
+    output = min(mults, n_rows * min(n, entries))
+    return n_rows * entries <= DENSE_RATIO * mults + OUTPUT_RATIO * output
 
 
 def _present(idx: np.ndarray, n: int) -> np.ndarray:
@@ -275,6 +320,45 @@ def _dense_product(rows: sparse.csr_array, cited: np.ndarray,
     vals = np.ascontiguousarray(product.T)
     del product
     return cols, vals
+
+
+def _own_rows(m: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
+    """Rows ``rows`` (sorted) of ``m``, whose every stored column is one of
+    ``rows``, over those columns: each re-indexed to its position in ``rows``,
+    so the result is len(rows) x len(rows) and built in O(its entries)."""
+    lo, hi = rows[0], rows[-1] + 1
+    if hi - lo == len(rows):  # consecutive: a slice, and a shift of the columns
+        ip = m.indptr[lo:hi + 1]
+        data, idx = m.data[ip[0]:ip[-1]], m.indices[ip[0]:ip[-1]] - lo
+        ip = ip - ip[0]
+    else:
+        start, end = m.indptr[rows], m.indptr[rows + 1]
+        ip = np.zeros(len(rows) + 1, m.indptr.dtype)
+        np.cumsum(end - start, out=ip[1:])
+        take = np.repeat(start - ip[:-1], end - start) + np.arange(ip[-1])
+        data, idx = m.data[take], np.searchsorted(rows, m.indices[take])
+    return sparse.csr_array((data, idx.astype(m.indices.dtype, copy=False), ip),
+                            shape=(len(rows), len(rows)))
+
+
+def _own_sparse_product(local: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """``local @ local.T`` by scipy's CSR product, as ``(at, vals)``: the local
+    columns it stores and the rows over them."""
+    p = local @ local.T
+    return _columns(p, 0, p.shape[0])
+
+
+def _own_dense_product(local: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """``local @ local.T`` by the dense kernel, as ``(at, vals)``: the local rows
+    that store an entry, and the product over them, the CSR rows times their
+    own dense transpose. scipy adds each entry's terms over the row's targets
+    in increasing order from 0.0, as the CSR product does, and the terms for
+    targets its column does not cite are exact ``+0.0``."""
+    per_row = np.diff(local.indptr)
+    at = np.flatnonzero(per_row)
+    x = np.zeros((local.shape[1], len(at)))  # (targets x rows that store an entry)
+    x[local.indices, np.repeat(np.arange(len(at)), per_row[at])] = local.data
+    return at, local @ x
 
 
 def _csr_rows(m: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:

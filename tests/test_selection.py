@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import sparse, stats
 
-from simpair import SimilarityMatrix, Strategy, select_many, select_pairs, selection
+from simpair import (CitationMatrix, SimilarityMatrix, Strategy, build_similarity_matrix,
+                     select_many, select_pairs, selection)
 from simpair.io import pairs_to_tsv
 from simpair.rng import GATE_STREAM, MASK_STREAM, PARTNER_STREAM, TIE_STREAM, draws, stream
 from simpair.selection import (BLOCK_ROWS, _cdf_pick, _hypergeometric_weights,
@@ -418,6 +419,20 @@ class TestStreams:
         monkeypatch.setattr(selection, "draws", recording_draws)
         select_pairs(s, strategy, seed=4)
         return keys + sorted(nodes)
+
+
+class TestNoJobs:
+    def test_no_jobs_compute_no_block(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a block was computed for no job")
+
+        rng = np.random.default_rng(3)
+        counts = rng.integers(1, 4, (300, 300)) * (rng.random((300, 300)) < 0.05)
+        s = build_similarity_matrix(CitationMatrix.from_dense(counts))
+        monkeypatch.setattr(SimilarityMatrix, "_block", never)
+        assert select_many(s, []) == []
+        with pytest.raises(AssertionError, match="no job"):
+            select_pairs(s, MAX)
 
 
 class TestStrategyValidation:

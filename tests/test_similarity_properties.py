@@ -52,10 +52,23 @@ def components(s: SimilarityMatrix) -> list[np.ndarray]:
 def assert_layout(s: SimilarityMatrix, blocks: list[np.ndarray], step: int) -> None:
     """``blocks``, the rows of each block, hold every node once, sorted, at most ``step``
     to a block: consecutive slices for a stored S or N <= ``step``, and otherwise every
-    component of at most ``step`` nodes inside one block."""
+    component of at most ``step`` nodes inside one block. From ``unit`` a block is
+    marked closed exactly when it holds whole components."""
     n = s.n_nodes
     assert all(0 < len(rows) <= step and np.all(np.diff(rows) > 0) for rows in blocks)
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+    layout = s._layout(step)
+    assert [rows.tolist() for rows, _ in layout] == [rows.tolist() for rows in blocks]
+    if s.unit is None:
+        assert not any(closed for _, closed in layout)
+    else:
+        comps = components(s)
+        label = np.empty(n, np.int64)
+        for c, nodes in enumerate(comps):
+            label[nodes] = c
+        for rows, closed in layout:
+            whole = sum(len(comps[c]) for c in np.unique(label[rows])) == len(rows)
+            assert closed == whole, rows
     if s.unit is None or n <= step:
         assert [rows.tolist() for rows in blocks] == [list(range(lo, min(lo + step, n)))
                                                       for lo in range(0, n, step)]
@@ -304,6 +317,23 @@ def test_a_count_of_0_stores_no_pattern_entry(ratio):
             assert_blocks_are_the_product(s, step)
 
 
+# every kernel: from a block's own rows, and from unit's transpose
+ALL_KERNELS = ("_own_dense_product", "_own_sparse_product", "_dense_product", "_sparse_product")
+
+
+def counting_kernels(calls: dict):
+    """Every kernel of ``ALL_KERNELS`` patched to add 1 to ``calls[name]`` per call."""
+    def counting(name):
+        kernel = getattr(similarity, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    return mock.patch.multiple(similarity, **{name: counting(name) for name in ALL_KERNELS})
+
+
 def test_a_count_of_0_keeps_the_dense_kernel():
     """One edge with a count of 0 changes neither the kernels nor any output."""
     plain = planted(1500)
@@ -312,20 +342,17 @@ def test_a_count_of_0_keeps_the_dense_kernel():
                                             np.append(counts.col, 1499),
                                             np.append(counts.data, 0))
     assert with_zero.counts.nnz == plain.counts.nnz + 1
-    kernel = similarity._dense_product
     outputs = []
     for m in (plain, with_zero):
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return kernel(*args)
-
-        with mock.patch.object(similarity, "_dense_product", counted):
+        calls = dict.fromkeys(ALL_KERNELS, 0)
+        with counting_kernels(calls):
             d = detect(m, Strategy("max"), levels=0)
-        outputs.append((len(calls), pairs_to_tsv(d.pairs), d.core.labels.tobytes(),
+        outputs.append((calls, pairs_to_tsv(d.pairs), d.core.labels.tobytes(),
                         d.real.labels.tobytes()))
-    assert outputs[0][0] > 0
+    # the first level's 15 communities, and every coarse level, are closed dense blocks
+    calls = outputs[0][0]
+    assert calls["_own_dense_product"] >= 15
+    assert calls["_own_sparse_product"] == calls["_dense_product"] == calls["_sparse_product"] == 0
     assert outputs[1] == outputs[0]
 
 
@@ -441,23 +468,139 @@ def test_component_layout_equals_consecutive_blocks(ratio, case, seed):
 
 def test_shuffled_communities_each_fill_one_dense_block():
     """Shuffled ids no longer scatter a block over communities or keep it off the
-    dense kernel: each 100-node community is one block."""
+    dense kernel: each 100-node community is one closed block, computed from its
+    own rows."""
     s = build_similarity_matrix(planted(1500, shuffle=True))
-    calls = {"_dense_product": 0, "_sparse_product": 0}
-
-    def counting(name):
-        kernel = getattr(similarity, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return kernel(*args)
-        return counted
-
-    with mock.patch.multiple(similarity, **{name: counting(name) for name in calls}):
+    calls = dict.fromkeys(ALL_KERNELS, 0)
+    with counting_kernels(calls):
         layout = [rows for rows, _, _ in s.blocks(selection.BLOCK_ROWS)]
     assert sorted(rows.tolist() for rows in layout) == sorted(c.tolist() for c in components(s))
     assert len(layout) == 15
-    assert calls == {"_dense_product": 15, "_sparse_product": 0}
+    assert all(closed for _, closed in s._layout(selection.BLOCK_ROWS))
+    assert calls == {"_own_dense_product": 15, "_own_sparse_product": 0,
+                     "_dense_product": 0, "_sparse_product": 0}
+
+
+def two_node_components(n: int, seed: int = 0) -> CitationMatrix:
+    """``n`` (even) nodes in pairs under shuffled ids, each node citing both of its pair."""
+    rng = np.random.default_rng(seed)
+    pair = rng.permutation(n).reshape(-1, 2)
+    src = np.repeat(pair, 2, axis=0).ravel()  # a, a, b, b
+    dst = np.tile(pair, 2).ravel()  # a, b, a, b
+    return CitationMatrix.from_entries(n, src, dst, rng.integers(1, 4, len(src)))
+
+
+def kernel_blocks(s: SimilarityMatrix, rows: np.ndarray, closed: bool) -> dict:
+    """``s._block(rows, closed)`` with each kernel of ``KERNELS`` forced."""
+    out = {}
+    for name, costs in KERNELS.items():
+        with forced(costs):
+            out[name] = s._block(rows, closed)
+    return out
+
+
+def same(a: tuple, b: tuple) -> bool:
+    """Whether two ``(cols, vals)`` blocks are the same bytes, shapes and dtypes."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+def assert_closed_blocks_are_the_transposes(s: SimilarityMatrix, step: int,
+                                            exact: bool = True) -> int:
+    """Every closed block of ``s``, by each kernel from its own rows, is byte for byte
+    that kernel's block from ``unit``'s transpose, and the rule picks the same kernel
+    either way. With ``exact`` (positive ``unit`` entries) both kernels give the same
+    bytes; otherwise the dense kernel's block is the CSR product's plus all-zero
+    columns. Returns the number of closed blocks."""
+    n_closed = 0
+    for rows, closed in s._layout(step):
+        if not closed:
+            continue
+        n_closed += 1
+        own, cut = kernel_blocks(s, rows, True), kernel_blocks(s, rows, False)
+        assert all(same(own[name], cut[name]) for name in KERNELS), rows
+        calls = dict.fromkeys(ALL_KERNELS, 0)
+        with counting_kernels(calls):
+            assert same(s._block(rows, True), s._block(rows, False))
+        assert calls["_own_dense_product"] == calls["_dense_product"]
+        assert calls["_own_sparse_product"] == calls["_sparse_product"]
+        (cols, vals), (dense_cols, dense_vals) = own["_sparse_product"], own["_dense_product"]
+        if exact:
+            assert same((cols, vals), (dense_cols, dense_vals)), rows
+        else:
+            at = np.searchsorted(dense_cols, cols)
+            assert np.array_equal(dense_cols[at], cols)
+            assert dense_vals[:, at].tobytes() == vals.tobytes()
+            assert not np.delete(dense_vals, at, axis=1).any()
+    return n_closed
+
+
+@PROPERTY
+@given(components_shuffled() | citation_matrices(max_n=24).map(lambda m: (m, 128)))
+@example((two_node_components(300), 128))
+@example((two_node_components(12, seed=1), 3))
+def test_closed_blocks_are_the_kernels_from_the_transpose(case):
+    """Closed blocks (several components, empty rows, singletons, shuffled ids, coarse
+    matrices, and N <= BLOCK_ROWS) give the bytes of both kernels from ``unit.T``."""
+    m, step = case
+    s = build_similarity_matrix(m)
+    n_closed = assert_closed_blocks_are_the_transposes(s, step)
+    if m.n_nodes <= step:
+        assert n_closed == 1
+
+
+@pytest.mark.parametrize("step", [1, 3, 128])
+@PROPERTY
+@given(units_with_zeros(max_n=24))
+def test_closed_blocks_of_a_unit_with_stored_zeros_are_the_kernels_from_the_transpose(
+        step, unit):
+    s = SimilarityMatrix(unit=unit)
+    n_closed = assert_closed_blocks_are_the_transposes(s, step, exact=False)
+    if unit.shape[0] <= step:
+        assert n_closed == 1
+
+
+def test_two_node_components_take_the_csr_product_from_their_own_rows():
+    s = build_similarity_matrix(two_node_components(1000))
+    calls = dict.fromkeys(ALL_KERNELS, 0)
+    with counting_kernels(calls):
+        n_blocks = sum(1 for _ in s.blocks(selection.BLOCK_ROWS))
+    assert calls == {"_own_dense_product": 0, "_own_sparse_product": n_blocks,
+                     "_dense_product": 0, "_sparse_product": 0}
+    assert_blocks_are_the_product(s, selection.BLOCK_ROWS)
+
+
+def test_closed_blocks_cost_their_own_rows_not_n():
+    """At N = 200 000 in 2-node components, a closed block allocates nothing N-wide:
+    no mask, no running count and no transpose rows over every node."""
+    n = 200_000
+    s = build_similarity_matrix(two_node_components(n))
+    assert all(closed for _, closed in s._layout(selection.BLOCK_ROWS))
+    blocks = s.blocks(selection.BLOCK_ROWS)
+    next(blocks)  # the layout, held for the whole pass, is built with the first block
+    tracemalloc.start()
+    try:
+        n_blocks = 1 + sum(1 for _ in blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_blocks == -(-n // selection.BLOCK_ROWS)
+    # one int64 running count over N alone is 1.6 MB
+    assert peak < 0.5e6, peak
+
+
+def test_a_single_block_never_transposes():
+    """At N <= BLOCK_ROWS the one block is closed, and ``unit.T`` is never built."""
+    def never(self):
+        raise AssertionError("unit transposed for a single block")
+
+    assert 125 <= selection.BLOCK_ROWS < 150
+    with mock.patch.object(SimilarityMatrix, "_unit_t", property(never)):
+        detect(planted(125, size=25), Strategy("max"), levels=0)
+        select_many(build_similarity_matrix(planted(125, size=25)),
+                    [(strategy, 3) for strategy in DIGEST_STRATEGIES])
+        with pytest.raises(AssertionError, match="single block"):
+            select_pairs(build_similarity_matrix(planted(150, size=25)), Strategy("max"))
 
 
 def test_components_are_labelled_only_past_one_block():

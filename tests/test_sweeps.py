@@ -172,19 +172,24 @@ class TestReference:
         assert result.rows[0].mean["nmi_real"] < 1.0
 
     def test_a_sweep_computes_each_block_of_rows_once(self, small_matrix, monkeypatch):
-        monkeypatch.setattr(selection, "BLOCK_ROWS", 5)
-        blocks = []
         block = SimilarityMatrix._block
+        blocks = []
 
-        def counted(self, rows):
-            blocks.append(rows)
-            return block(self, rows)
+        def counted(self, rows, closed):
+            blocks.append((rows, closed))
+            return block(self, rows, closed)
 
         monkeypatch.setattr(SimilarityMatrix, "_block", counted)
-        run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.0, 0.5])
-        # every node in one block, reference and runs together, each computed once
-        assert len(blocks) > 1
-        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(small_matrix.n_nodes))
+        # three components of 8 nodes: cut into pieces at 5 rows, a closed block each at 8
+        for block_rows, closed in ((5, False), (8, True)):
+            blocks.clear()
+            monkeypatch.setattr(selection, "BLOCK_ROWS", block_rows)
+            run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.0, 0.5])
+            # every node in one block, reference and runs together, each computed once
+            assert len(blocks) > 1
+            assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])),
+                                  np.arange(small_matrix.n_nodes))
+            assert {c for _, c in blocks} == {closed}
 
     def test_reference_of_another_size_is_rejected_before_selection(self, small_matrix,
                                                                     monkeypatch):
