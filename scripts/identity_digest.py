@@ -8,7 +8,10 @@ Prints one SHA-256 per output and a final digest over all of them. Every
 ``result.json`` text (core member order, real member lists, tide rows).
 Every one-level run's pairs are also written to a pair file and replayed
 through ``simpair detect --pairs`` in-process, and that run's four output
-files are hashed too.
+files are hashed too. Last, the 100-node seed-0 input is rewritten with
+labels for ids (non-ASCII, quotes, backslashes, and some all digits) and
+run through ``simpair detect`` in-process at one level and at the fixed
+point, hashing its four output files.
 
 EXPECTED is the final digest, or a file of an earlier run's printed lines
 (``scripts/identity_digest.expected`` holds those of the default 2 reps).
@@ -92,8 +95,19 @@ def emit_pairs_replay(tag, d, n_nodes):
             code = cli.main(["detect", "--pairs", str(pairs), "--n-nodes", str(n_nodes),
                              "--out", str(out)])
         assert code == 0, f"{tag}: detect --pairs exited {code}"
-        for name in ("result.json", "partition_core.tsv", "partition_real.tsv", "pairs.tsv"):
-            emit(f"{tag} replay {name}", (out / name).read_text(encoding="utf-8"))
+        emit_outputs(f"{tag} replay", out)
+
+
+def emit_outputs(tag, out):
+    """Hash the four output files of ``simpair detect`` in ``out``."""
+    for name in ("result.json", "partition_core.tsv", "partition_real.tsv", "pairs.tsv"):
+        emit(f"{tag} {name}", (out / name).read_text(encoding="utf-8"))
+
+
+def label(v):
+    """A node's label: all digits for every fourth id, else with a
+    non-ASCII character, a quote or a backslash."""
+    return (f"{1000 + v}", f'Zeitschrift für "Physik" {v}', f"J\\{v}\\", f"期刊 {v}")[v % 4]
 
 
 for n, spec in SPECS.items():
@@ -117,6 +131,20 @@ for n, spec in SPECS.items():
         emit(f"n{n} seed{seed} sweep-topn",
              sweeps.run_topn_sweep(m, cfg, [1, 2, 5, 10, 30]).to_csv())
         emit(f"n{n} seed{seed} sweep-del", sweeps.run_deletion_sweep(m, cfg).to_csv())
+
+labelled = inputs / "n100-seed0-labelled.tsv"
+with open(inputs / "n100-seed0.tsv", encoding="ascii") as fh:
+    lines = [line.rstrip("\n").split("\t") for line in fh]
+labelled.write_text("".join(f"{label(int(a))}\t{label(int(b))}\t{c}\n" for a, b, c in lines),
+                    encoding="utf-8")
+for levels in (1, 0):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            code = cli.main(["detect", "--input", str(labelled), "--out", str(out),
+                             "--levels", str(levels)])
+        assert code == 0, f"labelled levels{levels}: detect exited {code}"
+        emit_outputs(f"n100 seed0 labelled levels{levels}", out)
 
 print("ALL", total.hexdigest())
 if expected and (differs or expected.get("ALL") != total.hexdigest()):

@@ -91,8 +91,9 @@ def grouped(labels: np.ndarray, nodes: np.ndarray) -> list[list[int]]:
     keeping the order of ``nodes``."""
     if not len(labels):
         return []
-    bounds = np.cumsum(np.bincount(labels))[:-1]
-    return [g.tolist() for g in np.split(nodes[np.argsort(labels, kind="stable")], bounds)]
+    flat = nodes[np.argsort(labels, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [flat[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def build_communities(pairs: Pairs, n_nodes: int) -> DetectionResult:
@@ -182,13 +183,20 @@ def renormalize(m: CitationMatrix, p: Partition) -> CitationMatrix:
 
     Citations inside a community land on the coarse diagonal, so total
     citation mass is conserved and the coarse matrix can be fed straight
-    back into similarity and detection.
+    back into similarity and detection. The coarse counts are one product:
+    ``members`` (community x node) times the counts with each column
+    relabelled to its node's community, with exact int64 sums and sorted
+    rows. A label no node carries is an empty coarse node.
     """
     if p.n_nodes != m.n_nodes:
         raise ValueError("partition does not cover the citation matrix")
     n, n_labels = m.n_nodes, p.n_communities
-    indicator = sparse.csr_array(
-        (np.ones(n, dtype=np.int64), (np.arange(n), p.labels)),
-        shape=(n, n_labels),
-    )
-    return CitationMatrix(counts=(indicator.T @ m.counts @ indicator).tocsr())
+    starts = np.cumulative_sum(np.bincount(p.labels, minlength=n_labels), include_initial=True)
+    members = sparse.csr_array(
+        (np.ones(n, dtype=np.int64), np.argsort(p.labels, kind="stable"), starts),
+        shape=(n_labels, n))
+    c = m.counts
+    relabelled = sparse.csr_array((c.data, p.labels[c.indices], c.indptr), shape=(n, n_labels))
+    coarse = members @ relabelled
+    coarse.sort_indices()
+    return CitationMatrix(counts=coarse)

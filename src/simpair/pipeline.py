@@ -43,22 +43,22 @@ class PairRows(Sequence):
     of the same kind, and it equals a list of the same rows.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("columns",)
 
     def __init__(self, pairs: Pairs):
-        self._columns = pairs
+        self.columns = pairs
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return PairRows(tuple(col[k] for col in self._columns))
-        selector, selected, sim = self._columns
+            return PairRows(tuple(col[k] for col in self.columns))
+        selector, selected, sim = self.columns
         return RankedPair(int(selector[k]), int(selected[k]), float(sim[k]))
 
     def __iter__(self):
-        return map(RankedPair, *(col.tolist() for col in self._columns))
+        return map(RankedPair, *(col.tolist() for col in self.columns))
 
     def __eq__(self, other):
         if isinstance(other, (PairRows, list)):

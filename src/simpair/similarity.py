@@ -406,14 +406,19 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     pattern rows, scipy sums entry (i, j) and entry (j, i) over the same
     common targets in the same order. Index arrays are int32 when N and
     the number of stored citations fit.
+
+    Only ``m.counts.data`` is copied, as float64, unless scipy's canonical
+    flag or a stored zero calls for a canonical float64 copy of the counts.
     """
-    counts = m.counts.astype(np.float64)  # a copy, so it is scaled in place
-    counts.sum_duplicates()  # sorted rows, one entry per column
-    # each entry left is at least 1 / (row sum), so no product of two is 0
-    counts.eliminate_zeros()
+    counts = m.counts
+    if not counts.has_canonical_format or not counts.data.all():
+        counts = counts.astype(np.float64)
+        counts.sum_duplicates()  # sorted rows, one entry per column
+        # each entry left is at least 1 / (row sum), so no product of two is 0
+        counts.eliminate_zeros()
     ip = counts.indptr
     per_row = np.diff(ip)
-    frac = counts.data
+    frac = counts.data.astype(np.float64)  # a copy, so it is scaled in place
     row_sums = _row_sums(frac, ip)
     inv = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
     frac *= np.repeat(inv, per_row)

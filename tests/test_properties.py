@@ -6,9 +6,10 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from simpair import (
     CORE,
@@ -122,6 +123,58 @@ def test_renormalize_conserves_citation_mass(dense, data):
     for a in range(coarse.shape[0]):
         for b in range(coarse.shape[1]):
             assert coarse[a, b] == dense[np.ix_(labels == a, labels == b)].sum()
+
+
+# 64 counts of HUGE sum near 2**62: in int64, but past float64's exact integers
+HUGE = 2**62 // 64 - 1
+
+
+@st.composite
+def raw_counts(draw, max_n=8):
+    """(counts, labels): an N x N CSR as the arrays give it, with duplicate
+    entries, unsorted columns, stored zeros and counts of up to ``HUGE``,
+    and N labels up to N + 1, so some coarse nodes have no member."""
+    n = draw(st.integers(0, max_n))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.sampled_from([0, 1, 3, HUGE]) | st.integers(0, HUGE))
+    entries = draw(st.lists(cell, max_size=64)) if n else []
+    entries.sort(key=lambda e: e[0])  # rows in order, columns as drawn
+    indptr = np.searchsorted([e[0] for e in entries], np.arange(n + 1))
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    data = np.array([e[2] for e in entries], dtype=np.int64)
+    labels = draw(st.lists(st.integers(0, n + 1), min_size=n, max_size=n))
+    return sparse.csr_array((data, cols, indptr), shape=(n, n)), np.array(labels, dtype=np.int64)
+
+
+def indicator_renormalize(counts, labels: np.ndarray):
+    """The coarse counts as ``indicator.T @ counts @ indicator``."""
+    n = len(labels)
+    k = int(labels.max()) + 1 if n else 0
+    indicator = sparse.csr_array((np.ones(n, dtype=np.int64), (np.arange(n), labels)),
+                                 shape=(n, k))
+    return (indicator.T @ counts @ indicator).tocsr()
+
+
+@PROPERTY
+@given(raw_counts())
+@example((sparse.csr_array((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)))
+@example((sparse.csr_array((np.full(64, HUGE), np.zeros(64, dtype=np.int64), [0, 64]),
+                           shape=(1, 1)), np.zeros(1, dtype=np.int64)))
+def test_renormalize_is_the_indicator_product(drawn):
+    counts, labels = drawn
+    raw = [a.copy() for a in (counts.data, counts.indices, counts.indptr)]
+    coarse = renormalize(CitationMatrix(counts), Partition(labels, REAL)).counts
+    want = indicator_renormalize(counts, labels)
+    assert coarse.dtype == np.int64
+    assert coarse.shape == want.shape
+    assert coarse.has_canonical_format
+    for got, ref in zip((coarse.data, coarse.indices, coarse.indptr),
+                        (want.data, want.indices, want.indptr)):
+        assert np.array_equal(got, ref)
+    # exact: the coarse total is the Python-int sum of every count
+    assert int(coarse.sum()) == sum(int(c) for c in raw[0])
+    for before, after in zip(raw, (counts.data, counts.indices, counts.indptr)):
+        assert np.array_equal(before, after)
 
 
 def groups(labels) -> set[frozenset[int]]:

@@ -180,6 +180,43 @@ def test_normalising_in_place_keeps_the_unit_patterns(m):
     assert np.array_equal(unit.indptr, indptr)
 
 
+def non_canonical(counts, seed: int) -> sparse.csr_array:
+    """The same counts as a CSR with each entry split in two, a stored zero
+    on each row's first column and on a random column, and each row's
+    columns shuffled."""
+    rng = np.random.default_rng(seed)
+    n = counts.shape[0]
+    row = np.repeat(np.arange(n), np.diff(counts.indptr))
+    part = rng.integers(0, counts.data + 1)
+    rows = np.concatenate([row, row, np.arange(n), np.arange(n)])
+    cols = np.concatenate([counts.indices, counts.indices, np.zeros(n, dtype=np.int64),
+                           rng.integers(0, n, n)])
+    data = np.concatenate([part, counts.data - part, np.zeros(2 * n, dtype=np.int64)])
+    order = np.lexsort((rng.random(len(rows)), rows))
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    split = sparse.csr_array((data[order], cols[order], indptr), shape=(n, n))
+    assert not split.has_canonical_format
+    return split
+
+
+@PROPERTY
+@given(citation_matrices(), st.integers(0, 2**32 - 1))
+def test_normalising_a_non_canonical_copy_gives_the_same_unit(m, seed):
+    twin = CitationMatrix(non_canonical(m.counts, seed))
+    kept = [(a.copy(), a.dtype) for c in (m.counts, twin.counts)
+            for a in (c.data, c.indices, c.indptr)]
+    unit, twin_unit = build_similarity_matrix(m).unit, build_similarity_matrix(twin).unit
+    for a, b in zip((unit.data, unit.indices, unit.indptr),
+                    (twin_unit.data, twin_unit.indices, twin_unit.indptr)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    # neither input's counts were touched
+    after = [a for c in (m.counts, twin.counts) for a in (c.data, c.indices, c.indptr)]
+    for (before, dtype), now in zip(kept, after):
+        assert now.dtype == dtype
+        assert np.array_equal(before, now)
+
+
 def test_index_arrays_are_int32_when_they_fit():
     rng = np.random.default_rng(8)
     s = build_similarity_matrix(CitationMatrix.from_dense(rng.integers(0, 3, (30, 30))))
