@@ -1,17 +1,17 @@
 """Write a BENCH json: the benchmark's end-to-end runs and the per-stage times of detect.
 
 usage, from the repository root:
-    python3 scripts/bench.py BENCH_<n>.json [--seconds 30] [--seed 1] [--reps 3]
+    python3 scripts/bench.py BENCH_<n>.json
 
-First it runs ``perfbench/run.py`` as it stands, once per workload, and
-keeps each run's last JSON line (its end-to-end metrics). Then it runs
-``simpair detect`` with ``max`` in-process, at one level and at the fixed
-point, on three edge files: the cli_100 and detect_5k workloads' first
-inputs at ``--seed``, and the planted 100k input (1000 blocks of 100
-nodes, 5M citations, drawn from seed 0). Each case runs in ``--reps``
-fresh processes. Each process calls ``simpair.cli.main`` several times
-(``CALLS``) and times these stages of each call by wrapping the functions
-the CLI calls:
+First it runs ``perfbench/run.py`` as it stands, once per workload
+(``SECONDS`` long, at seed ``SEED``), and keeps each run's last JSON line
+(its end-to-end metrics). Then it runs ``simpair detect`` with ``max``
+in-process, at one level and at the fixed point, on three edge files:
+the cli_100 and detect_5k workloads' first inputs at ``SEED``, and the
+planted 100k input (1000 blocks of 100 nodes, 5M citations, drawn from
+seed 0). Each case runs in ``REPS`` fresh processes. Each process calls
+``simpair.cli.main`` several times (``CALLS``) and times these stages of
+each call by wrapping the functions the CLI calls:
 
 * read - ``read_citations`` of the edge file;
 * normalisation - ``build_similarity_matrix``, summed over levels;
@@ -58,6 +58,9 @@ STAGES = {
 }
 # CLI calls per process, by input: one cold call, then warm ones
 CALLS = {"cli_100": 21, "detect_5k": 6, "planted_100k": 2}
+SECONDS = 30  # per perfbench run
+SEED = 1  # of the perfbench runs and the two workload inputs
+REPS = 3  # fresh processes per detect case
 
 
 def timed(totals: dict, stage: str, fn):
@@ -106,7 +109,7 @@ def stage_run(path: str, levels: int, calls: int) -> dict:
     }
 
 
-def write_inputs(work: Path, seed: int) -> dict[str, dict]:
+def write_inputs(work: Path) -> dict[str, dict]:
     """The three edge files, by case name, each with its size record."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from gen import BlockSpec, write_input
@@ -116,16 +119,16 @@ def write_inputs(work: Path, seed: int) -> dict[str, dict]:
     for name in ("cli_100", "detect_5k"):
         workload = BY_NAME[name]()
         inputs[name] = write_input(work / f"{name}.tsv", workload.specs[0],
-                                   workload.input_seed(seed, 0))
+                                   workload.input_seed(SEED, 0))
     inputs["planted_100k"] = write_input(work / "planted_100k.tsv",
                                          BlockSpec(1000, 100, 5_000_000), (0,))
     return inputs
 
 
-def perfbench_run(workload: str, seed: int, seconds: float) -> dict:
+def perfbench_run(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS)],
         cwd=ROOT, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench/run.py --workload {workload} exited {proc.returncode}:\n"
@@ -136,9 +139,6 @@ def perfbench_run(workload: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--stage-run", nargs=3, metavar=("PATH", "LEVELS", "CALLS"),
                     help=argparse.SUPPRESS)
     ap.add_argument("--write-inputs", metavar="DIR", help=argparse.SUPPRESS)
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
         print(json.dumps(stage_run(path, int(levels), int(calls))))
         return 0
     if args.write_inputs:
-        print(json.dumps(write_inputs(Path(args.write_inputs), args.seed)))
+        print(json.dumps(write_inputs(Path(args.write_inputs))))
         return 0
 
     def child(*flags) -> dict:
@@ -163,15 +163,15 @@ def main(argv=None) -> int:
               "environment": environment(), "perfbench": {}, "detect": {}}
     for workload in WORKLOADS:
         print(f"perfbench {workload}", file=sys.stderr, flush=True)
-        report["perfbench"][workload] = perfbench_run(workload, args.seed, args.seconds)
+        report["perfbench"][workload] = perfbench_run(workload)
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = child("--write-inputs", tmp, "--seed", str(args.seed))
+        inputs = child("--write-inputs", tmp)
         for name, rec in inputs.items():
             for levels in (1, 0):
                 case = f"{name} levels{levels}"
                 print(f"detect {case}", file=sys.stderr, flush=True)
                 runs = [child("--stage-run", rec["path"], str(levels), str(CALLS[name]))
-                        for _ in range(args.reps)]
+                        for _ in range(REPS)]
                 size = {k: v for k, v in rec.items() if k != "path"}
                 report["detect"][case] = {"input": size, "runs": runs}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -191,7 +191,8 @@ def renormalize(m: CitationMatrix, p: Partition) -> CitationMatrix:
     if p.n_nodes != m.n_nodes:
         raise ValueError("partition does not cover the citation matrix")
     n, n_labels = m.n_nodes, p.n_communities
-    starts = np.cumulative_sum(np.bincount(p.labels, minlength=n_labels), include_initial=True)
+    starts = np.zeros(n_labels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p.labels, minlength=n_labels), out=starts[1:])
     members = sparse.csr_array(
         (np.ones(n, dtype=np.int64), np.argsort(p.labels, kind="stable"), starts),
         shape=(n_labels, n))

@@ -24,14 +24,14 @@ everywhere. Similarities are printed with six decimal digits
 
 TSV outputs are formatted from each column's ``.tolist()``, and
 ``result.json`` is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
-and a newline, written by a private emitter.
+and a newline.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +236,7 @@ def format_similarity(value: float) -> str:
 
 
 def pairs_to_tsv(pairs: Iterable[RankedPair]) -> str:
-    columns = ([col.tolist() for col in pairs.columns] if isinstance(pairs, PairRows)
-               else list(zip(*pairs)))
+    columns = pairs.tolists() if isinstance(pairs, PairRows) else list(zip(*pairs))
     return "".join(map("{}\t{}\t{:.6f}\n".format, *columns)) if columns else ""
 
 
@@ -322,47 +321,8 @@ def detection_to_json(d: Detection, node_labels: list[str] | None = None,
         payload["node_labels"] = list(node_labels)
     if stats is not None:
         payload["stats"] = stats
-    return _json_text(payload) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_detection_json(path, d: Detection, node_labels=None, stats=None) -> None:
     Path(path).write_text(detection_to_json(d, node_labels, stats), encoding="utf-8")
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-
-
-# the text of each JSON scalar type, as json.dumps writes it
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
-            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
-
-
-def _json_text(obj, newline: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for an
-    ``obj`` nested ``newline``'s indent deep; it raises the same exception
-    type on what ``json.dumps`` refuses. A list whose items share one
-    scalar type is written by one ``map``."""
-    write = _SCALARS.get(type(obj))
-    if write is not None:
-        return write(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(write, obj) if write is not None else [_json_text(v, inner) for v in obj]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]" if obj else "[]"
-    if isinstance(obj, dict):
-        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if obj else "{}"
-    for kind in (str, int, float):  # subclasses, as json tests them
-        if isinstance(obj, kind):
-            return _SCALARS[kind](obj)
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    if isinstance(key, (str, int, float)) or key is None:
-        return encode_basestring_ascii(key if isinstance(key, str) else _json_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

@@ -43,22 +43,26 @@ class PairRows(Sequence):
     of the same kind, and it equals a list of the same rows.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("_columns",)
 
     def __init__(self, pairs: Pairs):
-        self.columns = pairs
+        self._columns = pairs
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self._columns[0])
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return PairRows(tuple(col[k] for col in self.columns))
-        selector, selected, sim = self.columns
+            return PairRows(tuple(col[k] for col in self._columns))
+        selector, selected, sim = self._columns
         return RankedPair(int(selector[k]), int(selected[k]), float(sim[k]))
 
     def __iter__(self):
-        return map(RankedPair, *(col.tolist() for col in self.columns))
+        return map(RankedPair, *self.tolists())
+
+    def tolists(self) -> list[list]:
+        """The selector, selected and similarity columns as Python lists."""
+        return [col.tolist() for col in self._columns]
 
     def __eq__(self, other):
         if isinstance(other, (PairRows, list)):

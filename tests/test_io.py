@@ -1,12 +1,9 @@
 """File parsing and serialization."""
 
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from simpair import RankedPair, build_communities, extract_partition
 from simpair.io import (
@@ -18,7 +15,6 @@ from simpair.io import (
     read_edges,
     read_pairs,
 )
-from simpair.io import _json_text
 
 from pairlists import columns, rows
 
@@ -253,65 +249,3 @@ class TestPartitionSerialization:
         r = build_communities(columns([(0, 1, 0.5)]), 3)
         text = partition_to_tsv(extract_partition(r, "core"), ["a", "b", "c"])
         assert text.splitlines() == ["a\t0", "b\t0", "c\t1"]
-
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-# quotes, backslashes, control and non-ASCII characters, and anything else
-TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀a1') | st.characters())
-SCALARS = (st.none(), st.booleans(), st.integers(-2**70, 2**70),
-           st.floats() | st.sampled_from([-0.0, np.nan, np.inf, -np.inf]), TEXT)
-
-
-def payloads(leaf):
-    """Nested lists, tuples and dicts of ``leaf``; lists of one scalar
-    type, and dicts keyed by str, by int or by both."""
-    return st.recursive(
-        leaf | st.one_of(*(st.lists(s) for s in SCALARS)),
-        lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
-                      | st.dictionaries(TEXT, kids) | st.dictionaries(st.integers(), kids)
-                      | st.dictionaries(st.integers() | TEXT | st.floats() | st.none(), kids,
-                                        max_size=2)),
-        max_leaves=25)
-
-
-def json_outcome(write, obj):
-    try:
-        return write(obj)
-    except Exception as exc:
-        return type(exc)
-
-
-@PROPERTY
-@given(payloads(st.one_of(*SCALARS)))
-def test_json_text_is_json_dumps(obj):
-    assert json_outcome(_json_text, obj) == json_outcome(
-        lambda o: json.dumps(o, indent=2, sort_keys=True), obj)
-
-
-class Count(int):
-    pass
-
-
-class Name(str):
-    pass
-
-
-@PROPERTY
-@given(payloads(st.one_of(*SCALARS) | st.sampled_from(
-    [np.int64(3), np.float64(0.25), np.bool_(True), np.float32(1.5), {1, 2}, b"x",
-     Count(7), Name('q"é')])))
-@example([Count(7), Name('q"é'), np.float64(-0.0), {Name("k"): Count(1)}])
-@example({Count(2): [Count(1), Count(3)], 1: Name("v")})
-def test_json_text_takes_and_refuses_what_json_dumps_does(obj):
-    # subclasses of int, str and float (np.float64 is one) are written as
-    # their base; np.int64 is not an int, and json refuses it
-    assert json_outcome(_json_text, obj) == json_outcome(
-        lambda o: json.dumps(o, indent=2, sort_keys=True), obj)
-
-
-def test_json_text_refuses_a_numpy_int_as_json_does():
-    for obj in ([np.int64(1)], {np.int64(1): 0}, {"a": [np.int64(1)]}):
-        with pytest.raises(TypeError):
-            json.dumps(obj, indent=2, sort_keys=True)
-        with pytest.raises(TypeError):
-            _json_text(obj)
