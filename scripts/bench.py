@@ -23,7 +23,10 @@ each call by wrapping the functions the CLI calls:
 
 and also ``detect`` whole and the whole CLI call. A run records the first
 call (``cold``: imports done, but first-use costs paid), the median of
-the later calls (``warm``), and the process's ``ru_maxrss``. A child
+the later calls (``warm``), and the process's ``ru_maxrss`` after the
+first call (``cold_ru_maxrss_mb``, the peak of one call) and at the end
+(``ru_maxrss_mb``). The end value also holds the allocator's state after
+the earlier calls' frees, so it can exceed any one call's peak. A child
 starts from its parent's ``ru_maxrss``, so the inputs are drawn in a
 child of their own and this script's process stays small. Times are
 wall seconds (``time.perf_counter``), unscaled.
@@ -85,7 +88,7 @@ def stage_run(path: str, levels: int, calls: int) -> dict:
     for stage, targets in STAGES.items():
         for module, name in targets:
             setattr(modules[module], name, timed(totals, stage, getattr(modules[module], name)))
-    per_call = []
+    per_call, cold_rss = [], None
     for _ in range(calls):
         totals.clear()
         with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null:
@@ -98,6 +101,8 @@ def stage_run(path: str, levels: int, calls: int) -> dict:
         if code != 0:
             raise SystemExit(f"detect exited {code} on {path}")
         per_call.append({stage: totals.get(stage, 0.0) for stage in (*STAGES, "cli")})
+        if cold_rss is None:
+            cold_rss = _maxrss_mb()
     warm = per_call[1:] or per_call
     return {
         "levels_run": result["provenance"]["levels_run"],
@@ -105,8 +110,13 @@ def stage_run(path: str, levels: int, calls: int) -> dict:
         "cold_s": {stage: round(t, 6) for stage, t in per_call[0].items()},
         "warm_s": {stage: round(statistics.median(c[stage] for c in warm), 6)
                    for stage in per_call[0]},
-        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "cold_ru_maxrss_mb": cold_rss,
+        "ru_maxrss_mb": _maxrss_mb(),
     }
+
+
+def _maxrss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def write_inputs(work: Path) -> dict[str, dict]:

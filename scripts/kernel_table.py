@@ -5,15 +5,17 @@ usage, from the repository root:
 
 For each input, under both block layouts (consecutive ``BLOCK_ROWS``-row
 slices, and whole weak components as ``SimilarityMatrix.blocks`` lays
-them out), prints the number of blocks, how many of them are closed
-(computed from their own rows of ``unit``, see ``SimilarityMatrix._layout``;
-consecutive slices never are), how many of them the kernel rule sends to
-the dense kernel, and the whole-S time, as the sum over blocks of the best
-of R timings of one ``_block`` call, with the CSR product forced on every
-block, the dense kernel forced, and the rule choosing. It asserts that
-both kernels give the same ``(cols, vals)`` bytes for every block, and for
-a closed block the same bytes as both kernels from ``unit``'s transpose,
-and exits 1 if they do not.
+them out), prints the number of blocks and how many of them are closed
+(see ``SimilarityMatrix._layout``; consecutive slices never are). A
+closed block has one kernel, the dense product of its own rows of
+``unit``; the table gives its blocks' time. For the blocks that cut a
+component it gives how many of them the kernel rule sends to the dense
+kernel, and their time with the CSR product forced, with the dense kernel
+forced, and with the rule choosing. Each time is the sum over blocks of
+the best of R timings of one ``_block`` call. It asserts that a closed
+block gives the same ``(cols, vals)`` bytes as both kernels from
+``unit``'s transpose, and that both kernels give the same bytes for a
+block that cuts a component, and exits 1 if they do not.
 
 SCALE (default 1) multiplies every input's node count and citation
 volume; 0.1 runs in a few seconds, as a correctness smoke test. Block
@@ -39,10 +41,8 @@ from gen import BlockSpec, draw_edges  # noqa: E402
 from simpair import CitationMatrix, build_similarity_matrix, similarity  # noqa: E402
 from simpair.selection import BLOCK_ROWS  # noqa: E402
 
-# (DENSE_RATIO, OUTPUT_RATIO) forcing one kernel on every block that stores anything
+# (DENSE_RATIO, OUTPUT_RATIO) forcing one kernel on every block that cuts a component
 FORCED = {"csr": (0, 0), "dense": (float("inf"), 0)}
-# the dense kernel, for a closed block and for one that cuts a component
-DENSE_KERNELS = ("_own_dense_product", "_dense_product")
 
 
 def planted(spec: BlockSpec, shuffle: bool = False) -> CitationMatrix:
@@ -98,18 +98,16 @@ def kernel_rule(costs):
 
 def timed(s, rows, closed: bool, reps: int) -> tuple[float, bytes, bool]:
     """The best of ``reps`` timings of ``s._block(rows, closed)``, its output bytes,
-    and whether a dense kernel computed it."""
+    and whether the dense kernel from ``unit``'s transpose computed it."""
     dense = []
+    kernel = similarity._dense_product
 
-    def recording(kernel):
-        def recorded(*args):
-            dense.append(True)
-            return kernel(*args)
-        return recorded
+    def recorded(*args):
+        dense.append(True)
+        return kernel(*args)
 
     best = np.inf
-    with mock.patch.multiple(similarity, **{name: recording(getattr(similarity, name))
-                                            for name in DENSE_KERNELS}):
+    with mock.patch.object(similarity, "_dense_product", recorded):
         for _ in range(reps):
             start = time.perf_counter()
             cols, vals = s._block(rows, closed)
@@ -128,30 +126,30 @@ def layouts(s) -> dict:
 def table(scale: float, reps: int) -> bool:
     """Print one line per (input, layout); False if the kernels ever differ."""
     same = True
-    print(f"{'input':<24} {'layout':<12} {'blocks':>6} {'closed':>6} {'dense':>5} "
-          f"{'csr ms':>9} {'dense ms':>9} {'rule ms':>9}")
+    print(f"{'input':<24} {'layout':<12} {'blocks':>6} {'closed':>6} {'closed ms':>9} "
+          f"{'dense':>5} {'csr ms':>9} {'dense ms':>9} {'rule ms':>9}")
     for name, make in inputs(scale).items():
         s = build_similarity_matrix(make())
         for layout, blocks in layouts(s).items():
-            ms = dict.fromkeys(("csr", "dense", "rule"), 0.0)
+            ms = dict.fromkeys(("closed", "csr", "dense", "rule"), 0.0)
             n_dense = 0
             for rows, closed in blocks:
                 out = {}
                 for kernel, costs in FORCED.items():
                     with kernel_rule(costs):
-                        best, out[kernel], _ = timed(s, rows, closed, reps)
-                        if closed:  # the same kernel from unit's transpose
-                            _, out[kernel + ", cut"], _ = timed(s, rows, False, 1)
-                    ms[kernel] += 1e3 * best
+                        best, out[kernel], _ = timed(s, rows, False, 1 if closed else reps)
+                    if not closed:
+                        ms[kernel] += 1e3 * best
+                best, out["rule"], dense = timed(s, rows, closed, reps)
+                ms["closed" if closed else "rule"] += 1e3 * best
+                n_dense += dense
                 if len(set(out.values())) > 1:
                     print(f"kernels differ: {name}, {layout}, rows {rows[:5]}...", flush=True)
                     same = False
-                best, _, dense = timed(s, rows, closed, reps)
-                ms["rule"] += 1e3 * best
-                n_dense += dense
             n_closed = sum(closed for _, closed in blocks)
-            print(f"{name:<24} {layout:<12} {len(blocks):>6} {n_closed:>6} {n_dense:>5} "
-                  f"{ms['csr']:>9.1f} {ms['dense']:>9.1f} {ms['rule']:>9.1f}", flush=True)
+            print(f"{name:<24} {layout:<12} {len(blocks):>6} {n_closed:>6} {ms['closed']:>9.1f} "
+                  f"{n_dense:>5} {ms['csr']:>9.1f} {ms['dense']:>9.1f} {ms['rule']:>9.1f}",
+                  flush=True)
     return same
 
 

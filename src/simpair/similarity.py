@@ -31,34 +31,35 @@ Rows that share targets are put in one block: with more than one block,
 rows are taken by weak connected component of the citation pattern, and
 a block packs whole components (see :meth:`SimilarityMatrix._layout`),
 so on planted communities a block cites only its own community's
-targets, whatever the node ids. Such a block is closed: every target its
-rows cite, and every citer of those, is one of its rows. It is computed
-from its own rows of ``unit`` alone, with their targets re-indexed to
-positions among the rows, as the R x R product of those R rows with
-their transpose, in O(its entries and its output) whatever N. Its
-columns are the rows that store an entry, the dense kernel's product is
-row-major ``vals`` as it stands, and each row's own column is its
-diagonal. Only a block that holds a piece of a component larger than a
-block reads ``unit.T`` and N-wide masks; ``unit.T`` is built on first
-use, so a single-block S never transposes.
+targets, whatever the node ids. The components are labelled from
+``unit`` alone, in O(log N) rounds (see :func:`_components`). A block of
+whole components is closed: every target its rows cite, and every citer
+of those, is one of its rows. It is computed by the dense kernel from its
+own rows of ``unit`` alone, with their targets re-indexed to positions
+among the rows, as the R x R product of those R rows with their
+transpose, in O(its entries and its output) whatever N. Its columns are
+the rows that store an entry, the product is row-major ``vals`` as it
+stands, and each row's own column is its diagonal. Only a block that
+holds a piece of a component larger than a block reads ``unit.T`` and
+N-wide masks; ``unit.T`` is built on first use, so an S of closed blocks
+never transposes.
 
-The dense kernel costs rows x (entries of its CSC matrix) multiplies.
-The sparse one costs the CSR product's multiplies, each dearer, and
-work per output entry, of which there are at most one per multiply and
-at most rows x min(N, those CSC entries). A block takes the dense kernel
-where its multiplies are at most :data:`DENSE_RATIO` times the sparse
-one's plus :data:`OUTPUT_RATIO` times that output bound: where its rows
-cite the same targets, and also where the CSR product would make many
-output entries per multiply (a small S with cross-talk); the sparse one
-where rows scatter over targets that many nodes cite (a large S with
-cross-talk). A closed block counts its multiplies and entries from its
-own rows, and they equal those counted from ``unit.T``, so the rule
-picks the same kernel for it either way. Every stored ``unit`` entry is
-positive, as :func:`build_similarity_matrix` makes them, and no product
-of two of them underflows, so the dense kernel stores a column exactly where the CSR
-product does. Each row's own column is zeroed after either kernel. A
-block's product holds at most (rows in the block) x N entries, and it is
-dropped before the block is handed out.
+A block that cuts a component takes one of the two kernels. The dense
+one costs rows x (entries of its CSC matrix) multiplies. The sparse one
+costs the CSR product's multiplies, each dearer, and work per output
+entry, of which there are at most one per multiply and at most rows x
+min(N, those CSC entries). The block takes the dense kernel where its
+multiplies are at most :data:`DENSE_RATIO` times the sparse one's plus
+:data:`OUTPUT_RATIO` times that output bound: where its rows cite the
+same targets, and also where the CSR product would make many output
+entries per multiply (a small S with cross-talk); the sparse one where
+rows scatter over targets that many nodes cite (a large S with
+cross-talk). Every stored ``unit`` entry is positive, as
+:func:`build_similarity_matrix` makes them, and no product of two of
+them underflows, so the dense kernel stores a column exactly where the
+CSR product does. Each row's own column is zeroed after either kernel.
+A block's product holds at most (rows in the block) x N entries, and it
+is dropped before the block is handed out.
 """
 
 from __future__ import annotations
@@ -70,11 +71,12 @@ from scipy import sparse
 
 from .citations import CitationMatrix
 
-# a block takes the dense kernel where its multiplies, rows x (its CSC
-# matrix's entries), are at most DENSE_RATIO times the CSR product's
-# multiplies plus OUTPUT_RATIO times a bound on the CSR product's output
-# entries: the cost of each in dense-kernel multiplies, fitted on the
-# per-block times of scripts/kernel_table.py (CHANGES.md has the fit)
+# a block that cuts a component takes the dense kernel where its
+# multiplies, rows x (its CSC matrix's entries), are at most DENSE_RATIO
+# times the CSR product's multiplies plus OUTPUT_RATIO times a bound on the
+# CSR product's output entries: the cost of each in dense-kernel
+# multiplies, fitted on the per-block times of scripts/kernel_table.py
+# (CHANGES.md has the fit)
 DENSE_RATIO = 10.5
 OUTPUT_RATIO = 20
 
@@ -137,13 +139,17 @@ class SimilarityMatrix:
             raise TypeError("give exactly one of values and unit")
         self.unit = unit
         self._values = None if values is None else _stored(values)
-        self._labels = None  # weak components of the pattern, on first use
 
     @functools.cached_property
     def _unit_t(self) -> sparse.csr_array:
-        """``unit``'s transpose, built on first use: by the whole S, the
-        component labels and the blocks that cut a component."""
+        """``unit``'s transpose, built on first use: by the whole S and the
+        blocks that cut a component."""
         return sparse.csr_array(self.unit.T)
+
+    @functools.cached_property
+    def _labels(self) -> np.ndarray:
+        """The weak component of each node, built on first use (see :func:`_components`)."""
+        return _components(self.unit)
 
     @functools.cached_property
     def _citers(self) -> np.ndarray:
@@ -170,11 +176,7 @@ class SimilarityMatrix:
             return _columns(self._values, rows[0], rows[-1] + 1)
         if closed:
             # every target the rows cite, and every citer of those, is a row
-            local = _own_rows(self.unit, rows)
-            citers = np.bincount(local.indices, minlength=len(rows))
-            dense = _takes_dense(len(rows), len(local.indices), int(citers @ citers),
-                                 self.n_nodes)
-            at, vals = (_own_dense_product if dense else _own_sparse_product)(local)
+            at, vals = _own_dense_product(_own_rows(self.unit, rows))
             vals[at, np.arange(len(at))] = 0.0  # each row that stores an entry is a column
             return rows[at], vals
         part = _csr_rows(self.unit, rows)
@@ -207,8 +209,6 @@ class SimilarityMatrix:
         if self.unit is None or n <= step:
             return [(np.arange(lo, min(lo + step, n)), self.unit is not None)
                     for lo in range(0, n, step)]
-        if self._labels is None:
-            self._labels = _components(self.unit, self._unit_t)
         order = np.argsort(self._labels, kind="stable")
         sizes = np.bincount(self._labels)
         sizes = sizes[sizes > 0]  # each component's, in order of its smallest node
@@ -243,25 +243,30 @@ class SimilarityMatrix:
             del cols, vals  # freed before the next block is filled
 
 
-def _components(unit: sparse.csr_array, unit_t: sparse.csr_array) -> np.ndarray:
-    """Each node's weak connected component in the pattern of ``unit`` (given
-    with its transpose), labelled by the component's smallest node id.
+def _components(unit: sparse.csr_array) -> np.ndarray:
+    """Each node's weak connected component in the pattern of ``unit``,
+    labelled by the component's smallest node id.
 
-    Min-label propagation: each round, a row takes the smallest label among
-    its targets and a target the smallest among its citers, and then every
-    label is replaced by its own label until none changes (a label is always
-    a node of the same component, with a label no larger). It stops when a
-    round changes nothing, or when every label is 0, one component. scipy's
-    ``connected_components`` would do the same in one pass, but importing
-    ``scipy.sparse.csgraph`` adds about 10 MB of resident memory.
+    Root hooking (Shiloach and Vishkin): each round, a row and its targets
+    take the least label among them, which is written onto the roots their
+    labels name, and every label is then replaced by its own label until
+    none changes (a label is always a node of the same component, with a
+    label no larger). A tree that is not a whole component merges with
+    another each round, so there are O(log N) rounds of O(N + entries). It
+    stops when a round changes nothing, or when every label is 0, one
+    component. scipy's ``connected_components`` would do the same in one
+    pass, but importing ``scipy.sparse.csgraph`` adds about 10 MB of
+    resident memory.
     """
     label = np.arange(unit.shape[0], dtype=unit.indices.dtype)
-    sides = [(np.flatnonzero(np.diff(m.indptr)), m) for m in (unit, unit_t)]
+    per_row = np.diff(unit.indptr)
+    rows = np.flatnonzero(per_row)
     while True:
+        ends = label.take(unit.indices)
+        least = np.minimum(label[rows], np.minimum.reduceat(ends, unit.indptr[rows]))
         new = label.copy()
-        for rows, m in sides:
-            least = np.minimum.reduceat(label.take(m.indices), m.indptr[rows])
-            new[rows] = np.minimum(new[rows], least)
+        np.minimum.at(new, label[rows], least)
+        np.minimum.at(new, ends, np.repeat(least, per_row[rows]))
         up = new[new]
         while not np.array_equal(up, new):
             new, up = up, up[up]
@@ -339,13 +344,6 @@ def _own_rows(m: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
         data, idx = m.data[take], np.searchsorted(rows, m.indices[take])
     return sparse.csr_array((data, idx.astype(m.indices.dtype, copy=False), ip),
                             shape=(len(rows), len(rows)))
-
-
-def _own_sparse_product(local: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
-    """``local @ local.T`` by scipy's CSR product, as ``(at, vals)``: the local
-    columns it stores and the rows over them."""
-    p = local @ local.T
-    return _columns(p, 0, p.shape[0])
 
 
 def _own_dense_product(local: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:

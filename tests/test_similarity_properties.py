@@ -1,6 +1,7 @@
 """Sparse similarity laws: bitwise symmetry, no stored diagonal or zero, bounded memory."""
 
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -354,8 +355,8 @@ def test_a_count_of_0_stores_no_pattern_entry(ratio):
             assert_blocks_are_the_product(s, step)
 
 
-# every kernel: from a block's own rows, and from unit's transpose
-ALL_KERNELS = ("_own_dense_product", "_own_sparse_product", "_dense_product", "_sparse_product")
+# every kernel: the one of a closed block, from its own rows, and both from unit's transpose
+ALL_KERNELS = ("_own_dense_product", "_dense_product", "_sparse_product")
 
 
 def counting_kernels(calls: dict):
@@ -389,7 +390,7 @@ def test_a_count_of_0_keeps_the_dense_kernel():
     # the first level's 15 communities, and every coarse level, are closed dense blocks
     calls = outputs[0][0]
     assert calls["_own_dense_product"] >= 15
-    assert calls["_own_sparse_product"] == calls["_dense_product"] == calls["_sparse_product"] == 0
+    assert calls["_dense_product"] == calls["_sparse_product"] == 0
     assert outputs[1] == outputs[0]
 
 
@@ -450,7 +451,7 @@ LAYOUT_STRATEGIES = DIGEST_STRATEGIES + [Strategy("psim", topn=n) for n in (1, 2
     Strategy("max", deletion=0.9)]
 
 
-def one_component(unit, unit_t):
+def one_component(unit):
     """``_components`` as if every node were in one component: consecutive blocks."""
     return np.zeros(unit.shape[0], np.int32)
 
@@ -514,8 +515,7 @@ def test_shuffled_communities_each_fill_one_dense_block():
     assert sorted(rows.tolist() for rows in layout) == sorted(c.tolist() for c in components(s))
     assert len(layout) == 15
     assert all(closed for _, closed in s._layout(selection.BLOCK_ROWS))
-    assert calls == {"_own_dense_product": 15, "_own_sparse_product": 0,
-                     "_dense_product": 0, "_sparse_product": 0}
+    assert calls == {"_own_dense_product": 15, "_dense_product": 0, "_sparse_product": 0}
 
 
 def two_node_components(n: int, seed: int = 0) -> CitationMatrix:
@@ -544,31 +544,29 @@ def same(a: tuple, b: tuple) -> bool:
 
 def assert_closed_blocks_are_the_transposes(s: SimilarityMatrix, step: int,
                                             exact: bool = True) -> int:
-    """Every closed block of ``s``, by each kernel from its own rows, is byte for byte
-    that kernel's block from ``unit``'s transpose, and the rule picks the same kernel
-    either way. With ``exact`` (positive ``unit`` entries) both kernels give the same
-    bytes; otherwise the dense kernel's block is the CSR product's plus all-zero
-    columns. Returns the number of closed blocks."""
+    """Every closed block of ``s``, computed from its own rows by the dense kernel
+    alone, is byte for byte the dense kernel's block from ``unit``'s transpose. With
+    ``exact`` (positive ``unit`` entries) it is also the CSR product's; otherwise it is
+    the CSR product's plus all-zero columns. Returns the number of closed blocks."""
     n_closed = 0
     for rows, closed in s._layout(step):
         if not closed:
             continue
         n_closed += 1
-        own, cut = kernel_blocks(s, rows, True), kernel_blocks(s, rows, False)
-        assert all(same(own[name], cut[name]) for name in KERNELS), rows
         calls = dict.fromkeys(ALL_KERNELS, 0)
         with counting_kernels(calls):
-            assert same(s._block(rows, True), s._block(rows, False))
-        assert calls["_own_dense_product"] == calls["_dense_product"]
-        assert calls["_own_sparse_product"] == calls["_sparse_product"]
-        (cols, vals), (dense_cols, dense_vals) = own["_sparse_product"], own["_dense_product"]
+            own = s._block(rows, True)
+        assert calls == {"_own_dense_product": 1, "_dense_product": 0, "_sparse_product": 0}
+        cut = kernel_blocks(s, rows, False)
+        assert same(own, cut["_dense_product"]), rows
+        (cols, vals), (own_cols, own_vals) = cut["_sparse_product"], own
         if exact:
-            assert same((cols, vals), (dense_cols, dense_vals)), rows
+            assert same((cols, vals), own), rows
         else:
-            at = np.searchsorted(dense_cols, cols)
-            assert np.array_equal(dense_cols[at], cols)
-            assert dense_vals[:, at].tobytes() == vals.tobytes()
-            assert not np.delete(dense_vals, at, axis=1).any()
+            at = np.searchsorted(own_cols, cols)
+            assert np.array_equal(own_cols[at], cols)
+            assert own_vals[:, at].tobytes() == vals.tobytes()
+            assert not np.delete(own_vals, at, axis=1).any()
     return n_closed
 
 
@@ -597,47 +595,58 @@ def test_closed_blocks_of_a_unit_with_stored_zeros_are_the_kernels_from_the_tran
         assert n_closed == 1
 
 
-def test_two_node_components_take_the_csr_product_from_their_own_rows():
+def test_two_node_components_take_the_dense_kernel_from_their_own_rows():
     s = build_similarity_matrix(two_node_components(1000))
     calls = dict.fromkeys(ALL_KERNELS, 0)
     with counting_kernels(calls):
         n_blocks = sum(1 for _ in s.blocks(selection.BLOCK_ROWS))
-    assert calls == {"_own_dense_product": 0, "_own_sparse_product": n_blocks,
-                     "_dense_product": 0, "_sparse_product": 0}
+    assert calls == {"_own_dense_product": n_blocks, "_dense_product": 0, "_sparse_product": 0}
     assert_blocks_are_the_product(s, selection.BLOCK_ROWS)
 
 
 def test_closed_blocks_cost_their_own_rows_not_n():
     """At N = 200 000 in 2-node components, a closed block allocates nothing N-wide:
     no mask, no running count and no transpose rows over every node."""
-    n = 200_000
+    n, step = 200_000, 32
     s = build_similarity_matrix(two_node_components(n))
-    assert all(closed for _, closed in s._layout(selection.BLOCK_ROWS))
-    blocks = s.blocks(selection.BLOCK_ROWS)
+    assert all(closed for _, closed in s._layout(step))
+    blocks = s.blocks(step)
     next(blocks)  # the layout, held for the whole pass, is built with the first block
+    n_blocks, worst = 1, 0
     tracemalloc.start()
     try:
-        n_blocks = 1 + sum(1 for _ in blocks)
-        _, peak = tracemalloc.get_traced_memory()
+        before = tracemalloc.get_traced_memory()[0]
+        for block in blocks:
+            n_blocks += 1
+            worst = max(worst, tracemalloc.get_traced_memory()[1] - before)
+            del block
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert n_blocks == -(-n // selection.BLOCK_ROWS)
-    # one int64 running count over N alone is 1.6 MB
-    assert peak < 0.5e6, peak
+    assert n_blocks == -(-n // step)
+    # the dense kernel's (targets x rows) operand and its product, the block's
+    # values, are the block's two step x step float64 arrays (8 KB each); allow
+    # twice those. One N-wide bool mask alone is 200 KB, 6 times this bound.
+    bound = 2 * 2 * step * step * 8
+    assert n > 5 * bound
+    assert worst < bound, worst
 
 
-def test_a_single_block_never_transposes():
-    """At N <= BLOCK_ROWS the one block is closed, and ``unit.T`` is never built."""
+def test_a_layout_of_closed_blocks_never_transposes():
+    """Blocks of whole components, and the one block of N <= BLOCK_ROWS, never build
+    ``unit.T``; a block that cuts a component does."""
     def never(self):
-        raise AssertionError("unit transposed for a single block")
+        raise AssertionError("unit transposed for a closed block")
 
     assert 125 <= selection.BLOCK_ROWS < 150
     with mock.patch.object(SimilarityMatrix, "_unit_t", property(never)):
-        detect(planted(125, size=25), Strategy("max"), levels=0)
-        select_many(build_similarity_matrix(planted(125, size=25)),
-                    [(strategy, 3) for strategy in DIGEST_STRATEGIES])
-        with pytest.raises(AssertionError, match="single block"):
-            select_pairs(build_similarity_matrix(planted(150, size=25)), Strategy("max"))
+        for m in (planted(5000), planted(1500, shuffle=True), planted(125, size=25)):
+            detect(m, Strategy("max"), levels=0)
+            select_many(build_similarity_matrix(m),
+                        [(strategy, 3) for strategy in DIGEST_STRATEGIES])
+        with pytest.raises(AssertionError, match="closed block"):
+            select_pairs(build_similarity_matrix(planted(150, size=150)), Strategy("max"))
 
 
 def test_components_are_labelled_only_past_one_block():
@@ -660,12 +669,28 @@ def shuffled_path(n: int, seed: int) -> CitationMatrix:
     return CitationMatrix.from_entries(n, perm[:-1], perm[1:], np.ones(n - 1, np.int64))
 
 
+def scipys_components(unit) -> np.ndarray:
+    """scipy's weak components of ``unit``'s pattern, each labelled by its smallest node."""
+    k, labels = csgraph.connected_components(unit, connection="weak")
+    smallest = np.full(k, unit.shape[0])
+    np.minimum.at(smallest, labels, np.arange(unit.shape[0]))
+    return smallest[labels]
+
+
 @PROPERTY
 @given(citation_matrices(max_n=24) | components_shuffled().map(lambda case: case[0]))
 @example(shuffled_path(2000, 0))
 def test_components_are_scipys_labelled_by_their_smallest_node(m):
-    s = build_similarity_matrix(m)
-    k, want = csgraph.connected_components(s.unit, connection="weak")
-    smallest = np.full(k, m.n_nodes)
-    np.minimum.at(smallest, want, np.arange(m.n_nodes))
-    assert np.array_equal(similarity._components(s.unit, s._unit_t), smallest[want])
+    unit = build_similarity_matrix(m).unit
+    assert np.array_equal(similarity._components(unit), scipys_components(unit))
+
+
+def test_components_of_a_long_chain_take_few_rounds():
+    """Labels hop from root to root, not one node per round: a 20 000-node path
+    under shuffled ids is labelled in well under a second."""
+    unit = build_similarity_matrix(shuffled_path(20_000, 0)).unit
+    start = time.process_time()
+    labels = similarity._components(unit)
+    elapsed = time.process_time() - start
+    assert np.array_equal(labels, scipys_components(unit))
+    assert elapsed < 1.0, elapsed
