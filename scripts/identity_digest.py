@@ -90,7 +90,7 @@ def emit_pairs_replay(tag, d, n_nodes):
     """Hash the outputs of ``simpair detect --pairs`` on ``d.pairs``."""
     with tempfile.TemporaryDirectory() as tmp:
         pairs, out = Path(tmp) / "pairs.tsv", Path(tmp) / "out"
-        write_pairs(pairs, d.pairs)
+        write_pairs(pairs, d.pairs.columns)
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
             code = cli.main(["detect", "--pairs", str(pairs), "--n-nodes", str(n_nodes),
                              "--out", str(out)])
@@ -120,7 +120,7 @@ for n, spec in SPECS.items():
             for levels in (1, 0):
                 d = detect(m, st, seed=seed, levels=levels)
                 tag = f"n{n} seed{seed} {sname} levels{levels}"
-                emit(f"{tag} pairs", pairs_to_tsv(d.pairs))
+                emit(f"{tag} pairs", pairs_to_tsv(d.pairs.columns))
                 emit(f"{tag} core", partition_to_tsv(d.core))
                 emit(f"{tag} real", partition_to_tsv(d.real))
                 emit(f"{tag} json", detection_to_json(d))

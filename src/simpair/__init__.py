@@ -19,8 +19,8 @@ from .communities import (
     renormalize,
 )
 from .metrics import nmi, partition_stats
-from .pipeline import FIXPOINT, Detection, detect, detect_from_pairs
-from .selection import RankedPair, Strategy, select_many, select_pairs
+from .pipeline import FIXPOINT, Detection, RankedPair, detect, detect_from_pairs
+from .selection import Strategy, select_many, select_pairs
 from .similarity import SimilarityMatrix, build_similarity_matrix
 from .sweeps import (
     ExperimentConfig,

@@ -250,7 +250,7 @@ def _cmd_detect(args, parser) -> int:
     write_detection_json(out / "result.json", detection, node_labels, stats)
     write_partition(out / "partition_core.tsv", detection.core, node_labels)
     write_partition(out / "partition_real.tsv", detection.real, node_labels)
-    write_pairs(out / "pairs.tsv", detection.pairs)
+    write_pairs(out / "pairs.tsv", detection.pairs.columns)
     print(json.dumps(stats, sort_keys=True))
     return 0
 

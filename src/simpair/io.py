@@ -16,11 +16,11 @@ Two input formats are accepted:
 * dense - N lines of N comma-separated nonnegative integer counts.
 
 Pair lists (``selector<TAB>selected<TAB>similarity``) follow the same id
-rules unless a node count is given; their similarities must be finite,
-and no line may pair a node with itself. In both formats an empty id
-field is an input error. Blank lines and ``#`` comments are ignored
-everywhere. Similarities are printed with six decimal digits
-(round-half-even).
+rules unless a node count is given, and hold no pairs only with one.
+They are read into and written from the three ``Pairs`` columns (rows
+exist only in the ``Detection.pairs`` view), similarities printed with six
+decimal digits (round-half-even). In both formats an empty id field is an
+input error. Blank lines and ``#`` comments are ignored everywhere.
 
 TSV outputs are formatted from each column's ``.tolist()``, and
 ``result.json`` is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
@@ -31,15 +31,15 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .citations import CitationMatrix
 from .communities import CORE, REAL, Partition, grouped
-from .pipeline import Detection, PairRows
-from .selection import Pairs, RankedPair
+from .pipeline import Detection
+from .selection import Pairs
 
 
 class InputFormatError(ValueError):
@@ -68,9 +68,9 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
             f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _triples(path, layout: str, what: str) -> list[tuple[int, str, str, str]]:
+def _triples(path, layout: str, what: str | None) -> list[tuple[int, str, str, str]]:
     """The (line number, field, field, field) rows of a three-column TSV of
-    at least one ``what``."""
+    at least one ``what``, or of any number when ``what`` is None."""
     rows = []
     for lineno, line in _content_lines(path):
         parts = line.split("\t")
@@ -79,7 +79,7 @@ def _triples(path, layout: str, what: str) -> list[tuple[int, str, str, str]]:
         if not (parts[0] and parts[1]):
             raise InputFormatError(f"{path}:{lineno}: empty node id")
         rows.append((lineno, *parts))
-    if not rows:
+    if not rows and what is not None:
         raise InputFormatError(f"{path}: no {what} found")
     return rows
 
@@ -231,16 +231,11 @@ def read_citations(path, fmt: str) -> CitationMatrix:
     raise ValueError(f"unknown input format {fmt!r}")
 
 
-def format_similarity(value: float) -> str:
-    return f"{value:.6f}"
+def pairs_to_tsv(pairs: Pairs) -> str:
+    return "".join(map("{}\t{}\t{:.6f}\n".format, *(col.tolist() for col in pairs)))
 
 
-def pairs_to_tsv(pairs: Iterable[RankedPair]) -> str:
-    columns = pairs.tolists() if isinstance(pairs, PairRows) else list(zip(*pairs))
-    return "".join(map("{}\t{}\t{:.6f}\n".format, *columns)) if columns else ""
-
-
-def write_pairs(path, pairs: Iterable[RankedPair]) -> None:
+def write_pairs(path, pairs: Pairs) -> None:
     Path(path).write_text(pairs_to_tsv(pairs), encoding="utf-8")
 
 
@@ -250,9 +245,11 @@ def read_pairs(path, n_nodes: int | None = None) -> tuple[Pairs, int, list[str] 
     Returns the pair columns in file order, the node count and the labels
     if any. Similarities must be finite, a line's ids must differ, and
     integer ids must be below ``n_nodes`` or, without it, pass the edge
-    files' id-space rule; labels count one node each, whatever ``n_nodes``.
+    files' id-space rule, which a file of no pairs fails; labels count one
+    node each, whatever ``n_nodes``.
     """
-    rows = _triples(path, "selector<TAB>selected<TAB>similarity", "pairs")
+    rows = _triples(path, "selector<TAB>selected<TAB>similarity",
+                    "pairs" if n_nodes is None else None)
     sims = np.array([_parse_similarity(path, lineno, tok) for lineno, _, _, tok in rows])
     selector, selected, labels = _id_columns(rows)
     if labels is not None:

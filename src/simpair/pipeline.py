@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .citations import CitationMatrix
 from .communities import (
@@ -29,24 +30,34 @@ from .communities import (
     renormalize,
 )
 from .metrics import partition_stats
-from .selection import NO_PAIRS, Pairs, RankedPair, Strategy, select_pairs
+from .selection import NO_PAIRS, Pairs, Strategy, select_pairs
 from .similarity import build_similarity_matrix
 
 FIXPOINT = 0
 
 
+class RankedPair(NamedTuple):  # a row of ``Detection.pairs``
+    selector: int
+    selected: int
+    similarity: float
+
+
 class PairRows(Sequence):
     """A ranked pair list as a read-only sequence of ``RankedPair`` rows.
 
-    It holds the three :data:`Pairs` columns and builds a row only when
-    one is read, so a kept list costs 24 bytes a pair. Slices are views
-    of the same kind, and it equals a list of the same rows.
+    It holds the three :data:`Pairs` columns, read-only as ``columns``, and
+    builds a row only when one is read: 24 bytes a kept pair. Slices are
+    views of the same kind, and it equals a list of the same rows.
     """
 
     __slots__ = ("_columns",)
 
     def __init__(self, pairs: Pairs):
         self._columns = pairs
+
+    @property
+    def columns(self) -> Pairs:
+        return self._columns
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -58,11 +69,7 @@ class PairRows(Sequence):
         return RankedPair(int(selector[k]), int(selected[k]), float(sim[k]))
 
     def __iter__(self):
-        return map(RankedPair, *self.tolists())
-
-    def tolists(self) -> list[list]:
-        """The selector, selected and similarity columns as Python lists."""
-        return [col.tolist() for col in self._columns]
+        return map(RankedPair, *(col.tolist() for col in self._columns))
 
     def __eq__(self, other):
         if isinstance(other, (PairRows, list)):
@@ -79,8 +86,9 @@ class Detection:
 
     ``core`` and ``real`` are total partitions over the original nodes;
     for multi-level runs they compose the per-level assignments. ``result``
-    and ``pairs`` (the ``RankedPair`` rows of ``pairs.tsv``) are from the
-    first level; ``level_stats`` summarizes every level that ran.
+    and ``pairs`` are from the first level; ``level_stats`` summarizes every
+    level that ran. ``pairs`` is the package's only ``RankedPair`` rows, a
+    view whose ``columns`` are what ``pairs.tsv`` is written from.
     """
 
     core: Partition

@@ -74,7 +74,6 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,13 +87,6 @@ NO_PAIRS: Pairs = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 BLOCK_ROWS = 128
 # a walk window at most this wide is built by argmax rounds, a wider one by argpartition
 ROUNDS = 8
-
-
-class RankedPair(NamedTuple):  # a row of ``Detection.pairs``
-    selector: int
-    selected: int
-    similarity: float
-
 
 RANDOM_KINDS = ("psim", "p")
 

@@ -1,7 +1,8 @@
 """Row and column forms of a ranked pair list, shared by the tests.
 
 The package passes pairs as three columns (selector, selected,
-similarity); ``Detection.pairs`` and ``pairs_to_tsv`` use rows.
+similarity), ``pairs_to_tsv`` and ``write_pairs`` included; only the
+``Detection.pairs`` view hands out ``RankedPair`` rows.
 """
 
 import numpy as np

@@ -38,7 +38,7 @@ from simpair.io import pairs_to_tsv
 from simpair.rng import derive_seed
 from simpair.sweeps import default_probability_grid
 
-from pairlists import columns, rows
+from pairlists import columns
 
 BASE_SEED = 0
 DEFAULT_SPEC = SyntheticSpec()  # 4 blocks x 25 nodes, rates 10:0, volume 50k, seed 1
@@ -195,7 +195,7 @@ def test_mixture_boundaries():
     ok = True
 
     def tsv(strategy, seed=0):
-        return pairs_to_tsv(rows(select_pairs(s, strategy, seed)))
+        return pairs_to_tsv(select_pairs(s, strategy, seed))
 
     def mixed(p, kind):
         return Strategy("mixed", mix_p=p, mix_kind=kind)

@@ -491,6 +491,42 @@ class TestPairsSkipSelection:
                     "--out", str(out)]) == 0
         assert (out / "partition_real.tsv").read_text() == "0\t0\n1\t0\n2\t1\n3\t1\n"
 
+    def test_labelled_run_replays_from_its_pairs(self, tmp_path):
+        """A labelled run's ``pairs.tsv`` holds node indices, in the order of
+        ``result.json``'s ``node_labels``; with their count as ``--n-nodes``
+        it replays the run, its unpaired node included."""
+        edges = tmp_path / "labelled.tsv"
+        edges.write_text("a\tb\t2\nb\tc\t1\nc\ta\t1\nd\ta\t1\nd\tc\t3\ne\ta\t0\n")
+        out, replay = tmp_path / "out", tmp_path / "replay"
+        assert run(["detect", "--input", str(edges), "--out", str(out)]) == 0
+        labels = json.loads((out / "result.json").read_text())["node_labels"]
+        assert labels == ["a", "b", "c", "d", "e"]
+        pairs = [line.split("\t") for line in (out / "pairs.tsv").read_text().splitlines()]
+        assert pairs and all(int(v) < len(labels) for p in pairs for v in p[:2])
+        assert run(["detect", "--pairs", str(out / "pairs.tsv"), "--n-nodes", str(len(labels)),
+                    "--out", str(replay)]) == 0
+        for name in ("partition_core.tsv", "partition_real.tsv"):
+            original = [line.split("\t") for line in (out / name).read_text().splitlines()]
+            again = [line.split("\t") for line in (replay / name).read_text().splitlines()]
+            assert [[labels[int(v)], c] for v, c in again] == original, name
+        assert (replay / "pairs.tsv").read_bytes() == (out / "pairs.tsv").read_bytes()
+
+    def test_run_that_selected_no_pairs_replays(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\t0\n")
+        out, replay = tmp_path / "out", tmp_path / "replay"
+        assert run(["detect", "--input", str(edges), "--out", str(out)]) == 0
+        assert (out / "pairs.tsv").read_text() == ""
+        assert run(["detect", "--pairs", str(out / "pairs.tsv"), "--n-nodes", "2",
+                    "--out", str(replay)]) == 0
+        for name in ("partition_core.tsv", "partition_real.tsv", "pairs.tsv"):
+            assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+        # without a node count, an empty pair list names no nodes
+        capsys.readouterr()
+        argv = ["detect", "--pairs", str(out / "pairs.tsv"), "--out", str(tmp_path / "x")]
+        assert run(argv) == 2
+        assert "no pairs found" in capsys.readouterr().err
+
 
 class TestOneParserPerProcess:
     def argvs(self, block_edges, out: Path) -> list[list[str]]:

@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simpair import RankedPair, build_communities, extract_partition
+from simpair import build_communities, extract_partition
 from simpair.io import (
     InputFormatError,
-    format_similarity,
     pairs_to_tsv,
     partition_to_tsv,
     read_dense,
@@ -77,6 +76,21 @@ class TestReadEdges:
         path.write_bytes(text.encode("ascii"))
         with pytest.raises(InputFormatError, match=error):
             read_edges(path)
+
+    @pytest.mark.parametrize("chunk", [4, 8, 16, 64, 1 << 20])
+    @pytest.mark.parametrize("bad, error", [
+        ("1\t2", "expected"), ("1\t\t3", "empty node id"), ("1\t2\tx", "not an integer"),
+        ("1\t2\t" + "9" * 20, "above the int64 maximum"),
+    ], ids=["two-fields", "empty-id", "letter", "20-digits"])
+    def test_malformed_line_in_a_later_chunk(self, tmp_path, monkeypatch, chunk, bad, error):
+        lines = [f"{i % 5}\t{(i + 1) % 5}\t{i}" for i in range(40)]
+        lines[30] = bad
+        path = tmp_path / "g.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr("simpair.io._CHUNK", chunk)
+        with pytest.raises(InputFormatError) as exc:
+            read_edges(path)
+        assert str(exc.value).startswith(f"{path}:31: ") and error in str(exc.value)
 
     @pytest.mark.parametrize("text, labels, dense", [
         ("0\t1\t2\t\n", None, [[0, 2], [0, 0]]),  # the line reader strips the tab
@@ -199,15 +213,15 @@ class TestReadDense:
 
 class TestPairsSerialization:
     def test_six_digit_correct_rounding(self):
-        assert format_similarity(0.1234564) == "0.123456"
-        assert format_similarity(0.1234576) == "0.123458"
-        assert format_similarity(1.0) == "1.000000"
-        # exact binary ties at the sixth digit resolve to the even neighbor
-        assert format_similarity(0.0078125) == "0.007812"
-        assert format_similarity(0.0234375) == "0.023438"
+        sims = [0.1234564, 0.1234576, 1.0, 0.0078125, 0.0234375]
+        tsv = pairs_to_tsv(columns([(0, 1, sim) for sim in sims]))
+        assert [line.split("\t")[2] for line in tsv.splitlines()] == [
+            "0.123456", "0.123458", "1.000000",
+            # exact binary ties at the sixth digit resolve to the even neighbor
+            "0.007812", "0.023438"]
 
     def test_tsv_layout(self):
-        pairs = [RankedPair(2, 3, 0.4988), RankedPair(3, 2, 0.4988)]
+        pairs = columns([(2, 3, 0.4988), (3, 2, 0.4988)])
         assert pairs_to_tsv(pairs) == "2\t3\t0.498800\n3\t2\t0.498800\n"
 
     def test_round_trip_integer_ids(self, tmp_path):
@@ -223,6 +237,18 @@ class TestPairsSerialization:
         pairs, _, labels = read_pairs(path)
         assert labels == ["a", "b"]
         assert rows(pairs)[0] == (0, 1, 0.9)
+
+    @pytest.mark.parametrize("text", ["", "# no pairs\n\n"], ids=["empty", "comments"])
+    def test_no_pairs_need_a_node_count(self, tmp_path, text):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(text)
+        (selector, selected, sims), n_nodes, labels = read_pairs(path, n_nodes=3)
+        assert (n_nodes, labels) == (3, None)
+        assert [col.dtype for col in (selector, selected, sims)] == [np.int64, np.int64,
+                                                                    np.float64]
+        assert len(selector) == len(selected) == len(sims) == 0
+        with pytest.raises(InputFormatError, match="no pairs found"):
+            read_pairs(path)
 
     def test_bad_similarity_reports_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -8,7 +8,7 @@ from simpair import RankedPair, Strategy, build_similarity_matrix, detect
 from simpair.io import pairs_to_tsv, write_pairs
 from simpair.selection import select_pairs
 
-from pairlists import rows
+from pairlists import columns, rows
 from test_similarity_properties import planted
 
 
@@ -49,10 +49,10 @@ def test_indexing_and_slicing_follow_the_list(view_and_list):
 def test_zip_and_written_bytes_follow_the_list(view_and_list, tmp_path):
     pairs, want = view_and_list
     assert list(zip(*pairs)) == list(zip(*want))
-    write_pairs(tmp_path / "view.tsv", pairs)
-    write_pairs(tmp_path / "list.tsv", want)
+    write_pairs(tmp_path / "view.tsv", pairs.columns)
+    write_pairs(tmp_path / "list.tsv", columns(want))
     assert (tmp_path / "view.tsv").read_bytes() == (tmp_path / "list.tsv").read_bytes()
-    assert pairs_to_tsv(pairs[5:9]) == pairs_to_tsv(want[5:9])
+    assert pairs_to_tsv(pairs[5:9].columns) == pairs_to_tsv(columns(want[5:9]))
 
 
 def test_rows_are_read_only(view_and_list):
@@ -61,6 +61,8 @@ def test_rows_are_read_only(view_and_list):
         pairs[0] = RankedPair(0, 1, 0.5)
     with pytest.raises(AttributeError):
         pairs.append(RankedPair(0, 1, 0.5))
+    with pytest.raises(AttributeError):
+        pairs.columns = pairs.columns
 
 
 def test_kept_pairs_hold_no_row_objects():

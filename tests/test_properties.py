@@ -4,6 +4,7 @@ import re
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -27,9 +28,9 @@ from simpair import (
     renormalize,
     select_pairs,
 )
+from simpair import io
 from simpair.io import (
     InputFormatError,
-    format_similarity,
     read_edges,
     read_pairs,
     write_pairs,
@@ -220,11 +221,9 @@ def test_pair_columns_are_ranked_and_replay_from_a_pair_file(dense, strategy, se
 
     d = detect(m, strategy, seed, levels=1)
     assert d.pairs == rows(pairs)
-    if not d.pairs:
-        return  # a pair file holds at least one pair
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.tsv"
-        write_pairs(path, d.pairs)
+        write_pairs(path, d.pairs.columns)
         back, n_nodes, _ = read_pairs(path, n_nodes=m.n_nodes)
     # six-decimal rounding keeps the ranking and only adds ties, which
     # keep their file order
@@ -240,13 +239,13 @@ def test_pair_columns_are_ranked_and_replay_from_a_pair_file(dense, strategy, se
 def test_pairs_round_trip_to_six_decimals(pairs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.tsv"
-        write_pairs(path, pairs)
+        write_pairs(path, columns(pairs))
         # a node count, because random ids in 0..50 may leave most ids unused
         (selector, selected, sims), _, labels = read_pairs(path, n_nodes=51)
     assert labels is None
     assert list(zip(selector.tolist(), selected.tolist())) == [p[:2] for p in pairs]
     for p, back in zip(pairs, sims.tolist()):
-        assert back == float(format_similarity(p.similarity))
+        assert back == float(f"{p.similarity:.6f}")
         assert abs(back - p.similarity) <= 5e-7 + 1e-12
 
 
@@ -293,6 +292,22 @@ def read_outcome(path: Path, text: str):
 @PROPERTY
 @given(digit_edge_bodies())
 def test_digit_edge_files_read_as_the_line_reader_reads_them(body):
+    reads_as_the_line_reader(body)
+
+
+@PROPERTY
+@given(digit_edge_bodies(), st.sampled_from([4, 8, 16, 64]))
+def test_digit_reader_chunks_read_as_the_line_reader_reads_them(body, chunk):
+    """Chunks of a few bytes: lines cross chunk ends, and a file with a
+    line longer than a chunk goes to the line reader."""
+    longest = max(len(line) + 1 for line in body.rstrip("\n").split("\n"))
+    with mock.patch.object(io, "_CHUNK", chunk):
+        assert (io._digit_columns(body.encode("ascii")) is None) == (longest > chunk)
+        reads_as_the_line_reader(body)
+
+
+def reads_as_the_line_reader(body: str):
+    """Assert that ``read_edges`` reads ``body`` as it reads it behind a comment."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.tsv"
         plain = read_outcome(path, body)

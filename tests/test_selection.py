@@ -104,8 +104,8 @@ class TestSelectMax:
 
 class TestRandomDeletion:
     def test_zero_fraction_is_empty(self):
-        assert (pairs_to_tsv(rows(select_pairs(FIVE, Strategy("max", deletion=0.0), 9)))
-                == pairs_to_tsv(rows(select_pairs(FIVE, MAX))))
+        assert (pairs_to_tsv(select_pairs(FIVE, Strategy("max", deletion=0.0), 9))
+                == pairs_to_tsv(select_pairs(FIVE, MAX)))
 
     def test_full_deletion_silences_everyone(self):
         assert rows(select_pairs(FIVE, Strategy("max", deletion=1.0), 9)) == []
@@ -288,10 +288,10 @@ class TestSelectMixed:
     def test_boundary_serializations_are_byte_identical(self):
         rng = np.random.default_rng(13)
         s = random_similarity(rng, 30)
-        assert (pairs_to_tsv(rows(select_pairs(s, mixed(0.0, "p"), 5)))
-                == pairs_to_tsv(rows(select_pairs(s, MAX))))
-        assert (pairs_to_tsv(rows(select_pairs(s, mixed(1.0, "p"), 5)))
-                == pairs_to_tsv(rows(select_pairs(s, UNIFORM, 5))))
+        assert (pairs_to_tsv(select_pairs(s, mixed(0.0, "p"), 5))
+                == pairs_to_tsv(select_pairs(s, MAX)))
+        assert (pairs_to_tsv(select_pairs(s, mixed(1.0, "p"), 5))
+                == pairs_to_tsv(select_pairs(s, UNIFORM, 5)))
 
     def test_half_mix_uses_max_about_half_the_time(self):
         rng = np.random.default_rng(14)
@@ -317,8 +317,8 @@ class TestDeterminism:
         for strategy in (Strategy("max"), Strategy("psim"), Strategy("p"),
                          Strategy("psim", topn=3), Strategy("max", deletion=0.4),
                          Strategy("mixed", mix_p=0.3, mix_kind="psim")):
-            a = pairs_to_tsv(rows(select_pairs(s, strategy, seed=77)))
-            b = pairs_to_tsv(rows(select_pairs(s, strategy, seed=77)))
+            a = pairs_to_tsv(select_pairs(s, strategy, seed=77))
+            b = pairs_to_tsv(select_pairs(s, strategy, seed=77))
             assert a == b
 
     def test_different_seeds_differ(self):

@@ -190,7 +190,7 @@ def test_walk_length_follows_the_closed_form(record_property, n, k):
 @given(similarities(), SEEDS, st.sampled_from(["psim", "p"]))
 def test_mixed_boundaries_are_byte_identical(s, seed, kind):
     def tsv(strategy):
-        return pairs_to_tsv(rows(select_pairs(s, strategy, seed)))
+        return pairs_to_tsv(select_pairs(s, strategy, seed))
 
     assert tsv(Strategy("mixed", mix_p=0.0, mix_kind=kind)) == tsv(Strategy("max"))
     assert tsv(Strategy("mixed", mix_p=1.0, mix_kind=kind)) == tsv(Strategy(kind))
@@ -435,3 +435,40 @@ def test_topn_cuts_share_a_pass_with_walks(monkeypatch, block_rows):
         (Strategy("mixed", mix_p=0.5, mix_kind="psim"), 5)]
     assert ([pair_bytes(pairs) for pairs in select_many(s, jobs)]
             == [pair_bytes(select_pairs(s, strategy, seed)) for strategy, seed in jobs])
+
+
+def order_violations(pairs, n_nodes: int) -> int:
+    """Pairs (v, w, s) whose s is above the largest similarity w emits."""
+    selector, selected, sim = pairs
+    best = np.full(n_nodes, -np.inf)
+    np.maximum.at(best, selector, sim)
+    return int(np.count_nonzero(sim > best[selected]))
+
+
+# max with nothing hidden, under each of its names
+ORDERED = [Strategy("max"), Strategy("max", deletion=0.0),
+           Strategy("mixed", mix_p=0.0, mix_kind="psim"),
+           Strategy("mixed", mix_p=0.0, mix_kind="p")]
+
+
+@PROPERTY
+@given(similarities() | st.just(SimilarityMatrix(values=TIED)), SEEDS,
+       st.lists(st.tuples(st.sampled_from(STRATEGIES), SEEDS), max_size=4), st.integers(1, 5))
+def test_max_keeps_the_inside_order(s, seed, others, block_rows):
+    """The paper's inside order: under max with nothing hidden, w's best
+    similarity is at least s(w, v) = s(v, w), so along a chain of selections
+    similarity never falls. Ties keep it, since each tied pair is a maximum."""
+    assert order_violations(select_pairs(s, Strategy("max"), seed), s.n_nodes) == 0
+    jobs = others + [(strategy, seed) for strategy in ORDERED]
+    with mock.patch.object(selection, "BLOCK_ROWS", block_rows):
+        runs = select_many(s, jobs)
+    for pairs in runs[len(others):]:
+        assert order_violations(pairs, s.n_nodes) == 0
+
+
+def test_hidden_columns_break_the_inside_order():
+    """Deletion is row-local, so w may not see v while v picks w:
+    ``order_violations`` is not zero by construction."""
+    s = SimilarityMatrix(values=TIED)
+    assert sum(order_violations(select_pairs(s, Strategy("max", deletion=0.3), seed), 9)
+               for seed in range(20)) > 0

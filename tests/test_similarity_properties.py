@@ -385,7 +385,7 @@ def test_a_count_of_0_keeps_the_dense_kernel():
         calls = dict.fromkeys(ALL_KERNELS, 0)
         with counting_kernels(calls):
             d = detect(m, Strategy("max"), levels=0)
-        outputs.append((calls, pairs_to_tsv(d.pairs), d.core.labels.tobytes(),
+        outputs.append((calls, pairs_to_tsv(d.pairs.columns), d.core.labels.tobytes(),
                         d.real.labels.tobytes()))
     # the first level's 15 communities, and every coarse level, are closed dense blocks
     calls = outputs[0][0]
