@@ -11,7 +11,9 @@ through ``simpair detect --pairs`` in-process, and that run's four output
 files are hashed too. Last, the 100-node seed-0 input is rewritten with
 labels for ids (non-ASCII, quotes, backslashes, and some all digits) and
 run through ``simpair detect`` in-process at one level and at the fixed
-point, hashing its four output files.
+point, hashing its four output files. Then each script in ``demos/`` is
+run in a temporary directory with ``PYTHONPATH=SRC_DIR``, hashing its
+standard output.
 
 EXPECTED is the final digest, or a file of an earlier run's printed lines
 (``scripts/identity_digest.expected`` holds those of the default 2 reps).
@@ -22,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -145,6 +148,13 @@ for levels in (1, 0):
                              "--levels", str(levels)])
         assert code == 0, f"labelled levels{levels}: detect exited {code}"
         emit_outputs(f"n100 seed0 labelled levels{levels}", out)
+
+demo_env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+for demo in sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py")):
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=demo_env,
+                              stdout=subprocess.PIPE, encoding="utf-8", check=True)
+    emit(f"demo {demo.name} stdout", done.stdout)
 
 print("ALL", total.hexdigest())
 if expected and (differs or expected.get("ALL") != total.hexdigest()):

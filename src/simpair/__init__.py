@@ -19,7 +19,7 @@ from .communities import (
     renormalize,
 )
 from .metrics import nmi, partition_stats
-from .pipeline import FIXPOINT, Detection, RankedPair, detect, detect_from_pairs
+from .pipeline import FIXPOINT, Detection, detect, detect_from_pairs
 from .selection import Strategy, select_many, select_pairs
 from .similarity import SimilarityMatrix, build_similarity_matrix
 from .sweeps import (
@@ -42,7 +42,6 @@ __all__ = [
     "CitationMatrix",
     "SimilarityMatrix",
     "build_similarity_matrix",
-    "RankedPair",
     "Strategy",
     "select_many",
     "select_pairs",

@@ -6,21 +6,23 @@ Two input formats are accepted:
   0-based integers or arbitrary labels; unless every id is ASCII digits,
   all ids are treated as labels and mapped to dense indices in first-seen
   order (the mapping travels with the results). Integer ids must be
-  dense: at least half of ``0..max id`` must occur. Counts, and each
-  (src, dst) pair's sum of counts, must fit in int64. A file that is
+  dense: at least half of ``0..max id`` must occur. Counts, and the
+  file's total of counts, must fit in int64. A file that is
   nothing but lines of three 1-18 digit fields is parsed by numpy, a
   chunk of lines at a time, straight into the int64 ``src``, ``dst`` and
   ``count`` columns that :meth:`CitationMatrix.from_entries` takes; any
   other file is read line by line into the same columns, and both paths
   share the checks above.
-* dense - N lines of N comma-separated nonnegative integer counts.
+* dense - N lines of N comma-separated nonnegative integer counts, whose
+  total must fit in int64 too.
 
 Pair lists (``selector<TAB>selected<TAB>similarity``) follow the same id
 rules unless a node count is given, and hold no pairs only with one.
 They are read into and written from the three ``Pairs`` columns (rows
 exist only in the ``Detection.pairs`` view), similarities printed with six
 decimal digits (round-half-even). In both formats an empty id field is an
-input error. Blank lines and ``#`` comments are ignored everywhere.
+input error. Blank lines, ``#`` comments and a leading UTF-8 byte order
+mark are ignored everywhere.
 
 TSV outputs are formatted from each column's ``.tolist()``, and
 ``result.json`` is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
@@ -29,6 +31,7 @@ and a newline.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from collections.abc import Iterator
@@ -50,7 +53,7 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) of each line that is not blank or a
     comment; a generator, so no reader holds all of a file's lines."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if line and not line.startswith("#"):
@@ -108,7 +111,7 @@ _CHUNK = 1 << 20
 def read_edges(path) -> CitationMatrix:
     """Read format `edges`; returns a matrix sized to the ids seen."""
     with open(path, "rb") as fh:
-        columns = _digit_columns(fh.read())
+        columns = _digit_columns(fh.read().removeprefix(codecs.BOM_UTF8))
     if columns is not None:
         src, dst, counts = columns
         return _edge_matrix(path, range(1, len(counts) + 1), src, dst, counts)
@@ -159,7 +162,7 @@ def _edge_matrix(path, linenos, src, dst, counts, labels=None) -> CitationMatrix
     """The matrix of parsed edge columns, after the checks both readers
     share; entry ``i`` was read from line ``linenos[i]``."""
     n = len(labels) if labels is not None else _integer_node_count(path, linenos, src, dst)
-    _check_count_sums(path, linenos, src, dst, counts)
+    _check_count_total(path, counts, linenos.__getitem__)
     return CitationMatrix.from_entries(n, src, dst, counts, labels)
 
 
@@ -183,17 +186,18 @@ def _integer_node_count(path, linenos, src, dst) -> int:
         f"unused; integer ids must be dense and 0-based")
 
 
-def _check_count_sums(path, linenos, src, dst, counts) -> None:
-    """Raise at the first line whose (src, dst) running count sum passes int64."""
+def _check_count_total(path, counts, line_of) -> None:
+    """Raise at the first line whose running total of ``counts`` passes
+    int64 (entry ``i`` is on line ``line_of(i)``): every sum detection forms,
+    a coarse entry or a community's diagonal, is part of that total."""
     if int(counts.max()) * len(counts) <= _INT64_MAX:
         return  # not even the sum of every count can overflow
-    sums: dict[tuple, int] = {}
-    for i, (edge, count) in enumerate(zip(zip(src.tolist(), dst.tolist()), counts.tolist())):
-        sums[edge] = sums.get(edge, 0) + count
-        if sums[edge] > _INT64_MAX:
-            raise InputFormatError(
-                f"{path}:{linenos[i]}: the counts of this src, dst pair sum past "
-                f"the int64 maximum {_INT64_MAX}")
+    # each partial total up to the first one past int64 is exact in uint64
+    over = np.flatnonzero(np.cumsum(counts, dtype=np.uint64) > np.uint64(_INT64_MAX))
+    if len(over):
+        raise InputFormatError(
+            f"{path}:{line_of(int(over[0]))}: the counts up to this line sum past "
+            f"the int64 maximum {_INT64_MAX}")
 
 
 def _parse_count(path, lineno, tok) -> int:
@@ -220,7 +224,9 @@ def read_dense(path) -> CitationMatrix:
         if len(row) != n:
             raise InputFormatError(
                 f"{path}:{lineno}: expected {n} columns to match {n} rows, got {len(row)}")
-    return CitationMatrix.from_dense(np.array([r for _, r in grid], dtype=np.int64))
+    counts = np.array([r for _, r in grid], dtype=np.int64)
+    _check_count_total(path, counts.ravel(), lambda i: grid[i // n][0])
+    return CitationMatrix.from_dense(counts)
 
 
 def read_citations(path, fmt: str) -> CitationMatrix:

@@ -15,9 +15,7 @@ between the remaining components has dropped to zero.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .citations import CitationMatrix
 from .communities import (
@@ -36,18 +34,13 @@ from .similarity import build_similarity_matrix
 FIXPOINT = 0
 
 
-class RankedPair(NamedTuple):  # a row of ``Detection.pairs``
-    selector: int
-    selected: int
-    similarity: float
+class PairRows:
+    """A ranked pair list's three :data:`Pairs` columns, read-only as
+    ``columns``, that also iterate as plain ``(selector, selected,
+    similarity)`` tuples built only when read: 24 bytes a kept pair.
 
-
-class PairRows(Sequence):
-    """A ranked pair list as a read-only sequence of ``RankedPair`` rows.
-
-    It holds the three :data:`Pairs` columns, read-only as ``columns``, and
-    builds a row only when one is read: 24 bytes a kept pair. Slices are
-    views of the same kind, and it equals a list of the same rows.
+    It remains only because perfbench unpacks ``Detection.pairs`` by rows;
+    it goes once that reads the columns (ROADMAP item 1(c)).
     """
 
     __slots__ = ("_columns",)
@@ -62,22 +55,8 @@ class PairRows(Sequence):
     def __len__(self) -> int:
         return len(self._columns[0])
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return PairRows(tuple(col[k] for col in self._columns))
-        selector, selected, sim = self._columns
-        return RankedPair(int(selector[k]), int(selected[k]), float(sim[k]))
-
     def __iter__(self):
-        return map(RankedPair, *(col.tolist() for col in self._columns))
-
-    def __eq__(self, other):
-        if isinstance(other, (PairRows, list)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PairRows({list(self)!r})"
+        return zip(*(col.tolist() for col in self._columns))
 
 
 @dataclass(frozen=True)
@@ -87,8 +66,8 @@ class Detection:
     ``core`` and ``real`` are total partitions over the original nodes;
     for multi-level runs they compose the per-level assignments. ``result``
     and ``pairs`` are from the first level; ``level_stats`` summarizes every
-    level that ran. ``pairs`` is the package's only ``RankedPair`` rows, a
-    view whose ``columns`` are what ``pairs.tsv`` is written from.
+    level that ran. ``pairs`` holds the first level's ranked pair columns,
+    which ``pairs.tsv`` is written from.
     """
 
     core: Partition
@@ -157,7 +136,7 @@ def detect_from_pairs(pairs: Pairs, n_nodes: int) -> Detection:
 
     The pair columns are ranked by decreasing similarity first, ties kept
     in the given order, so the order matters only among equal similarities;
-    ``Detection.pairs`` holds the rows in that ranked order.
+    ``Detection.pairs`` holds the columns in that ranked order.
     """
     order = (-pairs[2]).argsort(kind="stable")
     pairs = tuple(col[order] for col in pairs)

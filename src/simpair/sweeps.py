@@ -198,18 +198,18 @@ def default_deletion_grid() -> list[float]:
 
 
 def planted_recovery(spec: SyntheticSpec | None = None, n_seeds: int = 20,
-                     base_seed: int = 0, levels: int = FIXPOINT) -> list[float]:
+                     base_seed: int = 0) -> list[float]:
     """Real-level NMI against planted truth over fresh synthetic matrices.
 
-    Detection is iterated to a fixed point by default: single-pass max
-    selection fragments blocks into many small mutual-nearest-neighbor
-    cores, and the coarse-grained iteration is what reassembles them.
+    Detection is iterated to a fixed point: single-pass max selection
+    fragments blocks into many small mutual-nearest-neighbor cores, and the
+    coarse-grained iteration is what reassembles them.
     """
     spec = spec or SyntheticSpec()
     scores = []
     for r in range(n_seeds):
         seeded = replace(spec, seed=derive_seed(base_seed, r))
         matrix, truth = generate_planted_citation_matrix(seeded)
-        detection = detect(matrix, Strategy("max"), seed=0, levels=levels)
+        detection = detect(matrix, Strategy("max"), seed=0, levels=FIXPOINT)
         scores.append(nmi(detection.real, truth))
     return scores

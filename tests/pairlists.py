@@ -1,13 +1,20 @@
 """Row and column forms of a ranked pair list, shared by the tests.
 
 The package passes pairs as three columns (selector, selected,
-similarity), ``pairs_to_tsv`` and ``write_pairs`` included; only the
-``Detection.pairs`` view hands out ``RankedPair`` rows.
+similarity), ``pairs_to_tsv`` and ``write_pairs`` included; the
+``Detection.pairs`` view iterates them as plain tuples. ``Row`` names a
+row's fields for the tests' readability and equals the same plain tuple.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from simpair import RankedPair
+
+class Row(NamedTuple):
+    selector: int
+    selected: int
+    similarity: float
 
 
 def columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -18,6 +25,6 @@ def columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([r[2] for r in rows], dtype=np.float64))
 
 
-def rows(pairs) -> list[RankedPair]:
-    """The three pair columns as ``RankedPair`` rows."""
-    return list(map(RankedPair, *(col.tolist() for col in pairs)))
+def rows(pairs) -> list[Row]:
+    """The three pair columns as ``Row`` rows."""
+    return list(map(Row, *(col.tolist() for col in pairs)))

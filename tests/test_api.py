@@ -16,7 +16,6 @@ PUBLIC = [
     "FIXPOINT",
     "Partition",
     "REAL",
-    "RankedPair",
     "SimilarityMatrix",
     "Strategy",
     "SweepResult",

@@ -155,15 +155,23 @@ class TestInputErrors:
         assert f"{bad}:{line}: node id" in err and "unused" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("text, line", [
-        ("0\t1\t99999999999999999999\n", 1),
-        ("0\t1\t9223372036854775807\n0\t1\t9223372036854775807\n", 2),
-        ("0\t1\t999999999999999999\n" * 10, 10),  # 18 digits: the columnar reader
-    ], ids=["one-count", "sum", "sum-of-18-digit-counts"])
-    def test_count_beyond_int64(self, tmp_path, capsys, text, line):
+    # the last three fit int64 count by count and (src, dst) pair by pair,
+    # but coarse-graining sums them past it: the file's total is the bound
+    @pytest.mark.parametrize("text, fmt, line", [
+        ("0\t1\t99999999999999999999\n", "edges", 1),
+        ("0\t1\t9223372036854775807\n0\t1\t9223372036854775807\n", "edges", 2),
+        ("0\t1\t999999999999999999\n" * 10, "edges", 10),  # 18 digits: the columnar reader
+        ("0\t2\t5000000000000000000\n1\t2\t5000000000000000000\n", "edges", 2),
+        ("".join(f"{i}\t4\t5000000000000000000\n" for i in range(4))
+         + "".join(f"{i}\t5\t1\n" for i in range(4)), "edges", 2),
+        ("0,5000000000000000000,0\n0,5000000000000000000,0\n1,0,0\n", "dense", 2),
+    ], ids=["one-count", "sum", "sum-of-18-digit-counts", "one-coarse-entry", "four-citers",
+            "dense-column"])
+    def test_count_beyond_int64(self, tmp_path, capsys, text, fmt, line):
         bad = tmp_path / "bad.tsv"
         bad.write_text(text)
-        assert run(["detect", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert run(["detect", "--input", str(bad), "--format", fmt, "--out", str(tmp_path / "x"),
+                    "--levels", "0"]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:{line}:" in err and "int64" in err
         assert len(err.strip().splitlines()) == 1

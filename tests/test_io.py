@@ -211,6 +211,54 @@ class TestReadDense:
             read_dense(path)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives, as comparable values: the matrix, the pair
+    columns, or the error message."""
+    try:
+        got = read(path)
+    except InputFormatError as exc:
+        return "error", str(exc)
+    if isinstance(got, tuple):  # read_pairs
+        (selector, selected, sims), n_nodes, labels = got
+        return selector.tolist(), selected.tolist(), sims.tolist(), n_nodes, labels
+    return got.to_dense().tolist(), got.node_labels
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("read, text", [
+        (read_edges, "0\t1\t3\n1\t0\t2\n"),
+        (read_edges, "a\tb\t3\nb\ta\t2\n"),
+        (read_edges, "# comment\n0\t1\t3\n"),
+        (read_edges, "0\t1\t3\n0\t9\t1\n"),
+        (read_edges, "0\t9\t1\n1\t0\t3\n"),
+        (read_dense, "0,3\n2,0\n"),
+        (read_dense, "1,3\n2\n"),
+        (read_pairs, "0\t1\t0.5\n1\t0\t0.25\n"),
+        (read_pairs, "a\tb\t0.5\n"),
+        (read_pairs, "0\t1\t0.5\n0\t9\t0.25\n"),
+    ], ids=["digits", "labels", "comment", "sparse-id-line-2", "sparse-id-line-1", "dense",
+            "ragged-dense", "pairs", "label-pairs", "sparse-pair-id-line-2"])
+    def test_a_leading_bom_reads_like_no_bom(self, tmp_path, read, text):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("ascii"))
+        plain = _outcome(read, path)
+        path.write_bytes(BOM + text.encode("ascii"))
+        assert _outcome(read, path) == plain
+
+    def test_a_bom_digit_file_keeps_the_columnar_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(BOM + b"0\t1\t3\n1\t0\t2\n")
+
+        def no_line_reader(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr("simpair.io._triples", no_line_reader)
+        assert read_edges(path).to_dense().tolist() == [[0, 3], [2, 0]]
+
+
 class TestPairsSerialization:
     def test_six_digit_correct_rounding(self):
         sims = [0.1234564, 0.1234576, 1.0, 0.0078125, 0.0234375]
