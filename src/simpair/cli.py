@@ -241,8 +241,9 @@ def _cmd_detect(args, parser) -> int:
         detection = detect_from_pairs(pairs, n_nodes)
     else:
         matrix = _read(read_citations, args.input, args.format)
-        detection = detect(matrix, strategy, seed=args.seed, levels=args.levels)
         node_labels = matrix.node_labels
+        detection = detect(matrix, strategy, seed=args.seed, levels=args.levels)
+        del matrix  # and the similarity state it keeps: the outputs are written without it
 
     stats = {k: v for k, v in detection.level_stats[0].items()
              if k not in ("level", "coarse_nodes")}

@@ -186,18 +186,23 @@ def renormalize(m: CitationMatrix, p: Partition) -> CitationMatrix:
     back into similarity and detection. The coarse counts are one product:
     ``members`` (community x node) times the counts with each column
     relabelled to its node's community, with exact int64 sums and sorted
-    rows. A label no node carries is an empty coarse node.
+    rows. A label no node carries is an empty coarse node. Index arrays are
+    int32 when N and the stored counts fit, so the relabelled columns take
+    half the memory of int64 ones (the caller's level may still hold its
+    similarity state, see :func:`~simpair.similarity.build_similarity_matrix`).
     """
     if p.n_nodes != m.n_nodes:
         raise ValueError("partition does not cover the citation matrix")
     n, n_labels = m.n_nodes, p.n_communities
-    starts = np.zeros(n_labels + 1, dtype=np.int64)
+    c = m.counts
+    index = np.int32 if max(n, c.nnz) <= np.iinfo(np.int32).max else np.int64
+    starts = np.zeros(n_labels + 1, dtype=index)
     np.cumsum(np.bincount(p.labels, minlength=n_labels), out=starts[1:])
     members = sparse.csr_array(
-        (np.ones(n, dtype=np.int64), np.argsort(p.labels, kind="stable"), starts),
+        (np.ones(n, dtype=np.int64), np.argsort(p.labels, kind="stable").astype(index), starts),
         shape=(n_labels, n))
-    c = m.counts
-    relabelled = sparse.csr_array((c.data, p.labels[c.indices], c.indptr), shape=(n, n_labels))
+    relabelled = sparse.csr_array((c.data, p.labels.astype(index)[c.indices],
+                                   c.indptr.astype(index)), shape=(n, n_labels))
     coarse = members @ relabelled
     coarse.sort_indices()
     return CitationMatrix(counts=coarse)

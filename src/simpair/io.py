@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .citations import CitationMatrix
+from .citations import _INT64_MAX, CitationMatrix, _first_past_int64
 from .communities import CORE, REAL, Partition, grouped
 from .pipeline import Detection
 from .selection import Pairs
@@ -102,7 +102,6 @@ def _id_columns(rows) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
     return ids[0::2], ids[1::2], labels
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # the bytes that end the three fields of a digit-only edge line
 _LINE_SEPS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
 _CHUNK = 1 << 20
@@ -188,15 +187,11 @@ def _integer_node_count(path, linenos, src, dst) -> int:
 
 def _check_count_total(path, counts, line_of) -> None:
     """Raise at the first line whose running total of ``counts`` passes
-    int64 (entry ``i`` is on line ``line_of(i)``): every sum detection forms,
-    a coarse entry or a community's diagonal, is part of that total."""
-    if int(counts.max()) * len(counts) <= _INT64_MAX:
-        return  # not even the sum of every count can overflow
-    # each partial total up to the first one past int64 is exact in uint64
-    over = np.flatnonzero(np.cumsum(counts, dtype=np.uint64) > np.uint64(_INT64_MAX))
-    if len(over):
+    int64 (entry ``i`` is on line ``line_of(i)``)."""
+    over = _first_past_int64(counts)
+    if over is not None:
         raise InputFormatError(
-            f"{path}:{line_of(int(over[0]))}: the counts up to this line sum past "
+            f"{path}:{line_of(over)}: the counts up to this line sum past "
             f"the int64 maximum {_INT64_MAX}")
 
 

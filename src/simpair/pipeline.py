@@ -91,7 +91,11 @@ def _level(pairs: Pairs, n_nodes: int) -> tuple[DetectionResult, Partition, Part
 def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
            levels: int = 1) -> Detection:
     """Similarity, ``strategy``'s pairs at ``seed`` and one level of communities,
-    repeated on the coarse-grained matrix ``levels`` times (0: to a fixed point)."""
+    repeated on the coarse-grained matrix ``levels`` times (0: to a fixed point).
+
+    The first level reuses the similarity state ``matrix`` keeps from any
+    earlier call (see :func:`~simpair.similarity.build_similarity_matrix`);
+    each coarse matrix is new and builds its own."""
     if levels < 0:
         raise ValueError("levels must be >= 1, or 0 to iterate to a fixed point")
     level_stats: list[dict] = []

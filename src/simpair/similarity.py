@@ -42,7 +42,11 @@ the rows that store an entry, the product is row-major ``vals`` as it
 stands, and each row's own column is its diagonal. Only a block that
 holds a piece of a component larger than a block reads ``unit.T`` and
 N-wide masks; ``unit.T`` is built on first use, so an S of closed blocks
-never transposes.
+never transposes. ``unit``, the labels, the layout and the transpose are
+built once per :class:`~simpair.citations.CitationMatrix` and kept on it
+(see :func:`build_similarity_matrix`), O(its stored counts + N); S itself
+is kept nowhere, and :attr:`SimilarityMatrix.values` rebuilds it on each
+read.
 
 A block that cuts a component takes one of the two kernels. The dense
 one costs rows x (entries of its CSC matrix) multiplies. The sparse one
@@ -129,9 +133,16 @@ class SimilarityMatrix:
     Either way a node is not a candidate partner for itself: its own
     column reads 0 in every block. ``values`` is the whole similarity as
     CSR, with no diagonal entry and no stored zero; from ``unit`` it is
-    built on first access and kept. It costs O(nnz(S)), which selection
-    never needs, and blocks are read the same way whether it is kept or
-    not: a matrix built from ``unit`` computes every block as a product.
+    built on each read and kept nowhere. It costs O(nnz(S)), which
+    selection never needs: a matrix built from ``unit`` computes every
+    block as a product.
+
+    From ``unit`` a matrix keeps only what its reads fill in, each built on
+    first use: the weak component labels, the block layout and each node's
+    position in its block for each block size, and, once a block cuts a
+    component, ``unit``'s transpose and its citer counts. That is O(nnz of
+    ``unit`` + N), so :func:`build_similarity_matrix` keeps the matrix on
+    its citation matrix for every later read.
     """
 
     def __init__(self, values=None, *, unit: sparse.csr_array | None = None):
@@ -139,11 +150,13 @@ class SimilarityMatrix:
             raise TypeError("give exactly one of values and unit")
         self.unit = unit
         self._values = None if values is None else _stored(values)
+        # per block size: the layout, and each node's position among its block's rows
+        self._layouts: dict[int, list[tuple[np.ndarray, bool]]] = {}
+        self._locals: dict[int, np.ndarray | None] = {}
 
     @functools.cached_property
     def _unit_t(self) -> sparse.csr_array:
-        """``unit``'s transpose, built on first use: by the whole S and the
-        blocks that cut a component."""
+        """``unit``'s transpose, built on first use by a block that cuts a component."""
         return sparse.csr_array(self.unit.T)
 
     @functools.cached_property
@@ -161,22 +174,30 @@ class SimilarityMatrix:
 
     @property
     def values(self) -> SparseValues:
-        if self._values is None:
-            self._values = _stored(self.unit @ self._unit_t)
-        return self._values
+        """The whole S as CSR, with no diagonal entry and no stored zero.
 
-    def _block(self, rows: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+        From ``unit`` it is built on each read as ``unit @ unit.T`` and
+        kept nowhere, so it costs O(nnz(S)) only while the caller holds it.
+        """
+        if self.unit is None:
+            return self._values
+        return _stored(self.unit @ self.unit.T)
+
+    def _block(self, rows: np.ndarray, closed: bool,
+               local: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``rows`` (sorted node ids) of S, own columns 0, over the
         columns they store, as ``(cols, vals)``. An S given as ``values`` is
         read in place; from ``unit`` the rows are one product, dropped on
         return: of their own rows of ``unit`` alone when the block is
         ``closed`` (holds whole weak components, see :meth:`_layout`), and
-        otherwise of their rows with ``unit``'s transpose."""
+        otherwise of their rows with ``unit``'s transpose. A closed block
+        whose rows are not consecutive reads their positions from ``local``
+        (see :meth:`_local`)."""
         if self.unit is None:  # consecutive rows, read in place, with no diagonal
             return _columns(self._values, rows[0], rows[-1] + 1)
         if closed:
             # every target the rows cite, and every citer of those, is a row
-            at, vals = _own_dense_product(_own_rows(self.unit, rows))
+            at, vals = _own_dense_product(_own_rows(self.unit, rows, local))
             vals[at, np.arange(len(at))] = 0.0  # each row that stores an entry is a column
             return rows[at], vals
         part = _csr_rows(self.unit, rows)
@@ -193,7 +214,8 @@ class SimilarityMatrix:
 
     def _layout(self, step: int) -> list[tuple[np.ndarray, bool]]:
         """The rows of each block, sorted node ids, at most ``step`` per block,
-        and whether the block is closed: holds whole weak components.
+        and whether the block is closed: holds whole weak components. Built
+        on first use for each ``step`` and kept.
 
         From ``unit``, with more than ``step`` nodes, rows are taken in order
         of their weak connected component of the citation pattern, node ids
@@ -205,25 +227,31 @@ class SimilarityMatrix:
         the blocks are consecutive ``step``-row slices: from ``unit`` there
         is one, of every node, and it is closed.
         """
+        if step in self._layouts:
+            return self._layouts[step]
         n = self.n_nodes
         if self.unit is None or n <= step:
-            return [(np.arange(lo, min(lo + step, n)), self.unit is not None)
-                    for lo in range(0, n, step)]
-        order = np.argsort(self._labels, kind="stable")
-        sizes = np.bincount(self._labels)
-        sizes = sizes[sizes > 0]  # each component's, in order of its smallest node
-        pieces = sizes // step + (sizes % step > 0)
-        piece_rows = np.full(pieces.sum(), step)
-        cut = sizes % step > 0
-        piece_rows[(np.cumsum(pieces) - 1)[cut]] = (sizes % step)[cut]
-        whole = np.repeat(sizes <= step, pieces)  # the piece is a whole component
-        ends = np.cumsum(piece_rows)
-        layout, lo, first = [], 0, 0
-        while lo < n:
-            last = np.searchsorted(ends, lo + step, side="right")  # the pieces first:last
-            hi = ends[last - 1]
-            layout.append((np.sort(order[lo:hi]), bool(whole[first:last].all())))
-            lo, first = hi, last
+            layout = [(np.arange(lo, min(lo + step, n)), self.unit is not None)
+                      for lo in range(0, n, step)]
+        else:
+            order = np.argsort(self._labels, kind="stable")
+            sizes = np.bincount(self._labels)
+            sizes = sizes[sizes > 0]  # each component's, in order of its smallest node
+            pieces = sizes // step + (sizes % step > 0)
+            piece_rows = np.full(pieces.sum(), step)
+            cut = sizes % step > 0
+            piece_rows[(np.cumsum(pieces) - 1)[cut]] = (sizes % step)[cut]
+            whole = np.repeat(sizes <= step, pieces)  # the piece is a whole component
+            ends = np.cumsum(piece_rows)
+            layout, lo, first = [], 0, 0
+            while lo < n:
+                last = np.searchsorted(ends, lo + step, side="right")  # the pieces first:last
+                hi = ends[last - 1]
+                layout.append((np.sort(order[lo:hi]), bool(whole[first:last].all())))
+                lo, first = hi, last
+        for rows, _ in layout:
+            rows.flags.writeable = False  # handed to every later pass
+        self._layouts[step] = layout
         return layout
 
     def blocks(self, step: int):
@@ -237,10 +265,28 @@ class SimilarityMatrix:
         be too. When every column is stored, ``cols`` is ``arange(N)``. A
         closed block costs O(its rows' entries and its output), whatever N.
         """
+        local = self._local(step)
         for rows, closed in self._layout(step):
-            cols, vals = self._block(rows, closed)
+            cols, vals = self._block(rows, closed, local)
             yield rows, cols, vals
             del cols, vals  # freed before the next block is filled
+
+    def _local(self, step: int) -> np.ndarray | None:
+        """Each node's position among the rows of its block of
+        :meth:`_layout`, built in O(N) on first use for each ``step`` and
+        kept, so a closed block of rows that are not consecutive re-indexes
+        their targets by one gather; None when there is no such block."""
+        if step not in self._locals:
+            layout = self._layout(step)
+            local = None
+            if any(closed and rows[-1] - rows[0] >= len(rows) for rows, closed in layout):
+                rows = [rows for rows, _ in layout]
+                sizes = np.array([len(r) for r in rows])
+                local = np.empty(self.n_nodes, self.unit.indices.dtype)
+                local[np.concatenate(rows)] = (np.arange(self.n_nodes)
+                                               - np.repeat(np.cumsum(sizes) - sizes, sizes))
+            self._locals[step] = local
+        return self._locals[step]
 
 
 def _components(unit: sparse.csr_array) -> np.ndarray:
@@ -327,10 +373,12 @@ def _dense_product(rows: sparse.csr_array, cited: np.ndarray,
     return cols, vals
 
 
-def _own_rows(m: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
+def _own_rows(m: sparse.csr_array, rows: np.ndarray,
+              local: np.ndarray | None) -> sparse.csr_array:
     """Rows ``rows`` (sorted) of ``m``, whose every stored column is one of
     ``rows``, over those columns: each re-indexed to its position in ``rows``,
-    so the result is len(rows) x len(rows) and built in O(its entries)."""
+    so the result is len(rows) x len(rows) and built in O(its entries).
+    Unless ``rows`` are consecutive, ``local`` holds each one's position."""
     lo, hi = rows[0], rows[-1] + 1
     if hi - lo == len(rows):  # consecutive: a slice, and a shift of the columns
         ip = m.indptr[lo:hi + 1]
@@ -341,7 +389,7 @@ def _own_rows(m: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
         ip = np.zeros(len(rows) + 1, m.indptr.dtype)
         np.cumsum(end - start, out=ip[1:])
         take = np.repeat(start - ip[:-1], end - start) + np.arange(ip[-1])
-        data, idx = m.data[take], np.searchsorted(rows, m.indices[take])
+        data, idx = m.data[take], local[m.indices[take]]
     return sparse.csr_array((data, idx.astype(m.indices.dtype, copy=False), ip),
                             shape=(len(rows), len(rows)))
 
@@ -405,10 +453,26 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     common targets in the same order. Index arrays are int32 when N and
     the number of stored citations fit.
 
-    Only ``m.counts.data`` is copied, as float64, unless scipy's canonical
+    The result is built once per matrix and kept on ``m``, whose counts
+    never change: every later call returns it, with the component labels,
+    block layouts and transpose its reads have filled in, so repeated
+    detects, selections and sweeps on ``m`` normalise and label once. It
+    keeps O(stored counts + N), never S (see :attr:`SimilarityMatrix.values`).
+    """
+    kept = m.__dict__.get("_similarity")
+    if kept is None:
+        kept = SimilarityMatrix(unit=_unit(m.counts))
+        object.__setattr__(m, "_similarity", kept)  # m is frozen
+    return kept
+
+
+def _unit(counts: sparse.csr_array) -> sparse.csr_array:
+    """The unit-length citation patterns of ``counts``: CSR, sorted rows,
+    positive entries.
+
+    Only ``counts.data`` is copied, as float64, unless scipy's canonical
     flag or a stored zero calls for a canonical float64 copy of the counts.
     """
-    counts = m.counts
     if not counts.has_canonical_format or not counts.data.all():
         counts = counts.astype(np.float64)
         counts.sum_duplicates()  # sorted rows, one entry per column
@@ -428,6 +492,5 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     frac *= np.repeat(inv_norm, per_row)
 
     index = np.int32 if max(counts.shape[0], len(frac)) <= np.iinfo(np.int32).max else np.int64
-    unit = sparse.csr_array((frac, counts.indices.astype(index, copy=False),
+    return sparse.csr_array((frac, counts.indices.astype(index, copy=False),
                              ip.astype(index, copy=False)), shape=counts.shape)
-    return SimilarityMatrix(unit=unit)

@@ -15,7 +15,10 @@ reproduces its CSV byte for byte.
 A sweep selects the pairs of every (grid point, repetition) run, and of a
 max reference, in one :func:`~simpair.selection.select_many` call, which
 computes each block of similarity rows once for all of them; no whole
-similarity is stored. The reference and every run then go through the
+similarity is stored. The normalised patterns, component labels and block
+layout are built once per input matrix and kept on it (see
+:func:`~simpair.similarity.build_similarity_matrix`), so every sweep and
+``detect`` on one matrix after the first reuses them. The reference and every run then go through the
 same single-level pass as ``detect`` (``pipeline._level``), one after
 another in one thread: that scoring is short numpy calls and ``math.fsum``
 over lists, which hold the GIL, so worker threads did not speed it up.

@@ -451,6 +451,11 @@ LAYOUT_STRATEGIES = DIGEST_STRATEGIES + [Strategy("psim", topn=n) for n in (1, 2
     Strategy("max", deletion=0.9)]
 
 
+def fresh(m: CitationMatrix) -> CitationMatrix:
+    """A matrix of ``m``'s counts that keeps no similarity state yet."""
+    return CitationMatrix(m.counts, m.node_labels)
+
+
 def one_component(unit):
     """``_components`` as if every node were in one component: consecutive blocks."""
     return np.zeros(unit.shape[0], np.int32)
@@ -497,7 +502,7 @@ def test_component_layout_equals_consecutive_blocks(ratio, case, seed):
     for layout in (None, one_component):
         with forced(ratio), mock.patch.object(selection, "BLOCK_ROWS", block_rows), \
                 mock.patch.object(similarity, "_components", layout or similarity._components):
-            s = build_similarity_matrix(m)
+            s = build_similarity_matrix(fresh(m))
             if layout is None:
                 assert_layout(s, [rows for rows, _, _ in s.blocks(block_rows)], block_rows)
             outputs.append([[col.tobytes() for col in pairs] for pairs in select_many(s, jobs)])
@@ -555,7 +560,7 @@ def assert_closed_blocks_are_the_transposes(s: SimilarityMatrix, step: int,
         n_closed += 1
         calls = dict.fromkeys(ALL_KERNELS, 0)
         with counting_kernels(calls):
-            own = s._block(rows, True)
+            own = s._block(rows, True, s._local(step))
         assert calls == {"_own_dense_product": 1, "_dense_product": 0, "_sparse_product": 0}
         cut = kernel_blocks(s, rows, False)
         assert same(own, cut["_dense_product"]), rows

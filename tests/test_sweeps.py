@@ -175,9 +175,9 @@ class TestReference:
         block = SimilarityMatrix._block
         blocks = []
 
-        def counted(self, rows, closed):
+        def counted(self, rows, closed, local=None):
             blocks.append((rows, closed))
-            return block(self, rows, closed)
+            return block(self, rows, closed, local)
 
         monkeypatch.setattr(SimilarityMatrix, "_block", counted)
         # three components of 8 nodes: cut into pieces at 5 rows, a closed block each at 8
