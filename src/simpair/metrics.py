@@ -1,13 +1,19 @@
 """Partition comparison and detection-result statistics.
 
 :func:`partition_stats` summarises one level of detection; the shared
-single-level pass (``pipeline._level``) records it for ``detect``,
-``detect_from_pairs`` and every sweep run. :func:`nmi` scores sweep runs
-against their reference.
+single-level pass (``pipeline._level``) records it for ``detect`` and
+``detect_from_pairs``. :func:`nmi` compares two partitions. It is the
+one-run case of ``_nmi_rows``, which scores many runs against one
+reference partition: each run's dense labels get a code range of their
+own, community sizes are one ``np.bincount`` over all runs, the joint cells
+are one sort, and the reference's codes and entropy (``_reference``) are
+computed once. Sweeps score all their runs that way.
 
 Entropies are in bits and summed with math.fsum, which is exactly rounded
 and therefore order-independent: nmi(x, x) is exactly 1.0, nmi(x, y) is
-exactly nmi(y, x), and relabeling either argument changes nothing.
+exactly nmi(y, x), and relabeling either argument changes nothing. Each
+term is ``share * math.log2(share)``; equal community sizes give equal
+terms, so each distinct size's term is computed once.
 """
 
 from __future__ import annotations
@@ -20,36 +26,72 @@ import numpy as np
 from .communities import CORE, REAL, DetectionResult, Partition
 
 
-def _labels(p) -> np.ndarray:
-    if isinstance(p, Partition):
-        return p.labels
-    return np.asarray(p)
+def _codes(p) -> np.ndarray:
+    """A partition's labels as dense codes from 0, in label order."""
+    labels = p.labels if isinstance(p, Partition) else np.asarray(p)
+    if len(labels) == 0:
+        raise ValueError("empty partition")
+    return np.unique(labels, return_inverse=True)[1]
 
 
-def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
+def _entropies(sizes: np.ndarray, ends: list[int], n: int) -> list[float]:
+    """The entropy, in bits, of each group ``sizes[ends[g - 1]:ends[g]]`` of
+    community sizes over ``n`` nodes (the first group starts at 0)."""
+    seen = np.bincount(sizes)
+    distinct = np.flatnonzero(seen)
     # math.log2, not np.log2, which differs from it in the last bit for some inputs
-    shares = (counts / n).tolist()
-    return -math.fsum(map(mul, shares, map(math.log2, shares)))
+    shares = (distinct / n).tolist()
+    term = np.zeros(len(seen))
+    term[distinct] = list(map(mul, shares, map(math.log2, shares)))
+    terms = term[sizes]
+    return [-math.fsum(terms[start:end].tolist()) for start, end in zip([0, *ends], ends)]
+
+
+def _reference(p) -> tuple[np.ndarray, float]:
+    """A partition's dense codes and its entropy, to score runs against."""
+    codes = _codes(p)
+    sizes = np.bincount(codes)
+    return codes, _entropies(sizes, [len(sizes)], len(codes))[0]
+
+
+def _cells(codes: np.ndarray, ref: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """How many nodes each distinct (code, ref) cell of paired dense codes
+    holds, by increasing code then ref, and where each of the code ranges
+    that ``ends`` closes ends among them."""
+    width = int(ref.max()) + 1
+    cells = np.sort((codes * width + ref).ravel())
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    return (np.diff(starts, append=len(cells)),
+            np.searchsorted(cells[starts], ends * width).tolist())
+
+
+def _nmi_rows(rows: np.ndarray, ref: np.ndarray, h_ref: float) -> list[float]:
+    """The NMI of each row of ``rows`` against ``ref``, whose entropy is
+    ``h_ref``. Each row and ``ref`` hold dense codes from 0 over the same
+    nodes. Row r's codes are shifted past those of the rows before it, so
+    one bincount gives every row's community sizes and one sort every
+    row's joint cells."""
+    n = rows.shape[1]
+    n_labels = rows.max(axis=1) + 1
+    ends = np.cumsum(n_labels)
+    codes = rows + (ends - n_labels)[:, None]
+    h = _entropies(np.bincount(codes.ravel()), ends.tolist(), n)
+    h_joint = _entropies(*_cells(codes, ref, ends), n)
+    return [1.0 if hx == 0.0 and h_ref == 0.0 else (hx + h_ref - hxy) / ((hx + h_ref) / 2.0)
+            for hx, hxy in zip(h, h_joint)]
 
 
 def entropy(p) -> float:
     """Shannon entropy of the community-size distribution, in bits."""
-    labels = _labels(p)
-    if len(labels) == 0:
-        raise ValueError("empty partition")
-    return _entropy_from_counts(np.unique(labels, return_counts=True)[1], len(labels))
+    return _reference(p)[1]
 
 
 def joint_entropy(x, y) -> float:
     """Entropy of the paired labels, in bits."""
-    lx, ly = _labels(x), _labels(y)
-    if len(lx) != len(ly):
-        raise ValueError(f"partitions cover different node sets ({len(lx)} vs {len(ly)})")
-    # dense codes for each side, then one code per (x, y) cell
-    cx = np.unique(lx, return_inverse=True)[1]
-    cy = np.unique(ly, return_inverse=True)[1]
-    cells = np.unique(cx * (cy.max(initial=0) + 1) + cy, return_counts=True)[1]
-    return _entropy_from_counts(cells, len(lx))
+    cx, cy = _codes(x), _codes(y)
+    if len(cx) != len(cy):
+        raise ValueError(f"partitions cover different node sets ({len(cx)} vs {len(cy)})")
+    return _entropies(*_cells(cx, cy, cx.max(keepdims=True) + 1), len(cx))[0]
 
 
 def nmi(x, y) -> float:
@@ -58,11 +100,10 @@ def nmi(x, y) -> float:
     (H(X) + H(Y) - H(X,Y)) / ((H(X) + H(Y)) / 2), in [0, 1]. Two trivial
     single-community partitions compare as identical, giving 1.0.
     """
-    hx, hy = entropy(x), entropy(y)
-    if hx == 0.0 and hy == 0.0:
-        return 1.0
-    hxy = joint_entropy(x, y)
-    return (hx + hy - hxy) / ((hx + hy) / 2.0)
+    cx, (cy, hy) = _codes(x), _reference(y)
+    if len(cx) != len(cy):
+        raise ValueError(f"partitions cover different node sets ({len(cx)} vs {len(cy)})")
+    return _nmi_rows(cx[None], cy, hy)[0]
 
 
 def _size_summary(sizes: np.ndarray) -> dict:

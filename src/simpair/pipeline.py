@@ -1,8 +1,10 @@
 """End-to-end detection: citations -> similarity -> pairs -> communities.
 
 One level of the method is :func:`_level`: pairs grow cores, tides join
-the cores into reals, and both partitions are summarised. ``detect``,
-``detect_from_pairs`` and the sweeps all run that same pass.
+the cores into reals, and both partitions are summarised. ``detect`` and
+``detect_from_pairs`` run that pass; sweeps score many runs' levels in
+one scan that gives the same counts and partitions (see
+:mod:`~simpair.sweeps`).
 
 Detection can be iterated: the communities found at one level become the
 coarse nodes of the next (their citation blocks summed), and detection

@@ -18,10 +18,15 @@ computes each block of similarity rows once for all of them; no whole
 similarity is stored. The normalised patterns, component labels and block
 layout are built once per input matrix and kept on it (see
 :func:`~simpair.similarity.build_similarity_matrix`), so every sweep and
-``detect`` on one matrix after the first reuses them. The reference and every run then go through the
-same single-level pass as ``detect`` (``pipeline._level``), one after
-another in one thread: that scoring is short numpy calls and ``math.fsum``
-over lists, which hold the GIL, so worker threads did not speed it up.
+``detect`` on one matrix after the first reuses them. The runs are then
+scored in chunks of at most ``_CHUNK_NODES`` node slots (runs x nodes):
+each chunk is one community scan over its runs' pair lists laid side by
+side, run r's nodes offset by r x N, which gives every run's counts and
+partitions at once, and one NMI pass per level against the reference,
+whose codes and entropies are computed once per sweep. A per-run pass
+paid some 40 numpy calls per build and two full ``nmi`` calls per run
+whatever the run's size. The scores are those of ``detect``'s
+single-level pass and :func:`~simpair.metrics.nmi`, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,15 +36,17 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .citations import CitationMatrix
-from .communities import Partition
-from .metrics import nmi
-from .pipeline import FIXPOINT, Strategy, _level, detect
+from .communities import Partition, _run_levels
+from .metrics import _nmi_rows, _reference, nmi
+from .pipeline import FIXPOINT, Strategy, detect
 from .rng import derive_seed
-from .selection import RANDOM_KINDS, select_many
+from .selection import RANDOM_KINDS, Pairs, select_many
 from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
 QUANTITIES = ("cores", "reals", "tides", "nmi_core", "nmi_real")
+# node slots (runs x nodes) one scoring chunk holds; a chunk takes one run at least
+_CHUNK_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -116,30 +123,45 @@ def _aggregate(sweep: str, tasks: list[tuple[int, float, str, Strategy]],
             for seed in run_seeds]
     # a max reference rides in the runs' pass: each block of S is computed once
     selections = select_many(sim, jobs if truth else [(Strategy("max"), 0)] + jobs)
-    if truth:
-        ref_core = ref_real = cfg.reference
-    else:
-        _, ref_core, ref_real, _ = _level(selections.pop(0), matrix.n_nodes)
-
-    outcomes = []
-    for pairs in selections:
-        _, core, real, stats = _level(pairs, matrix.n_nodes)
-        outcomes.append({"cores": float(stats["cores"]), "reals": float(stats["reals"]),
-                         "tides": float(stats["tides"]),
-                         "nmi_core": nmi(core, ref_core), "nmi_real": nmi(real, ref_real)})
+    scores = _score(selections, matrix.n_nodes, cfg.reference if truth else None)
 
     rows = []
     for t, ((_, grid_value, kind, _), run_seeds) in enumerate(zip(tasks, seeds)):
-        runs = outcomes[t * cfg.repetitions:(t + 1) * cfg.repetitions]
-        mean = {q: math.fsum(run[q] for run in runs) / len(runs) for q in QUANTITIES}
+        runs = slice(t * cfg.repetitions, (t + 1) * cfg.repetitions)
+        mean = {q: math.fsum(scores[q][runs]) / cfg.repetitions for q in QUANTITIES}
         std = {
-            q: math.sqrt(math.fsum((run[q] - mean[q]) ** 2 for run in runs) / len(runs))
+            q: math.sqrt(math.fsum((v - mean[q]) ** 2 for v in scores[q][runs])
+                         / cfg.repetitions)
             for q in QUANTITIES
         }
         rows.append(SweepRow(grid_value=grid_value, kind=kind,
                              repetitions=cfg.repetitions, seeds=run_seeds,
                              mean=mean, std=std))
     return SweepResult(sweep=sweep, rows=rows)
+
+
+def _score(runs: list[Pairs], n_nodes: int,
+           reference: Partition | None) -> dict[str, list[float]]:
+    """Each run's ``QUANTITIES``, scored at both levels against ``reference``
+    or, when it is None, against the partitions of ``runs[0]``, which is
+    then left out of the scores.
+
+    The runs go in chunks of ``_CHUNK_NODES`` node slots, so no array here
+    grows with the number of runs.
+    """
+    refs = None if reference is None else [_reference(reference)] * 2
+    scores = {q: [] for q in QUANTITIES}
+    step = max(1, _CHUNK_NODES // max(n_nodes, 1))
+    for start in range(0, len(runs), step):
+        *counts, core, real = _run_levels(runs[start:start + step], n_nodes)
+        if refs is None:
+            refs = [_reference(labels[0]) for labels in (core, real)]
+        for q, values in zip(QUANTITIES, counts):
+            scores[q] += values.astype(float).tolist()
+        scores["nmi_core"] += _nmi_rows(core, *refs[0])
+        scores["nmi_real"] += _nmi_rows(real, *refs[1])
+        del core, real  # so the next chunk's scan does not hold two chunks' labels
+    return scores if reference is not None else {q: v[1:] for q, v in scores.items()}
 
 
 def run_probability_sweep(matrix: CitationMatrix, cfg: ExperimentConfig,

@@ -134,17 +134,25 @@ class TestDeletionSweep:
 
 class TestReference:
     def test_reference_matches_standalone_max_run(self, small_matrix, monkeypatch):
-        references = []
+        references, scores = [], []
+        reference, score = sweeps._reference, sweeps._score
 
-        def scored(run, reference):
-            references.append((run.level, reference.labels))
-            return nmi(run, reference)
+        def kept(labels):
+            references.append(np.array(labels))
+            return reference(labels)
 
-        monkeypatch.setattr(sweeps, "nmi", scored)
+        def scored(*args):
+            scores.append(score(*args))
+            return scores[-1]
+
+        monkeypatch.setattr(sweeps, "_reference", kept)
+        monkeypatch.setattr(sweeps, "_score", scored)
         run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.5])
         standalone = detect(small_matrix, Strategy("max"), seed=0, levels=1)
-        assert len(references) == 2 * 2 * 2  # kinds x reps x (core, real)
-        for level, labels in references:
+        [runs] = scores
+        assert {len(values) for values in runs.values()} == {2 * 2}  # kinds x reps
+        assert len(references) == 2  # (core, real), once per sweep
+        for level, labels in zip(("core", "real"), references):
             assert np.array_equal(labels, getattr(standalone, level).labels)
 
     @pytest.mark.parametrize("truth", [False, True], ids=["max reference", "truth reference"])
