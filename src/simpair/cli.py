@@ -245,8 +245,7 @@ def _cmd_detect(args, parser) -> int:
         detection = detect(matrix, strategy, seed=args.seed, levels=args.levels)
         del matrix  # and the similarity state it keeps: the outputs are written without it
 
-    stats = {k: v for k, v in detection.level_stats[0].items()
-             if k not in ("level", "coarse_nodes")}
+    stats = detection.levels[0].stats
     out.mkdir(parents=True, exist_ok=True)
     write_detection_json(out / "result.json", detection, node_labels, stats)
     write_partition(out / "partition_core.tsv", detection.core, node_labels)

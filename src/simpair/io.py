@@ -311,7 +311,7 @@ def detection_to_json(d: Detection, node_labels: list[str] | None = None,
         "unassigned": [name(v) for v in r.unassigned.tolist()],
         "levels": d.level_stats,
     }
-    if len(d.level_stats) > 1:
+    if len(d.levels) > 1:
         nodes = np.arange(r.n_nodes)
         payload["final_core_communities"] = named(grouped(d.core.labels, nodes))
         payload["final_real_communities"] = named(grouped(d.real.labels, nodes))

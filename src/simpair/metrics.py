@@ -1,8 +1,8 @@
 """Partition comparison and detection-result statistics.
 
-:func:`partition_stats` summarises one level of detection; the shared
-single-level pass (``pipeline._level``) records it for ``detect`` and
-``detect_from_pairs``. :func:`nmi` compares two partitions. It is the
+:func:`partition_stats` summarises one level of detection: it is the
+``stats`` of each ``pipeline.Level``, which ``Detection.level_stats``
+numbers for ``result.json``. :func:`nmi` compares two partitions. It is the
 one-run case of ``_nmi_rows``, which scores many runs against one
 reference partition: each run's dense labels get a code range of their
 own, community sizes are one ``np.bincount`` over all runs, the joint cells

@@ -1,23 +1,25 @@
 """End-to-end detection: citations -> similarity -> pairs -> communities.
 
 One level of the method is :func:`_level`: pairs grow cores, tides join
-the cores into reals, and both partitions are summarised. ``detect`` and
-``detect_from_pairs`` run that pass; sweeps score many runs' levels in
-one scan that gives the same counts and partitions (see
+the cores into reals, and both partitions are summarised in a
+:class:`Level`. ``detect`` and ``detect_from_pairs`` run that pass, and a
+:class:`Detection` is the tuple of its levels. Sweeps score many runs'
+levels in one scan that gives the same counts and partitions (see
 :mod:`~simpair.sweeps`).
 
-Detection can be iterated: the communities found at one level become the
-coarse nodes of the next (their citation blocks summed), and detection
-runs again on the coarse matrix. ``levels=1`` is a single pass; higher
-values run that many passes; ``levels=0`` iterates until the partition
-stops changing, which is the natural stopping point when similarity
-between the remaining components has dropped to zero.
+Detection can be iterated: the real communities found at one level become
+the coarse nodes of the next (their citation blocks summed), and detection
+runs again on the coarse matrix; each level's partitions are read through
+the reals below it, so every level covers the original nodes. ``levels=1``
+is a single pass; higher values run that many passes; ``levels=0``
+iterates until the partition stops changing, which is the natural
+stopping point when similarity between the remaining components has
+dropped to zero.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .citations import CitationMatrix
 from .communities import (
@@ -62,32 +64,54 @@ class PairRows:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """Outcome of (possibly iterated) detection on one citation matrix.
+class Level:
+    """One pass of detection: its result and ranked pair columns on that
+    pass's (coarse) nodes, its core and real partitions over the original
+    nodes, and its :func:`~simpair.metrics.partition_stats`."""
 
-    ``core`` and ``real`` are total partitions over the original nodes;
-    for multi-level runs they compose the per-level assignments. ``result``
-    and ``pairs`` are from the first level; ``level_stats`` summarizes every
-    level that ran. ``pairs`` holds the first level's ranked pair columns,
-    which ``pairs.tsv`` is written from.
-    """
-
+    result: DetectionResult
+    pairs: Pairs
     core: Partition
     real: Partition
-    result: DetectionResult
-    pairs: PairRows
-    level_stats: list[dict]
+    stats: dict
+
+    def under(self, below: Partition) -> Level:
+        """This level with its partitions read through ``below``, which maps
+        each original node to one of this level's nodes."""
+        return replace(self, core=Partition(self.core.labels[below.labels], CORE),
+                       real=Partition(self.real.labels[below.labels], REAL))
+
+
+@dataclass(frozen=True)
+class Detection:
+    """Outcome of (possibly iterated) detection on one citation matrix:
+    ``levels``, one :class:`Level` per pass, and its ``provenance``.
+
+    ``core`` and ``real`` are the last level's partitions over the original
+    nodes. ``result`` and ``pairs`` are the first level's; ``pairs`` holds its
+    ranked pair columns, which ``pairs.tsv`` is written from. ``level_stats``
+    is each level's stats with its number and coarse node count.
+    """
+
+    levels: tuple[Level, ...]
     provenance: dict
 
+    core = property(lambda self: self.levels[-1].core)
+    real = property(lambda self: self.levels[-1].real)
+    result = property(lambda self: self.levels[0].result)
+    pairs = property(lambda self: PairRows(self.levels[0].pairs))
 
-def _level(pairs: Pairs, n_nodes: int) -> tuple[DetectionResult, Partition, Partition, dict]:
-    """One pass on a ranked pair list: the result, its core and real
-    partitions, and its stats (level 1 over ``n_nodes`` coarse nodes)."""
+    @property
+    def level_stats(self) -> list[dict]:
+        return [{**level.stats, "level": number, "coarse_nodes": level.result.n_nodes}
+                for number, level in enumerate(self.levels, 1)]
+
+
+def _level(pairs: Pairs, n_nodes: int) -> Level:
+    """One pass on a ranked pair list over ``n_nodes`` nodes."""
     result = build_communities(pairs, n_nodes)
-    stats = partition_stats(result)
-    stats["level"] = 1
-    stats["coarse_nodes"] = n_nodes
-    return result, extract_partition(result, CORE), extract_partition(result, REAL), stats
+    return Level(result, pairs, extract_partition(result, CORE),
+                 extract_partition(result, REAL), partition_stats(result))
 
 
 def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
@@ -100,41 +124,26 @@ def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
     each coarse matrix is new and builds its own."""
     if levels < 0:
         raise ValueError("levels must be >= 1, or 0 to iterate to a fixed point")
-    level_stats: list[dict] = []
+    found: list[Level] = []
     current = matrix
-    for level in itertools.count(1):
+    while True:
         pairs = (select_pairs(build_similarity_matrix(current), strategy, seed)
                  if current.n_nodes >= 2 else NO_PAIRS)
-        result, core_part, real_part, stats = _level(pairs, current.n_nodes)
-        stats["level"] = level
-        level_stats.append(stats)
-        # core_map and real_map: original node -> current core / real label
-        if level == 1:
-            first_result, first_pairs = result, pairs
-            core_map, real_map = core_part.labels, real_part.labels
-        else:
-            core_map = core_part.labels[real_map]
-            real_map = real_part.labels[real_map]
+        own = _level(pairs, current.n_nodes)
+        found.append(own.under(found[-1].real) if found else own)
         # stop after ``levels`` passes (0 matches none) or once nothing
         # merged, since further levels would then repeat verbatim
-        if real_part.n_communities == current.n_nodes or level == levels:
+        if own.real.n_communities == current.n_nodes or len(found) == levels:
             break
-        current = renormalize(current, real_part)
+        current = renormalize(current, own.real)
 
     provenance = {
         "strategy": strategy.describe(),
         "seed": seed,
         "levels": "fixpoint" if levels == FIXPOINT else levels,
-        "levels_run": level,
+        "levels_run": len(found),
     }
-    return Detection(
-        core=Partition(labels=core_map, level=CORE),
-        real=Partition(labels=real_map, level=REAL),
-        result=first_result,
-        pairs=PairRows(first_pairs),
-        level_stats=level_stats,
-        provenance=provenance,
-    )
+    return Detection(levels=tuple(found), provenance=provenance)
 
 
 def detect_from_pairs(pairs: Pairs, n_nodes: int) -> Detection:
@@ -145,13 +154,5 @@ def detect_from_pairs(pairs: Pairs, n_nodes: int) -> Detection:
     ``Detection.pairs`` holds the columns in that ranked order.
     """
     order = (-pairs[2]).argsort(kind="stable")
-    pairs = tuple(col[order] for col in pairs)
-    result, core, real, stats = _level(pairs, n_nodes)
-    return Detection(
-        core=core,
-        real=real,
-        result=result,
-        pairs=PairRows(pairs),
-        level_stats=[stats],
-        provenance={"strategy": {"kind": "pairs"}, "seed": None},
-    )
+    return Detection(levels=(_level(tuple(col[order] for col in pairs), n_nodes),),
+                     provenance={"strategy": {"kind": "pairs"}, "seed": None})

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpair import (
     CitationMatrix,
@@ -9,8 +11,10 @@ from simpair import (
     detect,
     detect_from_pairs,
 )
+from simpair.pipeline import Level
 
 from pairlists import columns
+from test_similarity_properties import DIGEST_STRATEGIES, SEEDS, citation_matrices
 
 
 @pytest.fixture()
@@ -85,3 +89,42 @@ class TestDetectFromPairs:
         assert np.array_equal(replay.core.labels, d.core.labels)
         assert np.array_equal(replay.real.labels, d.real.labels)
         assert replay.level_stats[0] == d.level_stats[0]
+
+
+def assert_same_level(got: Level, want: Level) -> None:
+    """Every array of two levels is equal, and so are their stats."""
+    for name in ("core", "real", "members", "tides"):
+        assert np.array_equal(getattr(got.result, name), getattr(want.result, name)), name
+    assert got.result.n_nodes == want.result.n_nodes
+    for got_col, want_col in zip(got.pairs, want.pairs, strict=True):
+        assert np.array_equal(got_col, want_col)
+    assert np.array_equal(got.core.labels, want.core.labels)
+    assert np.array_equal(got.real.labels, want.real.labels)
+    assert got.stats == want.stats
+
+
+def coarser(labels: np.ndarray, finer: np.ndarray) -> bool:
+    """Whether each community of ``finer`` lies inside one of ``labels``."""
+    of_finer = np.empty(finer.max(initial=-1) + 1, dtype=labels.dtype)
+    of_finer[finer] = labels
+    return np.array_equal(of_finer[finer], labels)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(citation_matrices(), st.sampled_from(DIGEST_STRATEGIES), SEEDS)
+def test_each_level_of_a_fixpoint_is_the_last_of_a_shorter_run(m, strategy, seed):
+    """``detect(levels=0).levels[k - 1]`` is ``detect(levels=k).levels[-1]``
+    for every k run, and a replay of the first level's pairs gives it back."""
+    fixpoint = detect(m, strategy, seed, levels=0)
+    assert len(fixpoint.levels) == fixpoint.provenance["levels_run"]
+    for k, want in enumerate(fixpoint.levels, 1):
+        shorter = detect(m, strategy, seed, levels=k)
+        assert len(shorter.levels) == k
+        assert_same_level(shorter.levels[-1], want)
+    # each level's nodes are the reals of the level below it, over the original nodes
+    for below, level in zip(fixpoint.levels, fixpoint.levels[1:]):
+        assert level.result.n_nodes == below.real.n_communities
+        assert coarser(level.core.labels, below.real.labels)
+        assert coarser(level.real.labels, level.core.labels)
+    first = fixpoint.levels[0]
+    assert_same_level(detect_from_pairs(first.pairs, m.n_nodes).levels[0], first)

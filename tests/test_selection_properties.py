@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from simpair import (CitationMatrix, SimilarityMatrix, Strategy, build_similarity_matrix,
-                     select_many, select_pairs)
+from simpair import (CORE, REAL, CitationMatrix, SimilarityMatrix, Strategy, build_communities,
+                     build_similarity_matrix, extract_partition, select_many, select_pairs)
 from simpair import selection
 from simpair.selection import _walk_steps
 from simpair.io import pairs_to_tsv
@@ -451,6 +451,15 @@ ORDERED = [Strategy("max"), Strategy("max", deletion=0.0),
            Strategy("mixed", mix_p=0.0, mix_kind="p")]
 
 
+def max_runs(s, seed, others, block_rows) -> list:
+    """The pairs of max with nothing hidden at ``seed``: ``select_pairs``', then
+    those of each ``ORDERED`` run of one ``select_many`` after ``others``."""
+    jobs = others + [(strategy, seed) for strategy in ORDERED]
+    with mock.patch.object(selection, "BLOCK_ROWS", block_rows):
+        runs = select_many(s, jobs)
+    return [select_pairs(s, Strategy("max"), seed)] + runs[len(others):]
+
+
 @PROPERTY
 @given(similarities() | st.just(SimilarityMatrix(values=TIED)), SEEDS,
        st.lists(st.tuples(st.sampled_from(STRATEGIES), SEEDS), max_size=4), st.integers(1, 5))
@@ -458,11 +467,7 @@ def test_max_keeps_the_inside_order(s, seed, others, block_rows):
     """The paper's inside order: under max with nothing hidden, w's best
     similarity is at least s(w, v) = s(v, w), so along a chain of selections
     similarity never falls. Ties keep it, since each tied pair is a maximum."""
-    assert order_violations(select_pairs(s, Strategy("max"), seed), s.n_nodes) == 0
-    jobs = others + [(strategy, seed) for strategy in ORDERED]
-    with mock.patch.object(selection, "BLOCK_ROWS", block_rows):
-        runs = select_many(s, jobs)
-    for pairs in runs[len(others):]:
+    for pairs in max_runs(s, seed, others, block_rows):
         assert order_violations(pairs, s.n_nodes) == 0
 
 
@@ -472,3 +477,68 @@ def test_hidden_columns_break_the_inside_order():
     s = SimilarityMatrix(values=TIED)
     assert sum(order_violations(select_pairs(s, Strategy("max", deletion=0.3), seed), 9)
                for seed in range(20)) > 0
+
+
+def tide_gaps(pairs, n_nodes: int) -> tuple[int, int]:
+    """How many tides ``pairs`` make, and how many of them differ in
+    similarity from the first pair that names their selector."""
+    selector, selected, sim = pairs
+    pair = np.arange(len(sim))
+    first = np.full(n_nodes, len(sim))
+    np.minimum.at(first, selector, pair)
+    np.minimum.at(first, selected, pair)
+    result = build_communities(pairs, n_nodes)
+    # a tide: both nodes named by earlier pairs, in different cores
+    tide = pair[(first[selector] < pair) & (first[selected] < pair)
+                & (result.core[selector] != result.core[selected])]
+    assert np.array_equal(result.tides[:, :2], np.column_stack([selector[tide], selected[tide]]))
+    return len(tide), int(np.count_nonzero(sim[tide] != sim[first[selector[tide]]]))
+
+
+# 0-2 and 1-3 found two cores before the tied pairs 2-3 and 3-2 join them
+BRIDGE = np.array([[0.0, 0.0, 1.0, 0.0],
+                   [0.0, 0.0, 0.0, 1.0],
+                   [1.0, 0.0, 0.0, 1.0],
+                   [0.0, 1.0, 1.0, 0.0]])
+
+
+def test_tied_max_pairs_make_tides():
+    assert tide_gaps(select_pairs(SimilarityMatrix(values=BRIDGE), Strategy("max")), 4) == (2, 0)
+
+
+@PROPERTY
+@given(similarities() | st.sampled_from([SimilarityMatrix(values=TIED),
+                                         SimilarityMatrix(values=BRIDGE)]),
+       SEEDS, st.lists(st.tuples(st.sampled_from(STRATEGIES), SEEDS), max_size=4),
+       st.integers(1, 5))
+def test_max_tides_are_ties(s, seed, others, block_rows):
+    """Under max with nothing hidden, a tide's selector v was placed by an
+    earlier pair (u, v), and s(u, v) >= s(v, w), v's maximum, which is at
+    least s(v, u). So every tide is at its selector's first similarity."""
+    for pairs in max_runs(s, seed, others, block_rows):
+        assert tide_gaps(pairs, s.n_nodes)[1] == 0
+
+
+@st.composite
+def distinct_similarities(draw, max_n=12):
+    """Symmetric S whose positive off-diagonal values are all distinct;
+    zeros, which max never picks, may repeat."""
+    n = draw(st.integers(2, max_n))
+    k = n * (n - 1) // 2
+    values = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=k, max_size=k,
+                           unique=True))
+    zeros = draw(arrays(bool, k))
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n, 1)] = np.where(zeros, 0.0, values)
+    return SimilarityMatrix(values=upper + upper.T)
+
+
+@PROPERTY
+@given(distinct_similarities(), SEEDS,
+       st.lists(st.tuples(st.sampled_from(STRATEGIES), SEEDS), max_size=4), st.integers(1, 5))
+def test_max_on_distinct_similarities_has_real_equal_to_core(s, seed, others, block_rows):
+    for pairs in max_runs(s, seed, others, block_rows):
+        result = build_communities(pairs, s.n_nodes)
+        assert len(result.tides) == 0
+        assert np.array_equal(extract_partition(result, REAL).labels,
+                              extract_partition(result, CORE).labels)

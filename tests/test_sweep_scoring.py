@@ -61,15 +61,17 @@ def ranked_runs(draw):
 def per_run(runs, n, reference):
     """Each run's quantities from its own ``_level``, scored by ``nmi``."""
     if reference is None:
-        _, ref_core, ref_real, _ = _level(runs[0], n)
+        first = _level(runs[0], n)
+        ref_core, ref_real = first.core, first.real
         runs = runs[1:]
     else:
         ref_core = ref_real = reference
     scores = {q: [] for q in sweeps.QUANTITIES}
     for pairs in runs:
-        _, core, real, stats = _level(pairs, n)
+        level = _level(pairs, n)
+        core, real = level.core, level.real
         for q in ("cores", "reals", "tides"):
-            scores[q].append(float(stats[q]))
+            scores[q].append(float(level.stats[q]))
         scores["nmi_core"].append(nmi(core, ref_core))
         scores["nmi_real"].append(nmi(real, ref_real))
         for level, run, ref in (("core", core, ref_core), ("real", real, ref_real)):
