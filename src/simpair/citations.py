@@ -23,10 +23,17 @@ def _first_past_int64(counts: np.ndarray) -> int | None:
 
 
 def _check_counts(counts: np.ndarray) -> None:
-    """Raise ValueError unless every count is nonnegative and their total fits in int64."""
+    """Raise ValueError unless every count is a finite whole number, nonnegative,
+    and their total fits in int64. ``counts`` is checked as given, before any cast."""
+    if counts.dtype.kind not in "biu":
+        counts = np.asarray(counts, dtype=np.float64)
+        bad = ~np.isfinite(counts) | (np.floor(counts) != counts)
+        if bad.any():
+            raise ValueError(f"citation counts must be whole numbers, got {counts[bad][0]}")
     if len(counts) and counts.min() < 0:
         raise ValueError("citation counts must be nonnegative")
-    if _first_past_int64(counts) is not None:
+    past = len(counts) and int(counts.max()) > _INT64_MAX  # so the cast below cannot wrap
+    if past or _first_past_int64(counts.astype(np.int64, copy=False)) is not None:
         raise ValueError(f"citation counts sum past the int64 maximum {_INT64_MAX}")
 
 
@@ -35,13 +42,14 @@ class CitationMatrix:
     """Sparse nonnegative integer citation counts between nodes.
 
     Entry (i, j) is how often node i cites node j. Rows may be all zero
-    (a node that cites nothing); those are kept, not dropped. The counts
-    must sum within int64.
+    (a node that cites nothing); those are kept, not dropped. Every count is
+    a whole number, and the counts must sum within int64.
 
-    ``counts`` is never modified in place, by this package or by its
-    callers: :func:`~simpair.similarity.build_similarity_matrix` keeps the
-    similarity state it derives from them on the matrix, for every later
-    detect, selection and sweep on it.
+    ``counts`` is read-only: construction marks its arrays so, and a write
+    into them raises ValueError. So the similarity state that
+    :func:`~simpair.similarity.build_similarity_matrix` derives from them
+    and keeps on the matrix holds for every later detect, selection and
+    sweep on it; other counts make a new matrix.
     """
 
     counts: sparse.csr_array
@@ -52,6 +60,8 @@ class CitationMatrix:
         if c.shape[0] != c.shape[1]:
             raise ValueError(f"citation matrix must be square, got {c.shape}")
         _check_counts(c.data)
+        for a in (c.data, c.indices, c.indptr):
+            a.flags.writeable = False
         if self.node_labels is not None and len(self.node_labels) != c.shape[0]:
             raise ValueError("node_labels length does not match matrix size")
 
@@ -66,6 +76,7 @@ class CitationMatrix:
     @classmethod
     def from_dense(cls, dense, node_labels=None) -> "CitationMatrix":
         arr = np.asarray(dense)
+        _check_counts(arr.ravel())  # before the cast, which would truncate
         return cls(sparse.csr_array(arr.astype(np.int64)), node_labels)
 
     @classmethod
@@ -75,10 +86,10 @@ class CitationMatrix:
 
         Duplicate (src, dst) pairs are summed.
         """
-        counts = np.asarray(counts, dtype=np.int64)
-        _check_counts(counts)  # before duplicates are summed, which could wrap
+        counts = np.asarray(counts)
+        _check_counts(counts)  # before the cast, and before duplicates are summed, which could wrap
         mat = sparse.coo_array(
-            (counts,
+            (counts.astype(np.int64, copy=False),
              (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))),
             shape=(n_nodes, n_nodes),
         ).tocsr()

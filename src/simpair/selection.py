@@ -72,6 +72,7 @@ emit nothing and surface downstream as singleton communities.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -89,6 +90,14 @@ BLOCK_ROWS = 128
 ROUNDS = 8
 
 RANDOM_KINDS = ("psim", "p")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, numpy integers included; ValueError naming ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class Strategy:
         if self.topn is not None:
             if self.kind != "psim":
                 raise ValueError("topn only applies to psim")
-            if self.topn < 1:
+            if _integer(self.topn, "topn") < 1:
                 raise ValueError("topn must be >= 1")
         if self.deletion is not None:
             if self.kind != "max":

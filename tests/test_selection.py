@@ -444,6 +444,14 @@ class TestStrategyValidation:
         with pytest.raises(ValueError):
             Strategy("max", topn=3)
 
+    @pytest.mark.parametrize("topn", [2.5, 2.0, "2"])
+    def test_rejects_topn_that_is_not_an_integer(self, topn):
+        with pytest.raises(ValueError, match="topn must be an integer"):
+            Strategy("psim", topn=topn)
+
+    def test_accepts_a_numpy_integer_topn(self):
+        assert Strategy("psim", topn=np.int64(2)) == Strategy("psim", topn=2)
+
     def test_rejects_bad_mix(self):
         with pytest.raises(ValueError):
             Strategy("mixed", mix_p=0.5, mix_kind="max")

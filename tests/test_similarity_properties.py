@@ -58,7 +58,7 @@ def assert_layout(s: SimilarityMatrix, blocks: list[np.ndarray], step: int) -> N
     n = s.n_nodes
     assert all(0 < len(rows) <= step and np.all(np.diff(rows) > 0) for rows in blocks)
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
-    layout = s._layout(step)
+    layout, _ = s._layout(step)
     assert [rows.tolist() for rows, _ in layout] == [rows.tolist() for rows in blocks]
     if s.unit is None:
         assert not any(closed for _, closed in layout)
@@ -519,7 +519,7 @@ def test_shuffled_communities_each_fill_one_dense_block():
         layout = [rows for rows, _, _ in s.blocks(selection.BLOCK_ROWS)]
     assert sorted(rows.tolist() for rows in layout) == sorted(c.tolist() for c in components(s))
     assert len(layout) == 15
-    assert all(closed for _, closed in s._layout(selection.BLOCK_ROWS))
+    assert all(closed for _, closed in s._layout(selection.BLOCK_ROWS)[0])
     assert calls == {"_own_dense_product": 15, "_dense_product": 0, "_sparse_product": 0}
 
 
@@ -554,13 +554,14 @@ def assert_closed_blocks_are_the_transposes(s: SimilarityMatrix, step: int,
     ``exact`` (positive ``unit`` entries) it is also the CSR product's; otherwise it is
     the CSR product's plus all-zero columns. Returns the number of closed blocks."""
     n_closed = 0
-    for rows, closed in s._layout(step):
+    layout, local = s._layout(step)
+    for rows, closed in layout:
         if not closed:
             continue
         n_closed += 1
         calls = dict.fromkeys(ALL_KERNELS, 0)
         with counting_kernels(calls):
-            own = s._block(rows, True, s._local(step))
+            own = s._block(rows, True, local)
         assert calls == {"_own_dense_product": 1, "_dense_product": 0, "_sparse_product": 0}
         cut = kernel_blocks(s, rows, False)
         assert same(own, cut["_dense_product"]), rows
@@ -614,7 +615,7 @@ def test_closed_blocks_cost_their_own_rows_not_n():
     no mask, no running count and no transpose rows over every node."""
     n, step = 200_000, 32
     s = build_similarity_matrix(two_node_components(n))
-    assert all(closed for _, closed in s._layout(step))
+    assert all(closed for _, closed in s._layout(step)[0])
     blocks = s.blocks(step)
     next(blocks)  # the layout, held for the whole pass, is built with the first block
     n_blocks, worst = 1, 0

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import sparse
 
 from simpair import (
     CitationMatrix,
@@ -70,7 +71,7 @@ def test_a_reused_matrix_with_cut_components_gives_the_bytes_of_a_fresh_one():
     """At 128 rows a 150-node community is cut, so blocks also read the kept
     transpose."""
     m = planted(450, size=150, per_node=5)
-    assert not all(closed for _, closed in build_similarity_matrix(fresh(m))._layout(128))
+    assert not all(closed for _, closed in build_similarity_matrix(fresh(m))._layout(128)[0])
     first = outputs(m, 7)
     assert outputs(m, 7) == first == outputs(fresh(m), 7)
     assert "_unit_t" in build_similarity_matrix(m).__dict__
@@ -98,6 +99,28 @@ def test_normalisation_and_components_run_once_per_matrix():
     # the coarse levels are other matrices, each normalised once for itself
     assert calls == {"_unit": 1, "_components": 1}
     assert build_similarity_matrix(m) is build_similarity_matrix(m)
+
+
+def test_kept_state_cannot_go_stale():
+    """A write into the counts, or into the kept ``unit``, raises instead of leaving a
+    later detect on the old similarity; new counts make a new matrix."""
+    m = CitationMatrix.from_dense(np.array([[0, 5, 1, 0], [4, 0, 0, 1], [1, 0, 0, 6],
+                                            [0, 1, 5, 0]]))
+    first = detect(m, Strategy("max")).pairs.columns
+    new = [1, 9, 9, 1, 9, 1, 1, 9]
+    s = build_similarity_matrix(m)
+    for arrays in ([m.counts.data, m.counts.indices, m.counts.indptr],
+                   [s.unit.data, s.unit.indices, s.unit.indptr]):
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = a[::-1]
+    with pytest.raises(ValueError, match="read-only"):
+        m.counts.data[:] = new
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(detect(m, Strategy("max")).pairs.columns, first))
+    rewritten = CitationMatrix(sparse.csr_array((new, m.counts.indices, m.counts.indptr),
+                                                shape=m.counts.shape))
+    assert detect(rewritten, Strategy("max")).pairs.columns[2].tolist() == [1.0] * 4
 
 
 def reachable_arrays(root) -> list[np.ndarray]:

@@ -221,6 +221,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
 
+    @pytest.mark.parametrize("field, value", [("repetitions", 2.0), ("repetitions", 1.5),
+                                              ("base_seed", 1.5), ("base_seed", None)])
+    def test_rejects_a_count_or_seed_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integers_sweep_as_python_ones(self, small_matrix):
+        cfg = ExperimentConfig(repetitions=np.int64(2), base_seed=np.uint32(3))
+        assert (run_probability_sweep(small_matrix, cfg, [0.5]).to_csv()
+                == run_probability_sweep(small_matrix, ExperimentConfig(2, 3), [0.5]).to_csv())
+
     @pytest.mark.parametrize("reference", ["min", "truth", None])
     def test_rejects_bad_reference_when_built(self, reference):
         with pytest.raises(ValueError, match="reference"):
