@@ -31,7 +31,6 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from scipy import sparse
 
 sys.path.insert(0, "src")
 sys.path.insert(0, "perfbench")
@@ -60,9 +59,7 @@ def hub(n: int, alpha: float, per_node: int = 50) -> CitationMatrix:
     weight = np.arange(1, n + 1, dtype=float) ** (-1.0 / (alpha - 1.0))
     dst = rng.permutation(n)[rng.choice(n, size=n * per_node, p=weight / weight.sum())]
     src = np.repeat(np.arange(n), per_node)
-    counts = sparse.csr_array((np.ones(len(src), dtype=np.int64), (src, dst)), shape=(n, n))
-    counts.sum_duplicates()
-    return CitationMatrix(counts)
+    return CitationMatrix.from_entries(n, src, dst, np.ones(len(src), dtype=np.int64))
 
 
 def inputs(scale: float) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,26 @@ def _first_past_int64(counts: np.ndarray) -> int | None:
     return int(over[0]) if len(over) else None
 
 
+def _check_whole(values: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first of ``values`` that is not a finite
+    whole number. Integer dtypes pass unread; any other value that is not a
+    real number (a string, say) is named before anything is converted."""
+    if values.dtype.kind in "biu":
+        return
+    if values.dtype.kind != "f":
+        odd = [v for v in values.ravel().tolist() if not isinstance(v, numbers.Real)]
+        if odd:
+            raise ValueError(f"{what} must be whole numbers, got {odd[0]!r}")
+        values = np.asarray(values, dtype=np.float64)
+    bad = ~np.isfinite(values) | (np.floor(values) != values)
+    if bad.any():
+        raise ValueError(f"{what} must be whole numbers, got {values[bad][0]}")
+
+
 def _check_counts(counts: np.ndarray) -> None:
     """Raise ValueError unless every count is a finite whole number, nonnegative,
     and their total fits in int64. ``counts`` is checked as given, before any cast."""
-    if counts.dtype.kind not in "biu":
-        counts = np.asarray(counts, dtype=np.float64)
-        bad = ~np.isfinite(counts) | (np.floor(counts) != counts)
-        if bad.any():
-            raise ValueError(f"citation counts must be whole numbers, got {counts[bad][0]}")
+    _check_whole(counts, "citation counts")
     if len(counts) and counts.min() < 0:
         raise ValueError("citation counts must be nonnegative")
     past = len(counts) and int(counts.max()) > _INT64_MAX  # so the cast below cannot wrap
@@ -45,11 +58,14 @@ class CitationMatrix:
     (a node that cites nothing); those are kept, not dropped. Every count is
     a whole number, and the counts must sum within int64.
 
-    ``counts`` is read-only: construction marks its arrays so, and a write
-    into them raises ValueError. So the similarity state that
-    :func:`~simpair.similarity.build_similarity_matrix` derives from them
-    and keeps on the matrix holds for every later detect, selection and
-    sweep on it; other counts make a new matrix.
+    ``counts`` may be any scipy sparse array or matrix (a dense one goes
+    through :meth:`from_dense`). It is checked as given and kept as the read-only
+    canonical CSR every stage reads: int64 data, sorted indices, duplicates
+    summed, no stored zero, int32 indices when N and nnz fit; it is copied only
+    when not already so. A write into it raises ValueError, so the similarity
+    state that :func:`~simpair.similarity.build_similarity_matrix` derives
+    from it and keeps on the matrix holds for every later detect, selection
+    and sweep on it; other counts make a new matrix.
     """
 
     counts: sparse.csr_array
@@ -57,11 +73,22 @@ class CitationMatrix:
 
     def __post_init__(self):
         c = self.counts
-        if c.shape[0] != c.shape[1]:
+        if not sparse.issparse(c):
+            raise TypeError(f"counts must be sparse, not {type(c).__name__}: use from_dense")
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"citation matrix must be square, got {c.shape}")
-        _check_counts(c.data)
+        c = c if c.format == "csr" else c.tocoo(copy=False)
+        _check_counts(c.data)  # as given: before the cast, and before duplicates are summed
+        if not (c.format == "csr" and c.dtype == np.int64
+                and c.has_canonical_format and c.data.all()):
+            c = c.tocoo(copy=False).astype(np.int64, copy=False).tocsr()  # sums in new arrays
+            c.eliminate_zeros()
+        index = np.int32 if max(c.shape[0], c.nnz) <= np.iinfo(np.int32).max else np.int64
+        c = sparse.csr_array((c.data, c.indices.astype(index, copy=False),
+                              c.indptr.astype(index, copy=False)), shape=c.shape)
         for a in (c.data, c.indices, c.indptr):
             a.flags.writeable = False
+        object.__setattr__(self, "counts", c)  # frozen
         if self.node_labels is not None and len(self.node_labels) != c.shape[0]:
             raise ValueError("node_labels length does not match matrix size")
 
@@ -81,20 +108,16 @@ class CitationMatrix:
 
     @classmethod
     def from_entries(cls, n_nodes: int, src, dst, counts, node_labels=None) -> "CitationMatrix":
-        """Build from three equal-length integer columns: entry ``k`` is
-        ``counts[k]`` citations from node ``src[k]`` to node ``dst[k]``.
+        """Build from three equal-length columns of whole numbers: entry ``k``
+        is ``counts[k]`` citations from node ``src[k]`` to node ``dst[k]``.
 
         Duplicate (src, dst) pairs are summed.
         """
-        counts = np.asarray(counts)
-        _check_counts(counts)  # before the cast, and before duplicates are summed, which could wrap
-        mat = sparse.coo_array(
-            (counts.astype(np.int64, copy=False),
-             (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))),
-            shape=(n_nodes, n_nodes),
-        ).tocsr()
-        mat.sum_duplicates()
-        return cls(mat, node_labels)
+        src, dst = np.asarray(src), np.asarray(dst)
+        _check_whole(src, "node ids")  # scipy's cast would truncate them
+        _check_whole(dst, "node ids")
+        return cls(sparse.coo_array((np.asarray(counts), (src, dst)), shape=(n_nodes, n_nodes)),
+                   node_labels)
 
     def to_dense(self) -> np.ndarray:
         return self.counts.toarray()

@@ -46,7 +46,6 @@ class Partition:
     """Total node -> dense community label map at one level."""
 
     labels: np.ndarray
-    level: str
 
     @property
     def n_nodes(self) -> int:
@@ -224,7 +223,7 @@ def extract_partition(result: DetectionResult, level: str) -> Partition:
     """
     _check_level(level)
     owner = result.core if level == CORE else np.append(result.real, -1)[result.core]
-    return Partition(labels=_labels(owner[None])[0], level=level)
+    return Partition(labels=_labels(owner[None])[0])
 
 
 def _labels(owner: np.ndarray) -> np.ndarray:
@@ -259,14 +258,15 @@ def renormalize(m: CitationMatrix, p: Partition) -> CitationMatrix:
         raise ValueError("partition does not cover the citation matrix")
     n, n_labels = m.n_nodes, p.n_communities
     c = m.counts
-    index = np.int32 if max(n, c.nnz) <= np.iinfo(np.int32).max else np.int64
+    index = c.indices.dtype
     starts = np.zeros(n_labels + 1, dtype=index)
     np.cumsum(np.bincount(p.labels, minlength=n_labels), out=starts[1:])
     members = sparse.csr_array(
         (np.ones(n, dtype=np.int64), np.argsort(p.labels, kind="stable").astype(index), starts),
         shape=(n_labels, n))
-    relabelled = sparse.csr_array((c.data, p.labels.astype(index)[c.indices],
-                                   c.indptr.astype(index)), shape=(n, n_labels))
+    # take, not [], gathers through int32 indices without an int64 copy of them
+    relabelled = sparse.csr_array((c.data, p.labels.astype(index).take(c.indices), c.indptr),
+                                  shape=(n, n_labels))
     coarse = members @ relabelled
     coarse.sort_indices()
     return CitationMatrix(counts=coarse)

@@ -78,8 +78,8 @@ class Level:
     def under(self, below: Partition) -> Level:
         """This level with its partitions read through ``below``, which maps
         each original node to one of this level's nodes."""
-        return replace(self, core=Partition(self.core.labels[below.labels], CORE),
-                       real=Partition(self.real.labels[below.labels], REAL))
+        return replace(self, core=Partition(self.core.labels[below.labels]),
+                       real=Partition(self.real.labels[below.labels]))
 
 
 @dataclass(frozen=True)

@@ -454,17 +454,10 @@ def build_similarity_matrix(m: CitationMatrix) -> SimilarityMatrix:
 
 
 def _unit(counts: sparse.csr_array) -> sparse.csr_array:
-    """The unit-length citation patterns of ``counts``: CSR, sorted rows,
-    positive entries.
-
-    Only ``counts.data`` is copied, as float64, unless scipy's canonical
-    flag or a stored zero calls for a canonical float64 copy of the counts.
-    """
-    if not counts.has_canonical_format or not counts.data.all():
-        counts = counts.astype(np.float64)
-        counts.sum_duplicates()  # sorted rows, one entry per column
-        # each entry left is at least 1 / (row sum), so no product of two is 0
-        counts.eliminate_zeros()
+    """The unit-length citation patterns of canonical ``counts`` (see
+    :class:`~simpair.citations.CitationMatrix`): sorted rows, positive
+    entries. Only ``counts.data`` is copied, as float64; the read-only index
+    arrays are the counts' own."""
     ip = counts.indptr
     per_row = np.diff(ip)
     frac = counts.data.astype(np.float64)  # a copy, so it is scaled in place
@@ -478,9 +471,7 @@ def _unit(counts: sparse.csr_array) -> sparse.csr_array:
     inv_norm = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     frac *= np.repeat(inv_norm, per_row)
 
-    index = np.int32 if max(counts.shape[0], len(frac)) <= np.iinfo(np.int32).max else np.int64
-    unit = sparse.csr_array((frac, counts.indices.astype(index, copy=False),
-                             ip.astype(index, copy=False)), shape=counts.shape)
+    unit = sparse.csr_array((frac, counts.indices, ip), shape=counts.shape)
     for a in (unit.data, unit.indices, unit.indptr):
         a.flags.writeable = False
     return unit

@@ -87,4 +87,4 @@ def generate_planted_citation_matrix(spec: SyntheticSpec) -> tuple[CitationMatri
     rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed)]))
     counts = rng.multinomial(spec.volume, (weights / total).ravel()).reshape(n, n)
     matrix = CitationMatrix.from_dense(counts)
-    return matrix, Partition(labels=truth.astype(np.int64), level="real")
+    return matrix, Partition(labels=truth.astype(np.int64))

@@ -212,12 +212,12 @@ class TestExtractPartition:
 class TestRenormalize:
     def test_identity_partition_keeps_matrix(self):
         m = CitationMatrix.from_dense([[0, 2, 1], [3, 0, 0], [1, 1, 4]])
-        p = Partition(labels=np.array([0, 1, 2]), level=REAL)
+        p = Partition(labels=np.array([0, 1, 2]))
         assert np.array_equal(renormalize(m, p).to_dense(), m.to_dense())
 
     def test_single_label_collapses_to_total(self):
         m = CitationMatrix.from_dense([[0, 2, 1], [3, 0, 0], [1, 1, 4]])
-        p = Partition(labels=np.array([0, 0, 0]), level=REAL)
+        p = Partition(labels=np.array([0, 0, 0]))
         coarse = renormalize(m, p)
         assert coarse.to_dense().tolist() == [[12]]
 
@@ -228,7 +228,7 @@ class TestRenormalize:
             [7, 8, 0, 9],
             [1, 1, 1, 0],
         ])
-        p = Partition(labels=np.array([0, 0, 1, 1]), level=REAL)
+        p = Partition(labels=np.array([0, 0, 1, 1]))
         coarse = renormalize(m, p).to_dense()
         assert coarse.tolist() == [[5, 16], [17, 10]]
 
@@ -238,5 +238,5 @@ class TestRenormalize:
         m = CitationMatrix.from_dense(dense)
         labels = rng.integers(0, 4, size=12)
         labels[0] = 0  # keep label 0 in use so labels stay dense
-        p = Partition(labels=np.unique(labels, return_inverse=True)[1], level=REAL)
+        p = Partition(labels=np.unique(labels, return_inverse=True)[1])
         assert renormalize(m, p).total_citations == m.total_citations

@@ -152,7 +152,7 @@ class TestNmi:
         assert max(vals) <= 0.1
 
     def test_accepts_partition_objects(self):
-        p = Partition(labels=np.array([0, 0, 1, 1]), level="core")
+        p = Partition(labels=np.array([0, 0, 1, 1]))
         assert nmi(p, p) == 1.0
 
 

@@ -118,7 +118,7 @@ def test_renormalize_conserves_citation_mass(dense, data):
     n = len(dense)
     raw = data.draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))
     labels = np.unique(raw, return_inverse=True)[1]
-    coarse = renormalize(CitationMatrix.from_dense(dense), Partition(labels, REAL)).to_dense()
+    coarse = renormalize(CitationMatrix.from_dense(dense), Partition(labels)).to_dense()
     assert coarse.sum() == dense.sum()
     for a in range(coarse.shape[0]):
         for b in range(coarse.shape[1]):
@@ -163,7 +163,7 @@ def indicator_renormalize(counts, labels: np.ndarray):
 def test_renormalize_is_the_indicator_product(drawn):
     counts, labels = drawn
     raw = [a.copy() for a in (counts.data, counts.indices, counts.indptr)]
-    coarse = renormalize(CitationMatrix(counts), Partition(labels, REAL)).counts
+    coarse = renormalize(CitationMatrix(counts), Partition(labels)).counts
     want = indicator_renormalize(counts, labels)
     assert coarse.dtype == np.int64
     assert coarse.shape == want.shape
@@ -258,7 +258,7 @@ def test_partition_round_trip(case):
     labels = np.unique(raw, return_inverse=True)[1]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "partition.tsv"
-        write_partition(path, Partition(labels, CORE), names)
+        write_partition(path, Partition(labels), names)
         rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
     want_names = names if names is not None else [str(v) for v in range(len(labels))]
     assert [name for name, _ in rows] == want_names

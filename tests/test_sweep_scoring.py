@@ -91,7 +91,7 @@ LOG2_TRUTH = list(map(int, "0303031203030201120023133233133111233102221221110302
 @example(([columns([]), columns([(v, v + 1, 0.5) for v in range(66)])], 71, LOG2_TRUTH))
 def test_batched_scores_match_one_pass_per_run(case):
     runs, n, truth = case
-    reference = None if truth is None else Partition(labels=np.array(truth), level="real")
+    reference = None if truth is None else Partition(labels=np.array(truth))
     want = per_run(runs, n, reference)
     for per_chunk in (1, 2, len(runs)):
         with mock.patch.object(sweeps, "_CHUNK_NODES", per_chunk * n):
@@ -130,7 +130,7 @@ def test_a_reference_whose_labels_are_not_dense_scores_as_its_dense_codes(matrix
     labels = np.array([-7, 2, 10**15])[dense % 3] + dense
     assert len(np.unique(labels)) == len(np.unique(dense))
     csvs = [run_probability_sweep(matrix, ExperimentConfig(
-                repetitions=2, base_seed=1, reference=Partition(labels=reference, level="real")),
+                repetitions=2, base_seed=1, reference=Partition(labels=reference)),
                 [0.0, 0.5]).to_csv()
             for reference in (labels, dense)]
     assert csvs[0] == csvs[1]

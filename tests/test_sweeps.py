@@ -165,7 +165,7 @@ class TestReference:
             return select_many(sim, jobs)
 
         monkeypatch.setattr(sweeps, "select_many", counted)
-        reference = Partition(labels=np.zeros(small_matrix.n_nodes, np.int64), level="real")
+        reference = Partition(labels=np.zeros(small_matrix.n_nodes, np.int64))
         cfg = ExperimentConfig(repetitions=3, reference=reference if truth else "max")
         run_probability_sweep(small_matrix, cfg, [0.0, 0.5])
         assert counts == [2 * 2 * 3 + (not truth)]  # grid x kinds x reps, plus max
@@ -205,7 +205,7 @@ class TestReference:
             raise AssertionError("selected before the reference was checked")
 
         monkeypatch.setattr(sweeps, "select_many", no_selection)
-        truth = Partition(labels=np.zeros(small_matrix.n_nodes + 1, np.int64), level="real")
+        truth = Partition(labels=np.zeros(small_matrix.n_nodes + 1, np.int64))
         cfg = ExperimentConfig(repetitions=2, reference=truth)
         with pytest.raises(ValueError, match=f"{small_matrix.n_nodes + 1} nodes.*"
                                              f"{small_matrix.n_nodes}"):
