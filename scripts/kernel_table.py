@@ -20,7 +20,9 @@ block that cuts a component, and exits 1 if they do not.
 SCALE (default 1) multiplies every input's node count and citation
 volume; 0.1 runs in a few seconds, as a correctness smoke test. Block
 inputs come from the benchmark's generator (``perfbench/gen.py``);
-"shuffled" permutes their ids, as in real citation data, and "hub"
+"shuffled" permutes their ids, as in real citation data (with "blocks of
+150", more than ``BLOCK_ROWS``, every component is cut, so every block is
+open and its rows are scattered), and "hub"
 inputs draw targets from a power law of exponent alpha, so S is nearly
 dense.
 """
@@ -64,8 +66,8 @@ def hub(n: int, alpha: float, per_node: int = 50) -> CitationMatrix:
 
 def inputs(scale: float) -> dict:
     """Name -> a function drawing the input, at ``scale``."""
-    def spec(n_blocks, volume, cross_rate):
-        return BlockSpec(n_blocks=max(2, round(n_blocks * scale)), block_size=100,
+    def spec(n_blocks, volume, cross_rate, block_size=100):
+        return BlockSpec(n_blocks=max(2, round(n_blocks * scale)), block_size=block_size,
                          volume=max(1000, round(volume * scale)), cross_rate=cross_rate)
     n_hub = max(200, round(5000 * scale))
     return {
@@ -74,6 +76,7 @@ def inputs(scale: float) -> dict:
         "cross 5k": lambda: planted(spec(50, 2_500_000, 0.5)),
         "shuffled 5k": lambda: planted(spec(50, 2_500_000, 0.0), shuffle=True),
         "shuffled 5k, cross 0.05": lambda: planted(spec(50, 2_500_000, 0.05), shuffle=True),
+        "shuffled 5k, blocks of 150": lambda: planted(spec(34, 500_000, 0.0, 150), shuffle=True),
         "hub 5k": lambda: hub(n_hub, 2.5),
         "hub 5k, alpha 2.1": lambda: hub(n_hub, 2.1),
         "sorted 20k": lambda: planted(spec(200, 1_000_000, 0.0)),
@@ -124,7 +127,7 @@ def layouts(s) -> dict:
 def table(scale: float, reps: int) -> bool:
     """Print one line per (input, layout); False if the kernels ever differ."""
     same = True
-    print(f"{'input':<24} {'layout':<12} {'blocks':>6} {'closed':>6} {'closed ms':>9} "
+    print(f"{'input':<26} {'layout':<12} {'blocks':>6} {'closed':>6} {'closed ms':>9} "
           f"{'dense':>5} {'csr ms':>9} {'dense ms':>9} {'rule ms':>9}")
     for name, make in inputs(scale).items():
         s = build_similarity_matrix(make())
@@ -145,7 +148,7 @@ def table(scale: float, reps: int) -> bool:
                     print(f"kernels differ: {name}, {layout}, rows {rows[:5]}...", flush=True)
                     same = False
             n_closed = sum(closed for _, closed in blocks)
-            print(f"{name:<24} {layout:<12} {len(blocks):>6} {n_closed:>6} {ms['closed']:>9.1f} "
+            print(f"{name:<26} {layout:<12} {len(blocks):>6} {n_closed:>6} {ms['closed']:>9.1f} "
                   f"{n_dense:>5} {ms['csr']:>9.1f} {ms['dense']:>9.1f} {ms['rule']:>9.1f}",
                   flush=True)
     return same

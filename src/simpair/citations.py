@@ -113,10 +113,13 @@ class CitationMatrix:
 
         Duplicate (src, dst) pairs are summed.
         """
-        src, dst = np.asarray(src), np.asarray(dst)
+        src, dst, counts = np.asarray(src), np.asarray(dst), np.asarray(counts)
         _check_whole(src, "node ids")  # scipy's cast would truncate them
         _check_whole(dst, "node ids")
-        return cls(sparse.coo_array((np.asarray(counts), (src, dst)), shape=(n_nodes, n_nodes)),
+        if counts.dtype.kind not in "biuf":  # scipy would refuse it naming no count
+            _check_counts(counts)
+            counts = counts.astype(np.int64)  # exact: whole and within int64
+        return cls(sparse.coo_array((counts, (src, dst)), shape=(n_nodes, n_nodes)),
                    node_labels)
 
     def to_dense(self) -> np.ndarray:

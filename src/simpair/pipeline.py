@@ -32,7 +32,7 @@ from .communities import (
     renormalize,
 )
 from .metrics import partition_stats
-from .selection import NO_PAIRS, Pairs, Strategy, _integer, select_pairs
+from .selection import NO_PAIRS, Pairs, Strategy, _integer, _seed, select_pairs
 from .similarity import build_similarity_matrix
 
 FIXPOINT = 0
@@ -122,7 +122,7 @@ def detect(matrix: CitationMatrix, strategy: Strategy, seed: int = 0,
     The first level reuses the similarity state ``matrix`` keeps from any
     earlier call (see :func:`~simpair.similarity.build_similarity_matrix`);
     each coarse matrix is new and builds its own."""
-    seed, levels = _integer(seed, "seed"), _integer(levels, "levels")
+    seed, levels = _seed(seed), _integer(levels, "levels")
     if levels < 0:
         raise ValueError("levels must be >= 1, or 0 to iterate to a fixed point")
     found: list[Level] = []

@@ -100,6 +100,14 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as a nonnegative int (see :func:`_integer`); ValueError naming ``name`` otherwise."""
+    seed = _integer(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Tagged selection strategy with its parameters.
@@ -476,12 +484,13 @@ def select_many(s: SimilarityMatrix,
 
     Equal to ``[select_pairs(s, strategy, seed) for strategy, seed in jobs]``,
     but each block of similarity rows is computed once and handed to every job.
+    Every seed must be a nonnegative integer, under every strategy.
     """
     if s.n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     if not jobs:
         return []
-    runs = [_job(strategy, seed, s.n_nodes) for strategy, seed in jobs]
+    runs = [_job(strategy, _seed(seed), s.n_nodes) for strategy, seed in jobs]
     depths = [depth for _, depth in runs if depth is not None]
     picks: list[list[Pairs]] = [[] for _ in jobs]
     for rows, cols, vals in s.blocks(BLOCK_ROWS):

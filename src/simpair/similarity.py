@@ -188,16 +188,21 @@ class SimilarityMatrix:
         whose rows are not consecutive reads their positions from ``local``
         (see :meth:`_layout`)."""
         if self.unit is None:  # consecutive rows, read in place, with no diagonal
-            return _columns(self._values, rows[0], rows[-1] + 1)
+            return _columns(sparse.csr_array(_rows(self._values, rows),
+                                             shape=(len(rows), self.n_nodes)))
+        data, idx, ip = _rows(self.unit, rows)
         if closed:
-            # every target the rows cite, and every citer of those, is a row
-            at, vals = _own_dense_product(_own_rows(self.unit, rows, local))
+            # every target the rows cite, and every citer of those, is a row:
+            # each target re-indexed to its position among them
+            idx = idx - rows[0] if rows[-1] - rows[0] == len(rows) - 1 else local[idx]
+            at, vals = _own_dense_product(sparse.csr_array(
+                (data, idx.astype(ip.dtype, copy=False), ip), shape=(len(rows), len(rows))))
             vals[at, np.arange(len(at))] = 0.0  # each row that stores an entry is a column
             return rows[at], vals
-        part = _csr_rows(self.unit, rows)
-        cited = _present(part.indices, self.n_nodes)
+        part = sparse.csr_array((data, idx, ip), shape=(len(rows), self.n_nodes))
+        cited = _present(idx, self.n_nodes)
         if _takes_dense(len(rows), int(self._citers @ cited),
-                        int(self._citers[part.indices].sum()), self.n_nodes):
+                        int(self._citers[idx].sum()), self.n_nodes):
             cols, vals = _dense_product(part, cited, self._unit_t)
         else:
             cols, vals = _sparse_product(part, self._unit_t)
@@ -337,18 +342,17 @@ def _positions(present: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nda
 def _sparse_product(rows: sparse.csr_array,
                     unit_t: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
     """``rows @ unit_t`` by scipy's CSR product, as ``(cols, vals)``."""
-    p = rows @ unit_t
-    return _columns(p, 0, p.shape[0])
+    return _columns(rows @ unit_t)
 
 
 def _dense_product(rows: sparse.csr_array, cited: np.ndarray,
                    unit_t: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
     """``rows @ unit_t`` by the dense kernel, as ``(cols, vals)``; ``cited`` masks their targets."""
     targets, at = _positions(cited, rows.indices)
-    citers = unit_t[targets]  # one row per cited target, in target order
-    cols, col_at = _positions(_present(citers.indices, unit_t.shape[1]), citers.indices)
-    a = sparse.csc_array((citers.data, col_at, citers.indptr), shape=(len(cols), len(targets)))
-    del citers, col_at
+    data, idx, ip = _rows(unit_t, targets)  # one row per cited target, in target order
+    cols, col_at = _positions(_present(idx, unit_t.shape[1]), idx)
+    a = sparse.csc_array((data, col_at, ip), shape=(len(cols), len(targets)))
+    del data, idx, col_at
     n_rows = rows.shape[0]
     x = np.zeros((len(targets), n_rows))
     x[at, np.repeat(np.arange(n_rows), np.diff(rows.indptr))] = rows.data
@@ -357,27 +361,6 @@ def _dense_product(rows: sparse.csr_array, cited: np.ndarray,
     vals = np.ascontiguousarray(product.T)
     del product
     return cols, vals
-
-
-def _own_rows(m: sparse.csr_array, rows: np.ndarray,
-              local: np.ndarray | None) -> sparse.csr_array:
-    """Rows ``rows`` (sorted) of ``m``, whose every stored column is one of
-    ``rows``, over those columns: each re-indexed to its position in ``rows``,
-    so the result is len(rows) x len(rows) and built in O(its entries).
-    Unless ``rows`` are consecutive, ``local`` holds each one's position."""
-    lo, hi = rows[0], rows[-1] + 1
-    if hi - lo == len(rows):  # consecutive: a slice, and a shift of the columns
-        ip = m.indptr[lo:hi + 1]
-        data, idx = m.data[ip[0]:ip[-1]], m.indices[ip[0]:ip[-1]] - lo
-        ip = ip - ip[0]
-    else:
-        start, end = m.indptr[rows], m.indptr[rows + 1]
-        ip = np.zeros(len(rows) + 1, m.indptr.dtype)
-        np.cumsum(end - start, out=ip[1:])
-        take = np.repeat(start - ip[:-1], end - start) + np.arange(ip[-1])
-        data, idx = m.data[take], local[m.indices[take]]
-    return sparse.csr_array((data, idx.astype(m.indices.dtype, copy=False), ip),
-                            shape=(len(rows), len(rows)))
 
 
 def _own_dense_product(local: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
@@ -393,27 +376,30 @@ def _own_dense_product(local: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]
     return at, local @ x
 
 
-def _csr_rows(m: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
-    """Rows ``rows`` (sorted) of ``m``, a view of its arrays when they are consecutive."""
-    if rows[-1] - rows[0] != len(rows) - 1:
-        return m[rows]
-    ip = m.indptr[rows[0]:rows[-1] + 2]
-    start, end = ip[0], ip[-1]
-    return sparse.csr_array((m.data[start:end], m.indices[start:end], ip - start),
-                            shape=(len(rows), m.shape[1]))
+def _rows(m: sparse.csr_array, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of rows ``rows`` (sorted, possibly none) of
+    ``m``: views of its ``data`` and ``indices`` when the rows are consecutive,
+    else one gather of their entries."""
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        ip = m.indptr[rows[0]:rows[-1] + 2]
+        return m.data[ip[0]:ip[-1]], m.indices[ip[0]:ip[-1]], ip - ip[0]
+    start, end = m.indptr[rows], m.indptr[rows + 1]
+    ip = np.zeros(len(rows) + 1, m.indptr.dtype)
+    np.cumsum(end - start, out=ip[1:])
+    take = np.repeat(start - ip[:-1], end - start) + np.arange(ip[-1])
+    return m.data[take], m.indices[take], ip
 
 
-def _columns(rows: sparse.csr_array, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``lo:hi`` of ``rows`` over the columns they store, as ``(cols, vals)``."""
-    ip = rows.indptr[lo:hi + 1]
-    data, idx = rows.data[ip[0]:ip[-1]], rows.indices[ip[0]:ip[-1]]
-    cols, idx = _positions(_present(idx, rows.shape[1]), idx)
-    out = np.zeros((hi - lo, len(cols)))
+def _columns(m: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``m`` over the columns they store, as ``(cols, vals)``."""
+    ip, n_rows = m.indptr, m.shape[0]
+    cols, idx = _positions(_present(m.indices, m.shape[1]), m.indices)
+    out = np.zeros((n_rows, len(cols)))
     # flat offsets, added in place: one 1-d scatter is faster than a
     # (rows, cols) one
-    flat = np.repeat(np.arange(hi - lo) * len(cols), np.diff(ip))
+    flat = np.repeat(np.arange(n_rows) * len(cols), np.diff(ip))
     flat += idx
-    out.ravel()[flat] = data
+    out.ravel()[flat] = m.data
     return cols, out
 
 

@@ -40,7 +40,7 @@ from .communities import Partition, _run_levels
 from .metrics import _nmi_rows, _reference, nmi
 from .pipeline import FIXPOINT, Strategy, detect
 from .rng import derive_seed
-from .selection import RANDOM_KINDS, Pairs, _integer, select_many
+from .selection import RANDOM_KINDS, Pairs, _integer, _seed, select_many
 from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_planted_citation_matrix
 
@@ -66,7 +66,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _integer(self.base_seed, "base_seed")
+        _seed(self.base_seed, "base_seed")
         if _integer(self.repetitions, "repetitions") < 1:
             raise ValueError("repetitions must be >= 1")
         if not (isinstance(self.reference, Partition) or self.reference == "max"):
@@ -232,8 +232,9 @@ def planted_recovery(spec: SyntheticSpec | None = None, n_seeds: int = 20,
     coarse-grained iteration is what reassembles them.
     """
     spec = spec or SyntheticSpec()
+    _seed(base_seed, "base_seed")
     scores = []
-    for r in range(n_seeds):
+    for r in range(_integer(n_seeds, "n_seeds")):
         seeded = replace(spec, seed=derive_seed(base_seed, r))
         matrix, truth = generate_planted_citation_matrix(seeded)
         detection = detect(matrix, Strategy("max"), seed=0, levels=FIXPOINT)

@@ -9,12 +9,14 @@ quality can be scored directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .citations import CitationMatrix
 from .communities import Partition
+from .selection import _integer, _seed
 
 
 @dataclass(frozen=True)
@@ -39,14 +41,18 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.block_sizes:
             raise ValueError("block_sizes must list at least one block")
-        if any(s < 1 for s in self.block_sizes):
+        if any(_integer(s, "block_sizes") < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
+        for name in ("in_rate", "cross_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.in_rate < 0 or self.cross_rate < 0:
             raise ValueError("rates must be nonnegative")
         # equality is allowed as a null model; planted structure needs in > cross
         if self.in_rate < self.cross_rate:
             raise ValueError("in_rate must be at least cross_rate")
-        if self.volume < 1:
+        _seed(self.seed)
+        if _integer(self.volume, "volume") < 1:
             raise ValueError("volume must be positive")
         if self.volume > np.iinfo(np.int64).max:  # the most multinomial can draw
             raise ValueError(f"volume must be at most {np.iinfo(np.int64).max}")

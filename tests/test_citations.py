@@ -41,9 +41,10 @@ def test_a_negative_count_is_refused_before_duplicates_are_summed():
     (lambda: CitationMatrix.from_dense([[0, np.nan], [1, 0]]), "nan"),
     (lambda: CitationMatrix.from_entries(3, [0, 1], [1, 2], [1.9, 2.2]), "1.9"),
     (lambda: CitationMatrix.from_entries(2, [0], [1], [np.inf]), "inf"),
+    (lambda: CitationMatrix.from_entries(2, [0], [1], ["3"]), "'3'"),
     (lambda: CitationMatrix(sparse.csr_array([[0, 0.5], [0.25, 0]])), "0.5"),
 ], ids=["from_dense", "from_dense negative", "from_dense nan", "from_entries",
-        "from_entries inf", "csr"])
+        "from_entries inf", "from_entries string", "csr"])
 def test_a_count_that_is_not_a_whole_number_is_refused_by_name(build, bad):
     with pytest.raises(ValueError, match=f"whole numbers, got {bad}$"):
         build()
@@ -52,8 +53,9 @@ def test_a_count_that_is_not_a_whole_number_is_refused_by_name(build, bad):
 @pytest.mark.parametrize("build", [
     lambda: CitationMatrix.from_dense([[0, 2.0], [1.0, 0]]),
     lambda: CitationMatrix.from_entries(2, [0, 1], [1, 0], [2.0, 1.0]),
+    lambda: CitationMatrix.from_entries(2, [0, 1], [1, 0], np.array([2, 1], dtype=object)),
     lambda: CitationMatrix(sparse.csr_array([[0, 2.0], [1.0, 0]])),
-], ids=["from_dense", "from_entries", "csr"])
+], ids=["from_dense", "from_entries", "from_entries object", "csr"])
 def test_whole_valued_float_counts_construct(build):
     assert build().to_dense().tolist() == [[0, 2], [1, 0]]
 
@@ -62,7 +64,9 @@ def test_whole_valued_float_counts_construct(build):
     lambda: CitationMatrix.from_dense([[0, 2.0**63], [1, 0]]),
     lambda: CitationMatrix.from_dense(np.array([[0, 10**20], [1, 0]], dtype=object)),
     lambda: CitationMatrix.from_entries(2, [0], [1], np.array([2**63], dtype=np.uint64)),
-], ids=["float", "object", "uint64"])
+    # Python ints past int64, which numpy holds as objects and scipy refuses by dtype
+    lambda: CitationMatrix.from_entries(2, [0], [1], [10**20]),
+], ids=["float", "object", "uint64", "from_entries object"])
 def test_a_single_count_past_int64_is_refused(build):
     with pytest.raises(ValueError, match="sum past the int64 maximum"):
         build()

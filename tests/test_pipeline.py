@@ -60,6 +60,11 @@ class TestDetect:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             detect(two_cliques, Strategy("max"), **kwargs)
 
+    @pytest.mark.parametrize("strategy", [Strategy("max"), Strategy("p")], ids=["max", "p"])
+    def test_rejects_a_negative_seed(self, two_cliques, strategy):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1$"):
+            detect(two_cliques, strategy, seed=-1)
+
     def test_numpy_integer_levels_and_seed_are_recorded_as_ints(self, two_cliques):
         d = detect(two_cliques, Strategy("max"), seed=np.int64(5), levels=np.int32(2))
         assert d.provenance["seed"] == 5 and type(d.provenance["seed"]) is int

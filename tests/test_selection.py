@@ -435,6 +435,32 @@ class TestNoJobs:
             select_pairs(s, MAX)
 
 
+class TestSeedValidation:
+    """A seed must be a nonnegative integer, refused by name under every strategy;
+    none is truncated to another seed's pairs."""
+
+    @pytest.mark.parametrize("strategy", [MAX, UNIFORM], ids=["max", "p"])
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.9), "1"], ids=["1.5", "float64", "str"])
+    def test_select_pairs_refuses_a_seed_that_is_not_an_integer(self, strategy, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            select_pairs(FIVE, strategy, seed)
+
+    @pytest.mark.parametrize("strategy", [MAX, UNIFORM], ids=["max", "p"])
+    def test_select_pairs_refuses_a_negative_seed(self, strategy):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1$"):
+            select_pairs(FIVE, strategy, -1)
+
+    @pytest.mark.parametrize("seed, match", [(1.5, "seed must be an integer"),
+                                             (-1, "seed must be >= 0")], ids=["1.5", "-1"])
+    def test_select_many_refuses_a_bad_seed_in_any_job(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            select_many(FIVE, [(UNIFORM, 1), (MAX, seed)])
+
+    def test_numpy_integer_seeds_keep_their_pairs(self):
+        for seed in (np.int64(1), np.uint64(1)):
+            assert rows(select_pairs(FIVE, UNIFORM, seed)) == rows(select_pairs(FIVE, UNIFORM, 1))
+
+
 class TestStrategyValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

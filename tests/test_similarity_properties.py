@@ -703,3 +703,41 @@ def test_components_of_a_long_chain_take_few_rounds():
     elapsed = time.process_time() - start
     assert np.array_equal(labels, scipys_components(unit))
     assert elapsed < 1.0, elapsed
+
+
+@st.composite
+def csr_row_sets(draw):
+    """A random CSR with int32 or int64 indices, rows empty at random, and a
+    sorted set of its rows: consecutive, scattered, one, or none."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    dense = draw(arrays(np.float64, (n_rows, n_cols),
+                        elements=st.sampled_from([0.0, 0.0, 0.5, 3.0]), fill=st.nothing()))
+    dense[draw(arrays(bool, n_rows, fill=st.nothing()))] = 0.0  # whole rows empty
+    m = sparse.csr_array(dense)
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    # arrays of its own, so a view of them has them as its base
+    m.data, m.indices, m.indptr = m.data.copy(), m.indices.astype(index), m.indptr.astype(index)
+    kind = draw(st.sampled_from(["consecutive", "scattered", "one", "none"]))
+    if kind == "consecutive":
+        lo = draw(st.integers(0, n_rows - 1))
+        rows = np.arange(lo, draw(st.integers(lo + 1, n_rows)))
+    elif kind == "scattered":
+        rows = np.flatnonzero(draw(arrays(bool, n_rows, fill=st.nothing())))
+    elif kind == "one":
+        rows = np.array([draw(st.integers(0, n_rows - 1))])
+    else:
+        rows = np.array([], dtype=np.int64)
+    return m, rows
+
+
+@PROPERTY
+@given(csr_row_sets())
+def test_row_reader_is_scipys_row_indexing(case):
+    m, rows = case
+    data, idx, ip = similarity._rows(m, rows)
+    expected = m[rows]
+    for got, want in ((data, expected.data), (idx, expected.indices), (ip, expected.indptr)):
+        assert np.array_equal(got, want)
+    assert (data.dtype, idx.dtype, ip.dtype) == (m.data.dtype, m.indices.dtype, m.indptr.dtype)
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:  # consecutive: views, not copies
+        assert data.base is m.data and idx.base is m.indices

@@ -45,6 +45,14 @@ def test_a_repeated_kind_is_rejected(small_matrix, kinds):
         run_probability_sweep(small_matrix, ExperimentConfig(repetitions=2), [0.5], kinds=kinds)
 
 
+@pytest.mark.parametrize("base_seed, match", [(-3, "base_seed must be >= 0, got -3$"),
+                                               (1.5, "base_seed must be an integer")],
+                         ids=["-3", "1.5"])
+def test_a_base_seed_that_is_not_a_nonnegative_integer_is_refused(base_seed, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(base_seed=base_seed)
+
+
 class TestProbabilitySweep:
     def test_p_zero_reproduces_reference_exactly(self, small_matrix):
         cfg = ExperimentConfig(repetitions=5, base_seed=3)

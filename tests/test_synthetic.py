@@ -62,6 +62,28 @@ class TestGenerator:
                 SyntheticSpec(block_sizes=(2, 2), in_rate=1e308))
 
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"seed": -1}, "seed must be >= 0, got -1$"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": "1"}, "seed must be an integer"),
+        ({"volume": 1000.9}, "volume must be an integer"),
+        ({"volume": 1000.0}, "volume must be an integer"),
+        ({"in_rate": np.nan}, "in_rate must be finite"),
+        ({"in_rate": np.inf}, "in_rate must be finite"),
+        ({"cross_rate": np.nan}, "cross_rate must be finite"),
+        ({"block_sizes": (2.5, 3)}, "block_sizes must be an integer"),
+    ], ids=["seed -1", "seed 1.5", "seed str", "volume 1000.9", "volume 1000.0",
+            "in_rate nan", "in_rate inf", "cross_rate nan", "block size 2.5"])
+    def test_rejects_a_bad_value_by_name_at_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticSpec(**kwargs)
+
+    def test_numpy_integer_seed_and_volume_keep_their_matrix(self):
+        a, _ = generate_planted_citation_matrix(SyntheticSpec(volume=np.int64(5_000), seed=np.int32(3)))
+        b, _ = generate_planted_citation_matrix(SyntheticSpec(volume=5_000, seed=3))
+        assert np.array_equal(a.to_dense(), b.to_dense())
+
+
 class TestRecovery:
     def test_disconnected_blocks_recover_exactly(self):
         spec = SyntheticSpec(cross_rate=0.0, seed=21)
@@ -76,6 +98,14 @@ class TestRecovery:
         detection = detect(matrix, Strategy("max"), levels=1)
         assert detection.real.n_communities > 4
         assert 0.4 <= nmi(detection.real, truth) <= 0.8
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1$"),
+        ({"n_seeds": 2.5}, "n_seeds must be an integer"),
+    ], ids=["base_seed -1", "n_seeds 2.5"])
+    def test_planted_recovery_refuses_a_bad_value_by_name(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            planted_recovery(SyntheticSpec(volume=1_000), **kwargs)
 
     def test_planted_recovery_helper(self):
         scores = planted_recovery(n_seeds=5, base_seed=0)
